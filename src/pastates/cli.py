@@ -350,12 +350,13 @@ def _verify_discrete(args, lines: list[dict]) -> float:
         mat = complete.sns_completeness_matrix(param, cutoff, args.dim)
         devs.append(mat.identity_deviation())
         closed = complete.discrete_completeness_matrix(param, cutoff, args.dim, "closed")
+        pair_dev = closed.identity_deviation()
         lines.append(
             {
                 "check": f"discrete cutoff={cutoff}",
                 "number_basis_deviation": devs[-1],
-                "pair_basis_deviation": closed.identity_deviation(),
-                "pass": True,
+                "pair_basis_deviation": pair_dev,
+                "pass": bool(pair_dev < args.tol),
             }
         )
     decreasing = all(devs[i] > devs[i + 1] for i in range(len(devs) - 1))
@@ -380,7 +381,13 @@ def _verify_carleman(args, lines: list[dict]) -> float:
     mags = [abs(r) for _, r in seq]
     shrinking = all(mags[i] > mags[i + 1] for i in range(len(mags) - 1))
     for k, r in seq:
-        lines.append({"check": f"carleman m={args.m} k={k}", "ratio": r, "pass": True})
+        lines.append(
+            {
+                "check": f"carleman m={args.m} k={k}",
+                "ratio": r,
+                "pass": bool(math.isfinite(r) and r > -1.0),
+            }
+        )
     final = mags[-1]
     lines.append(
         {

@@ -204,7 +204,14 @@ def weight_hmum(lam: int, mu: int, m: int, y: float) -> float:
 
 
 class _KummerCache:
-    """Memoized U(m, 1, x): quadrature nodes repeat across radial integrals."""
+    """Memoized U(m, 1, x): quadrature nodes repeat across radial integrals.
+
+    Every refinement level of every radial integral re-evaluates the nodes
+    of the coarser levels, so in ``verify all`` the integrands ask for U
+    about 107 k times and only 7.4 k of those miss the memo.  Even with U by
+    recurrence that run takes about 1.7 times as long without the memo; it
+    can go once the quadrature reuses the previous level's nodes.
+    """
 
     def __init__(self, m: int):
         self.m = m

@@ -44,6 +44,8 @@ __all__ = [
 # a row (a single small term can be a sign-alternation zero).
 _TERM_EPS = 1e-17
 _SMALL_RUN = 3
+_EPS = 2.220446049250313e-16
+_EULER_GAMMA = 0.57721566490153286
 
 
 @dataclass(frozen=True)
@@ -315,18 +317,79 @@ def laguerre(m: int, x):
     return l
 
 
-def kummer_u_int_ex(m: int, x: float) -> EvalResult:
-    """Kummer U(m, 1, x) for integer m >= 0 and x > 0.
+def _exp1_series(x: float) -> tuple[float, float, int]:
+    """E1(x) = -gamma - ln x - sum_{k>=1} (-x)^k / (k k!), for 0 < x <= 0.5.
 
-    U(0,1,x) = 1 exactly.  For m >= 1 the real integral representation
-    U(m,1,x) = (1/Gamma(m)) \\int_0^inf e^{-x t} t^{m-1} (1+t)^{-m} dt is
-    evaluated by exp-sinh quadrature (the logarithmic series at b = 1 would
-    need digamma limit formulas instead).
+    Returns (value, mass, terms); mass is the sum of the magnitudes of the
+    summands and bounds the rounding error of the cancelling sum.
     """
-    if m < 0:
-        raise ValueError("kummer_u_int requires m >= 0")
-    if x <= 0.0:
-        raise ValueError("kummer_u_int requires x > 0")
+    log_x = math.log(x)
+    total = 0.0
+    mass = _EULER_GAMMA + abs(log_x)
+    term = 1.0
+    k = 0
+    while True:
+        k += 1
+        term *= -x / k
+        total += term / k
+        mass += abs(term) / k
+        if abs(term) < _TERM_EPS * mass:
+            return -_EULER_GAMMA - log_x - total, mass, k
+
+
+def _kummer_u_forward(m: int, x: float) -> EvalResult:
+    """U(m,1,x) by forward recurrence from U(0) = 1, U(1) = e^x E1(x).
+
+    U is the minimal solution, so errors grow along a dominant solution; w,
+    the solution started from (0, 1), is the factor by which an error in
+    U(1) or in an early step reaches U(m).
+    """
+    e1, mass, terms = _exp1_series(x)
+    scale = math.exp(x)
+    u_prev, u = 1.0, scale * e1
+    start_err = 4.0 * _EPS * (scale * mass + m * abs(u))
+    w_prev, w = 0.0, 1.0
+    for a in range(1, m):
+        c = 2 * a - 1 + x
+        a2 = a * a
+        u_prev, u = u, (c * u - u_prev) / a2
+        w_prev, w = w, (c * w - w_prev) / a2
+    return EvalResult(u, abs(w) * start_err, terms + m - 1)
+
+
+def _kummer_u_miller(m: int, x: float) -> EvalResult:
+    """U(m,1,x) by Miller's backward recurrence, normalized by U(0) = 1.
+
+    Run in ratio form, r_a = U(a)/U(a-1) = 1 / (2a-1+x - a^2 r_(a+1)) from
+    r_(n+1) = 0, so nothing overflows, and U(m) = r_1 ... r_m.  Setting
+    r_(n+1) to 0 perturbs r_a by a relative amount that shrinks by the
+    factor a^2 r_a r_(a+1) per step down; that product, carried to a = m,
+    is the truncation estimate.  The start n comes from the asymptotic
+    ratio exp(-4 sqrt(a x)) of the minimal to a dominant solution and is
+    raised until the estimate is below half the machine epsilon.
+    """
+    n = int((math.sqrt(m) + 9.0 / math.sqrt(x)) ** 2) + 2
+    steps = 0
+    while True:
+        r_next = 0.0
+        trunc = 1.0
+        for a in range(n, m - 1, -1):
+            r = 1.0 / (2 * a - 1 + x - a * a * r_next)
+            trunc *= a * a * r * (r_next or r)
+            r_next = r
+        u = r_next
+        for a in range(m - 1, 0, -1):
+            r_next = 1.0 / (2 * a - 1 + x - a * a * r_next)
+            u *= r_next
+        steps += n
+        if trunc <= 0.5 * _EPS:
+            return EvalResult(u, abs(u) * (trunc + 4.0 * (m + 1) * _EPS), steps)
+        n += n // 2 + 4
+
+
+def _kummer_u_integral(m: int, x: float) -> EvalResult:
+    """U(m,1,x) = (1/Gamma(m)) int_0^inf e^{-x t} t^{m-1} (1+t)^{-m} dt by
+    exp-sinh quadrature; slow, kept as the reference for the recurrence."""
     if m == 0:
         return EvalResult(1.0, 0.0, 1)
     lg = math.lgamma(m)
@@ -345,6 +408,33 @@ def kummer_u_int_ex(m: int, x: float) -> EvalResult:
     if not res.converged:
         raise ValueError(f"kummer_u_int: quadrature did not converge (m={m}, x={x})")
     return EvalResult(res.value, res.est_abs_error, res.nodes_used)
+
+
+def kummer_u_int_ex(m: int, x: float, form: str = "recurrence") -> EvalResult:
+    """Kummer U(m, 1, x) for integer m >= 0 and finite x > 0.
+
+    form="recurrence": U(0,1,x) = 1 exactly, and DLMF 13.3.7 at b = 1,
+    U(a+1) = ((2a-1+x) U(a) - U(a-1)) / a^2, gives the rest.  U is the
+    minimal solution, so the recurrence runs forward from e^x E1(x) only
+    while x <= 0.5 and m x <= 3 (error growth about exp(4 sqrt(m x)) times
+    the rounding), and backward by Miller's algorithm otherwise.
+    ``terms_used`` counts E1 series terms plus recurrence steps.
+    form="integral": the integral representation by quadrature.
+    """
+    if not (m >= 0 and float(m).is_integer()):
+        raise ValueError(f"kummer_u_int requires integer m >= 0, got m={m}")
+    m = int(m)
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"kummer_u_int requires finite x > 0, got x={x}")
+    if form == "integral":
+        return _kummer_u_integral(m, x)
+    if form != "recurrence":
+        raise ValueError(f"unknown kummer_u_int form: {form!r}")
+    if m == 0:
+        return EvalResult(1.0, 0.0, 1)
+    if x <= 0.5 and m * x <= 3.0:
+        return _kummer_u_forward(m, x)
+    return _kummer_u_miller(m, x)
 
 
 def kummer_u_int(m: int, x: float) -> float:

@@ -184,6 +184,22 @@ def test_verify_discrete(capsys):
     assert "strictly_decreasing=True" in out
 
 
+def test_verify_discrete_fails_below_rounding(capsys):
+    code, out, _ = run_cli(
+        ["verify", "discrete", "--zeta", "0.3", "--cutoffs", "10,20,40", "--dim", "8", "--tol", "1e-16"],
+        capsys,
+    )
+    assert code == 1
+    assert "[FAIL] discrete cutoff=10:" in out
+
+
+def test_verify_carleman_fails_on_nan_ratio(capsys, monkeypatch):
+    monkeypatch.setattr(cli.complete, "carleman_sequence", lambda m, ks: [(k, math.nan) for k in ks])
+    code, out, _ = run_cli(["verify", "carleman", "--m", "2", "--k", "10,100,1000"], capsys)
+    assert code == 1
+    assert "[FAIL] carleman m=2 k=10:" in out
+
+
 def test_verify_unity_single(capsys):
     code, out, _ = run_cli(
         ["verify", "unity", "--family", "pacsc", "--m", "1", "--mu", "1", "--lambda", "2",

@@ -290,17 +290,32 @@ def test_kummer_u_bruteforce_quadrature():
     assert sf.kummer_u_int(m, x) == pytest.approx(brute, rel=1e-9)
 
 
-@pytest.mark.parametrize("z", [0.5, 2.0, 10.0])
-def test_kummer_u_recurrence(z):
-    # U(a-1,b,z) + (b-2a-z) U(a,b,z) + a(a-b+1) U(a+1,b,z) = 0 at b = 1
-    for a in range(1, 21):
-        lhs = (
-            sf.kummer_u_int(a - 1, z)
-            + (1 - 2 * a - z) * sf.kummer_u_int(a, z)
-            + a * a * sf.kummer_u_int(a + 1, z)
-        )
-        scale = abs(sf.kummer_u_int(a, z)) * (2 * a + z)
-        assert abs(lhs) < 1e-8 * scale
+@pytest.mark.parametrize("m", [*range(1, 13), 40])
+def test_kummer_u_matches_mpmath(m):
+    # independent oracle; m = 40 crosses the forward/backward switch at
+    # smaller x than the low orders do
+    mpmath = pytest.importorskip("mpmath")
+    for x in [1e-300] + [10.0 ** (k / 3) for k in range(-18, 10)] + [2000.0]:
+        r = sf.kummer_u_int_ex(m, x)
+        with mpmath.workdps(30):
+            ref = mpmath.hyperu(m, 1, x)
+            err = float(abs(r.value - ref))
+        assert err <= 2e-13 * float(abs(ref)), (m, x)
+        # the reported estimate bounds the achieved error
+        assert err <= r.est_abs_error <= 1e-11 * float(abs(ref)), (m, x)
+
+
+def test_kummer_u_integral_form_agrees():
+    for m in (1, 2, 4, 8):
+        for x in (1e-3, 0.3, 0.5, 0.7, 3.0, 40.0):
+            fast = sf.kummer_u_int_ex(m, x)
+            slow = sf.kummer_u_int_ex(m, x, form="integral")
+            assert fast.value == pytest.approx(slow.value, rel=1e-10)
+
+
+def test_kummer_u_rejects_unknown_form():
+    with pytest.raises(ValueError, match="form"):
+        sf.kummer_u_int_ex(2, 1.0, form="series")
 
 
 def test_kummer_u_rejects_nonpositive_x():
@@ -308,6 +323,19 @@ def test_kummer_u_rejects_nonpositive_x():
         sf.kummer_u_int(1, 0.0)
     with pytest.raises(ValueError):
         sf.kummer_u_int(1, -2.0)
+
+
+@pytest.mark.parametrize("m", [-1, 2.5, math.nan, math.inf])
+def test_kummer_u_rejects_bad_order(m):
+    with pytest.raises(ValueError, match="integer m >= 0, got m="):
+        sf.kummer_u_int(m, 1.0)
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_kummer_u_rejects_nonfinite_x(x):
+    for form in ("recurrence", "integral"):
+        with pytest.raises(ValueError, match="finite x > 0, got x="):
+            sf.kummer_u_int_ex(2, x, form=form)
 
 
 # ------------------------------------------------------------ hyperbolic orders
@@ -358,6 +386,9 @@ def test_eval_results_carry_diagnostics():
     assert r.terms_used >= 1 and r.est_abs_error >= 0.0
     r = sf.hyperbolic_order_ex(1, 3, 2.0)
     assert r.terms_used >= 1
+    for x in (0.1, 0.7, 50.0):   # forward and backward recurrence
+        r = sf.kummer_u_int_ex(3, x)
+        assert r.terms_used > 3 and r.est_abs_error > 0.0
 
 
 def test_evaluation_is_deterministic():
