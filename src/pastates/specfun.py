@@ -389,7 +389,8 @@ def _kummer_u_miller(m: int, x: float) -> EvalResult:
 
 def _kummer_u_integral(m: int, x: float) -> EvalResult:
     """U(m,1,x) = (1/Gamma(m)) int_0^inf e^{-x t} t^{m-1} (1+t)^{-m} dt by
-    exp-sinh quadrature; slow, kept as the reference for the recurrence."""
+    exp-sinh quadrature, for integer m >= 0 and finite x > 0; slow, kept as
+    the reference the recurrence is tested against."""
     if m == 0:
         return EvalResult(1.0, 0.0, 1)
     lg = math.lgamma(m)
@@ -410,26 +411,21 @@ def _kummer_u_integral(m: int, x: float) -> EvalResult:
     return EvalResult(res.value, res.est_abs_error, res.nodes_used)
 
 
-def kummer_u_int_ex(m: int, x: float, form: str = "recurrence") -> EvalResult:
+def kummer_u_int_ex(m: int, x: float) -> EvalResult:
     """Kummer U(m, 1, x) for integer m >= 0 and finite x > 0.
 
-    form="recurrence": U(0,1,x) = 1 exactly, and DLMF 13.3.7 at b = 1,
+    U(0,1,x) = 1 exactly, and DLMF 13.3.7 at b = 1,
     U(a+1) = ((2a-1+x) U(a) - U(a-1)) / a^2, gives the rest.  U is the
     minimal solution, so the recurrence runs forward from e^x E1(x) only
     while x <= 0.5 and m x <= 3 (error growth about exp(4 sqrt(m x)) times
     the rounding), and backward by Miller's algorithm otherwise.
     ``terms_used`` counts E1 series terms plus recurrence steps.
-    form="integral": the integral representation by quadrature.
     """
     if not (m >= 0 and float(m).is_integer()):
         raise ValueError(f"kummer_u_int requires integer m >= 0, got m={m}")
     m = int(m)
     if not 0.0 < x < math.inf:
         raise ValueError(f"kummer_u_int requires finite x > 0, got x={x}")
-    if form == "integral":
-        return _kummer_u_integral(m, x)
-    if form != "recurrence":
-        raise ValueError(f"unknown kummer_u_int form: {form!r}")
     if m == 0:
         return EvalResult(1.0, 0.0, 1)
     if x <= 0.5 and m * x <= 3.0:

@@ -305,17 +305,12 @@ def test_kummer_u_matches_mpmath(m):
         assert err <= r.est_abs_error <= 1e-11 * float(abs(ref)), (m, x)
 
 
-def test_kummer_u_integral_form_agrees():
+def test_kummer_u_integral_reference_agrees():
     for m in (1, 2, 4, 8):
         for x in (1e-3, 0.3, 0.5, 0.7, 3.0, 40.0):
             fast = sf.kummer_u_int_ex(m, x)
-            slow = sf.kummer_u_int_ex(m, x, form="integral")
+            slow = sf._kummer_u_integral(m, x)
             assert fast.value == pytest.approx(slow.value, rel=1e-10)
-
-
-def test_kummer_u_rejects_unknown_form():
-    with pytest.raises(ValueError, match="form"):
-        sf.kummer_u_int_ex(2, 1.0, form="series")
 
 
 def test_kummer_u_rejects_nonpositive_x():
@@ -333,9 +328,8 @@ def test_kummer_u_rejects_bad_order(m):
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
 def test_kummer_u_rejects_nonfinite_x(x):
-    for form in ("recurrence", "integral"):
-        with pytest.raises(ValueError, match="finite x > 0, got x="):
-            sf.kummer_u_int_ex(2, x, form=form)
+    with pytest.raises(ValueError, match="finite x > 0, got x="):
+        sf.kummer_u_int_ex(2, x)
 
 
 # ------------------------------------------------------------ hyperbolic orders
