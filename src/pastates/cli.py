@@ -5,7 +5,7 @@ Subcommands: state, overlap, norm, weights, verify.  Tables go out as CSV
 Nothing is stochastic and no timestamps are embedded, so identical
 invocations produce byte-identical output.
 
-Exit codes: 0 pass, 1 verification failure, 2 usage error.
+Exit codes: 0 pass, 1 verification or numerical failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -402,19 +402,16 @@ def _verify_carleman(args, lines: list[dict]) -> float:
 
 def _verify_overlaps(args, lines: list[dict]) -> float:
     moduli = parse_float_list(args.moduli)
-    fn = overlap.pasvs_overlap if args.family == "pasvs" else overlap.pasops_overlap
-    worst = 0.0
-    count = 0
-    for n in range(args.max_n + 1):
-        for m in range(n % 2, n + 1, 2):
-            for axi in moduli:
-                for aze in moduli:
-                    for pxi, pze in _PHASE_PAIRS:
-                        xi = fockstate.SqueezeParam(axi * cmath.exp(1j * pxi))
-                        ze = fockstate.SqueezeParam(aze * cmath.exp(1j * pze))
-                        res = fn(xi, n, ze, m, form=1)
-                        worst = max(worst, res.form_spread, res.oracle_error)
-                        count += 1
+    label_pairs = [
+        (
+            fockstate.SqueezeParam(axi * cmath.exp(1j * pxi)),
+            fockstate.SqueezeParam(aze * cmath.exp(1j * pze)),
+        )
+        for axi in moduli
+        for aze in moduli
+        for pxi, pze in _PHASE_PAIRS
+    ]
+    worst, count = overlap.overlap_grid(args.family, label_pairs, args.max_n)
     lines.append(
         {
             "check": f"overlaps {args.family} grid (n,m <= {args.max_n}, {count} points)",
@@ -602,6 +599,10 @@ def main(argv=None) -> int:
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:
+        # a numerical failure (overflow, failed normalization check), not bad usage
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -147,21 +147,24 @@ def _build_truncated(log_mag0, phase_unit, ratio, limit_ratio, eps):
 
     ratio(k) is the analytic amplitude ratio |c_{k+1}/c_k|; limit_ratio is
     its k -> inf limit, so max(ratio(k+1), limit_ratio) dominates every
-    later step whichever way the ratios approach the limit.
+    later step whichever way the ratios approach the limit.  Each ratio is
+    evaluated once: ratio(k+1) bounds the tail at step k and is the step
+    ratio at k+1.
     """
     coeffs = []
     log_mag = log_mag0
     phase = 1.0 + 0.0j
     k = 0
+    r = ratio(0)
     while True:
         coeffs.append(math.exp(log_mag) * phase)
-        r = ratio(k)
         if r == 0.0:
             # ratio underflowed: every further coefficient is below the
             # smallest positive double, the tail is exactly zero here
             return np.array(coeffs), 0.0
         log_next = log_mag + math.log(r)
-        rho = max(ratio(k + 1), limit_ratio)
+        r_next = ratio(k + 1)
+        rho = max(r_next, limit_ratio)
         if rho < 1.0:
             tail = math.exp(2.0 * log_next) / (1.0 - rho * rho)
             if tail < eps:
@@ -171,6 +174,7 @@ def _build_truncated(log_mag0, phase_unit, ratio, limit_ratio, eps):
             raise ValueError("state truncation did not converge")
         log_mag = log_next
         phase *= phase_unit
+        r = r_next
 
 
 def pasvs(param: SqueezeParam, m: int, eps: float = 1e-14) -> FockVector:
@@ -366,10 +370,16 @@ def apply_lowering(v: FockVector) -> FockVector:
 
 def inner(u: FockVector, v: FockVector) -> complex:
     """<u|v> over the photon numbers both vectors occupy."""
-    lookup = {int(n): c for n, c in zip(u.photon_numbers(), u.coeffs)}
-    total = 0.0 + 0.0j
-    for n, c in zip(v.photon_numbers(), v.coeffs):
-        cu = lookup.get(int(n))
-        if cu is not None:
-            total += cu.conjugate() * c
-    return total
+    if u.stride != v.stride:
+        _, iu, iv = np.intersect1d(
+            u.photon_numbers(), v.photon_numbers(), assume_unique=True, return_indices=True
+        )
+        return complex(np.vdot(u.coeffs[iu], v.coeffs[iv]))
+    shift, rem = divmod(v.offset - u.offset, u.stride)
+    if rem != 0:
+        return 0.0 + 0.0j
+    # u.coeffs[k + shift] and v.coeffs[k] sit on the same photon number
+    a = u.coeffs[max(shift, 0) :]
+    b = v.coeffs[max(-shift, 0) :]
+    n = min(len(a), len(b))
+    return complex(np.vdot(a[:n], b[:n]))

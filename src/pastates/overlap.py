@@ -27,6 +27,7 @@ __all__ = [
     "pacsc_norm",
     "pasvs_overlap",
     "pasops_overlap",
+    "overlap_grid",
 ]
 
 
@@ -183,29 +184,11 @@ def pacsc_norm(param, m: int, form: str = "pfq") -> float:
     raise ValueError(f"unknown pacsc_norm form: {form!r}")
 
 
-_FORMS = (1, 2, 3)
-
-
-def pasvs_overlap(xi, n: int, zeta, m: int, form=1) -> OverlapResult:
-    """Overlap of two photon-added squeezed vacuum states.
-
-    Vanishes unless n - m is even.  For nonnegative even n - m the three
-    equivalent closed forms (hypergeometric, Euler-transformed terminating
-    hypergeometric, associated-Legendre) are evaluated together with the
-    series inner product; negative even n - m goes through conjugation of
-    the swapped arguments.  ``form`` picks which evaluation is reported
-    (1, 2, 3, or "series").
-    """
-    if n < 0 or m < 0:
-        raise ValueError("photon-added index must be >= 0")
-    if (n - m) % 2 != 0:
-        return OverlapResult(0.0 + 0.0j, 0.0, 0.0)
-    if n < m:
-        sub = pasvs_overlap(zeta, m, xi, n, form)
-        return OverlapResult(sub.value.conjugate(), sub.form_spread, sub.oracle_error)
+def _pasvs_forms(xi, n: int, zeta, m: int) -> tuple[complex, complex, complex]:
+    """The three closed forms of the photon-added squeezed vacuum overlap
+    for n >= m with n - m even: hypergeometric, Euler-transformed
+    terminating hypergeometric, and associated-Legendre."""
     w = xi.zeta.conjugate() * zeta.zeta
-    if abs(w) > 0.9:
-        raise ValueError("pasvs_overlap requires |conj(xi) zeta| <= 0.9")
     q = (n - m) // 2
     pref = (pasvs_norm(zeta, m) * pasvs_norm(xi, n)) ** -0.5
     quarter = ((1.0 - zeta.y) * (1.0 - xi.y)) ** 0.25
@@ -240,40 +223,20 @@ def pasvs_overlap(xi, n: int, zeta, m: int, form=1) -> OverlapResult:
         * powers
         * specfun.legendre_p_deriv(q, (m + n) // 2, x_arg)
     )
-
-    series = _pasvs_series(xi, n, zeta, m)
-    forms = {1: f1, 2: f2, 3: f3, "series": series}
-    if form not in forms:
-        raise ValueError(f"unknown pasvs_overlap form: {form!r}")
-    spread = max(
-        abs(forms[i] - forms[j]) for i in _FORMS for j in _FORMS if i < j
-    )
-    value = forms[form]
-    return OverlapResult(value, spread, abs(value - series))
+    return f1, f2, f3
 
 
-def pasops_overlap(xi, n: int, zeta, m: int, form=3) -> OverlapResult:
-    """Overlap of two photon-added squeezed one-photon states.
+def _pasops_forms(xi, n: int, zeta, m: int) -> tuple[complex, complex, complex]:
+    """The three closed forms of the photon-added squeezed one-photon
+    overlap for n >= m with n - m even.
 
-    Form 3 is the printed associated-Legendre expression; forms 1 and 2 are
-    routed through the photon-added squeezed vacuum overlap at indices
-    (n+1, m+1), to which these states are exactly proportional.
+    Forms 1 and 2 are those of the photon-added squeezed vacuum overlap at
+    (n+1, m+1), to which these states are exactly proportional; form 3 is
+    the printed associated-Legendre expression.
     """
-    if n < 0 or m < 0:
-        raise ValueError("photon-added index must be >= 0")
-    if (n - m) % 2 != 0:
-        return OverlapResult(0.0 + 0.0j, 0.0, 0.0)
-    if n < m:
-        sub = pasops_overlap(zeta, m, xi, n, form)
-        return OverlapResult(sub.value.conjugate(), sub.form_spread, sub.oracle_error)
+    f1, f2, _ = _pasvs_forms(xi, n + 1, zeta, m + 1)
     w = xi.zeta.conjugate() * zeta.zeta
-    if abs(w) > 0.9:
-        raise ValueError("pasops_overlap requires |conj(xi) zeta| <= 0.9")
     q = (n - m) // 2
-    bridged = pasvs_overlap(xi, n + 1, zeta, m + 1, form=1)
-    f1 = bridged.value
-    f2 = pasvs_overlap(xi, n + 1, zeta, m + 1, form=2).value
-
     pref = (pasops_norm(zeta, m) * pasops_norm(xi, n)) ** -0.5
     so = sops_overlap(xi, zeta)
     x_arg = (1.0 - w) ** -0.5
@@ -292,17 +255,10 @@ def pasops_overlap(xi, n: int, zeta, m: int, form=3) -> OverlapResult:
         * powers
         * specfun.legendre_p_deriv(q, (m + n + 2) // 2, x_arg)
     )
+    return f1, f2, f3
 
-    series = _pasops_series(xi, n, zeta, m)
-    forms = {1: f1, 2: f2, 3: f3, "series": series}
-    if form not in forms:
-        raise ValueError(f"unknown pasops_overlap form: {form!r}")
-    spread = max(
-        abs(forms[i] - forms[j]) for i in _FORMS for j in _FORMS if i < j
-    )
-    value = forms[form]
-    return OverlapResult(value, spread, abs(value - series))
 
+_FORMS_OF = {"pasvs": _pasvs_forms, "pasops": _pasops_forms}
 
 # Oracle vectors are truncated far below working precision: the inner
 # product of two vectors cut at different lengths loses ~sqrt(eps_u * eps_v)
@@ -310,17 +266,85 @@ def pasops_overlap(xi, n: int, zeta, m: int, form=3) -> OverlapResult:
 _SERIES_EPS = 1e-26
 
 
-def _pasvs_series(xi, n, zeta, m) -> complex:
+def _oracle_vector(family: str, param, index: int, vectors: dict):
+    """Series-oracle Fock vector of ``family`` at (param, index), built on
+    first use and kept in the caller's ``vectors``."""
     from . import fockstate
 
-    u = fockstate.pasvs(xi, n, eps=_SERIES_EPS)
-    v = fockstate.pasvs(zeta, m, eps=_SERIES_EPS)
-    return fockstate.inner(u, v)
+    key = (param.zeta, index)
+    if key not in vectors:
+        vectors[key] = getattr(fockstate, family)(param, index, eps=_SERIES_EPS)
+    return vectors[key]
 
 
-def _pasops_series(xi, n, zeta, m) -> complex:
+def _overlap(family: str, xi, n: int, zeta, m: int, form, vectors: dict) -> OverlapResult:
+    """Overlap of ``family`` states with its three closed forms cross-checked
+    against each other and against the series inner product."""
     from . import fockstate
 
-    u = fockstate.pasops(xi, n, eps=_SERIES_EPS)
-    v = fockstate.pasops(zeta, m, eps=_SERIES_EPS)
-    return fockstate.inner(u, v)
+    if n < 0 or m < 0:
+        raise ValueError("photon-added index must be >= 0")
+    if (n - m) % 2 != 0:
+        return OverlapResult(0.0 + 0.0j, 0.0, 0.0)
+    if n < m:
+        sub = _overlap(family, zeta, m, xi, n, form, vectors)
+        return OverlapResult(sub.value.conjugate(), sub.form_spread, sub.oracle_error)
+    if abs(xi.zeta.conjugate() * zeta.zeta) > 0.9:
+        raise ValueError(f"{family}_overlap requires |conj(xi) zeta| <= 0.9")
+    if form not in (1, 2, 3, "series"):
+        raise ValueError(f"unknown {family}_overlap form: {form!r}")
+    f1, f2, f3 = _FORMS_OF[family](xi, n, zeta, m)
+    series = fockstate.inner(
+        _oracle_vector(family, xi, n, vectors), _oracle_vector(family, zeta, m, vectors)
+    )
+    value = {1: f1, 2: f2, 3: f3, "series": series}[form]
+    spread = max(abs(f1 - f2), abs(f1 - f3), abs(f2 - f3))
+    return OverlapResult(value, spread, abs(value - series))
+
+
+def pasvs_overlap(xi, n: int, zeta, m: int, form=1) -> OverlapResult:
+    """Overlap of two photon-added squeezed vacuum states.
+
+    Vanishes unless n - m is even.  For nonnegative even n - m the three
+    equivalent closed forms (hypergeometric, Euler-transformed terminating
+    hypergeometric, associated-Legendre) are evaluated together with the
+    series inner product; negative even n - m goes through conjugation of
+    the swapped arguments.  ``form`` picks which evaluation is reported
+    (1, 2, 3, or "series").
+    """
+    return _overlap("pasvs", xi, n, zeta, m, form, {})
+
+
+def pasops_overlap(xi, n: int, zeta, m: int, form=3) -> OverlapResult:
+    """Overlap of two photon-added squeezed one-photon states.
+
+    Form 3 is the printed associated-Legendre expression; forms 1 and 2 are
+    those of the photon-added squeezed vacuum overlap at indices (n+1, m+1),
+    to which these states are exactly proportional.  The series oracle uses
+    the one-photon vectors themselves.
+    """
+    return _overlap("pasops", xi, n, zeta, m, form, {})
+
+
+def overlap_grid(family: str, label_pairs, max_n: int) -> tuple[float, int]:
+    """Worst form spread or form-1 oracle error of the ``family`` overlap
+    ("pasvs" or "pasops") over every n <= max_n, m <= n with n - m even,
+    and every (xi, zeta) in ``label_pairs``; returns (worst, point count).
+
+    Each oracle vector is built once per (label, index) and shared by every
+    grid point that uses it; the vectors are dropped when the call returns.
+    """
+    if family not in _FORMS_OF:
+        raise ValueError(f"unknown overlap family: {family!r}")
+    vectors: dict = {}
+    worst = 0.0
+    count = 0
+    for n in range(max_n + 1):
+        for m in range(n % 2, n + 1, 2):
+            for xi, zeta in label_pairs:
+                res = _overlap(family, xi, n, zeta, m, 1, vectors)
+                for dev in (res.form_spread, res.oracle_error):
+                    # max() would drop a NaN, and a NaN must fail the grid
+                    worst = max(worst, math.inf if math.isnan(dev) else dev)
+                count += 1
+    return worst, count

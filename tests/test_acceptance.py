@@ -231,12 +231,13 @@ def test_c09_ladder_and_structure_identities():
     report("criterion 9 (ladder/structure identities)", f"worst residual {worst:.2e}")
 
 
-def test_c10_full_cli_verification_suite():
+def test_c10_full_cli_verification_suite(cli_env):
     t0 = time.time()
     proc = subprocess.run(
         [sys.executable, "-m", "pastates.cli", "verify", "all"],
         capture_output=True,
         text=True,
+        env=cli_env,
     )
     elapsed = time.time() - t0
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

@@ -251,20 +251,64 @@ def test_envelope_records_version_and_tolerance(tmp_path, capsys):
     assert env["pass"] == (env["max_error"] < env["parameters"]["tol"])
 
 
-def test_console_entry_point_runs():
+@pytest.mark.parametrize("command", ["state", "norm"])
+def test_numerical_overflow_exits_1_without_traceback(command, capsys):
+    code, out, err = run_cli([command, "pasvs", "--zeta", "0.5", "--m", "200"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: OverflowError")
+    assert "Traceback" not in err
+
+
+def test_failed_normalization_check_exits_1(capsys):
+    code, _, err = run_cli(["state", "pasvs", "--zeta", "0.5", "--m", "170"], capsys)
+    assert code == 1
+    assert "normalization check failed" in err
+
+
+def test_verify_overlaps_builds_each_oracle_vector_once(monkeypatch, capsys):
+    from pastates import fockstate
+
+    keys = []
+    real = fockstate.pasvs
+
+    def counted(param, m, *args, **kwargs):
+        keys.append((param.zeta, m))
+        return real(param, m, *args, **kwargs)
+
+    monkeypatch.setattr(fockstate, "pasvs", counted)
+    code, out, _ = run_cli(
+        ["verify", "overlaps", "--family", "pasvs", "--max-n", "3", "--moduli", "0.2,0.4"], capsys
+    )
+    assert code == 0
+    assert "(n,m <= 3, 192 points)" in out
+    assert len(keys) == len(set(keys))
+    # 2 moduli x 11 distinct phases, indices 0..3
+    assert len(keys) == 88
+
+
+def test_verify_overlaps_rejects_unknown_family(capsys):
+    code, _, err = run_cli(["verify", "overlaps", "--family", "pacsc", "--max-n", "1"], capsys)
+    assert code == 2
+    assert "unknown overlap family" in err
+
+
+def test_console_entry_point_runs(cli_env):
     proc = subprocess.run(
         [sys.executable, "-m", "pastates.cli", "state", "pasvs", "--zeta", "0", "--m", "1"],
         capture_output=True,
         text=True,
+        env=cli_env,
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1] == "n,re_c,im_c,abs2"
 
 
-def test_usage_error_exit_code_from_argparse():
+def test_usage_error_exit_code_from_argparse(cli_env):
     proc = subprocess.run(
         [sys.executable, "-m", "pastates.cli", "state", "unknown-family"],
         capture_output=True,
         text=True,
+        env=cli_env,
     )
     assert proc.returncode == 2

@@ -283,6 +283,57 @@ def test_inner_disjoint_support():
     assert fs.inner(a, b) == 0.0
 
 
+def brute_inner(u, v) -> complex:
+    """<u|v> summed over photon numbers, one dict lookup per coefficient."""
+    lookup = {int(n): c for n, c in zip(u.photon_numbers(), u.coeffs)}
+    return sum(
+        (lookup[int(n)].conjugate() * c for n, c in zip(v.photon_numbers(), v.coeffs) if int(n) in lookup),
+        0.0 + 0.0j,
+    )
+
+
+def lattice(offset, stride, length, seed):
+    rng = np.random.default_rng(seed)
+    coeffs = rng.normal(size=length) + 1j * rng.normal(size=length)
+    return fs.FockVector(offset, stride, coeffs, 0.0)
+
+
+@pytest.mark.parametrize(
+    "u,v",
+    [
+        ((1, 2, 7), (5, 2, 4)),    # v starts two lattice steps above u
+        ((5, 2, 4), (1, 2, 7)),    # v starts below u
+        ((3, 2, 5), (3, 2, 9)),    # same offset, different lengths
+        ((0, 2, 6), (1, 2, 6)),    # misaligned offsets: disjoint lattices
+        ((2, 3, 5), (30, 3, 2)),   # v starts past the end of u
+        ((0, 2, 0), (0, 2, 3)),    # empty u
+        ((4, 2, 3), (0, 2, 0)),    # empty v
+        ((0, 2, 9), (0, 3, 7)),    # mixed strides meet on multiples of 6
+        ((1, 3, 8), (3, 4, 6)),    # mixed strides and offsets
+        ((0, 2, 5), (1, 4, 5)),    # mixed strides, never meet
+    ],
+)
+def test_inner_matches_brute_force(u, v):
+    a, b = lattice(*u, seed=1), lattice(*v, seed=2)
+    got = fs.inner(a, b)
+    assert isinstance(got, complex)
+    assert abs(got - brute_inner(a, b)) < 1e-13
+    assert abs(fs.inner(b, a) - got.conjugate()) < 1e-13
+
+
+def test_build_truncated_evaluates_each_ratio_once():
+    seen = []
+    az = 0.6
+
+    def ratio(k):
+        seen.append(k)
+        return math.sqrt((2 * k + 3) * (2 * k + 4)) * az / (2.0 * (k + 1))
+
+    coeffs, tail = fs._build_truncated(0.0, 1.0 + 0.0j, ratio, az, 1e-20)
+    assert 0.0 < tail < 1e-20
+    assert seen == list(range(len(coeffs) + 1))
+
+
 def test_inner_matches_closed_form():
     xi, zeta = fs.SqueezeParam(0.3), fs.SqueezeParam(0.5 * unit_phase(0.6))
     got = fs.inner(fs.pasvs(xi, 2, eps=TIGHT), fs.pasvs(zeta, 4, eps=TIGHT))

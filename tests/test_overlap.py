@@ -159,6 +159,8 @@ def test_pasvs_overlap_series_form_selector():
     assert abs(r1.value - rs.value) < 1e-11
     with pytest.raises(ValueError):
         ov.pasvs_overlap(xi, 2, zeta, 0, form=4)
+    with pytest.raises(ValueError, match="unknown pasops_overlap form"):
+        ov.pasops_overlap(xi, 2, zeta, 0, form=4)
 
 
 @settings(max_examples=30, deadline=None)
@@ -201,6 +203,65 @@ def test_pasops_overlap_forms_agree():
             res = ov.pasops_overlap(xi, n, ze, m)
             worst = max(worst, res.form_spread, res.oracle_error)
     assert worst < 1e-9
+
+
+def counting_constructors(monkeypatch) -> list:
+    """Record (family, label, index) of every pasvs/pasops constructor call."""
+    calls = []
+    for family in ("pasvs", "pasops"):
+        real = getattr(fs, family)
+
+        def counted(param, m, *args, _family=family, _real=real, **kwargs):
+            calls.append((_family, param.zeta, m))
+            return _real(param, m, *args, **kwargs)
+
+        monkeypatch.setattr(fs, family, counted)
+    return calls
+
+
+def test_pasops_overlap_builds_one_oracle_pair(monkeypatch):
+    calls = counting_constructors(monkeypatch)
+    res = ov.pasops_overlap(sq(0.4), 4, sq(0.3j), 2)
+    assert sorted(calls, key=lambda c: c[2]) == [("pasops", 0.3j, 2), ("pasops", 0.4, 4)]
+    assert res.form_spread < 1e-9 and res.oracle_error < 1e-9
+
+
+@pytest.mark.parametrize("family", ["pasvs", "pasops"])
+def test_overlap_grid_builds_each_oracle_vector_once(family, monkeypatch):
+    calls = counting_constructors(monkeypatch)
+    pairs = [(sq(polar(0.2, 0.5)), sq(0.4)), (sq(0.4), sq(polar(0.2, 0.5))), (sq(0.4), sq(0.4))]
+    worst, count = ov.overlap_grid(family, pairs, 3)
+    assert count == 6 * len(pairs)
+    assert worst < 1e-9
+    # two labels at indices 0..3
+    assert len(calls) == len(set(calls)) == 8
+    assert {c[0] for c in calls} == {family}
+
+
+def test_overlap_grid_matches_pointwise_overlaps():
+    pairs = [(sq(polar(0.6, -2.9)), sq(polar(0.4, 2.9))), (sq(0.2), sq(polar(0.6, 1.0)))]
+    for family, fn in (("pasvs", ov.pasvs_overlap), ("pasops", ov.pasops_overlap)):
+        worst = max(
+            max(res.form_spread, res.oracle_error)
+            for n in range(5)
+            for m in range(n % 2, n + 1, 2)
+            for xi, ze in pairs
+            for res in [fn(xi, n, ze, m, form=1)]
+        )
+        assert ov.overlap_grid(family, pairs, 4) == (worst, 9 * len(pairs))
+
+
+def test_overlap_grid_fails_on_nan_oracle(monkeypatch):
+    monkeypatch.setattr(fs, "inner", lambda u, v: complex("nan"))
+    worst, count = ov.overlap_grid("pasvs", [(sq(0.2), sq(0.4)), (sq(0.4), sq(0.2))], 1)
+    assert (worst, count) == (math.inf, 4)
+
+
+def test_overlap_grid_rejects_unknown_family_and_wide_pairs():
+    with pytest.raises(ValueError, match="unknown overlap family"):
+        ov.overlap_grid("pacsc", [(sq(0.2), sq(0.2))], 2)
+    with pytest.raises(ValueError, match=r"pasops_overlap requires \|conj"):
+        ov.overlap_grid("pasops", [(sq(0.2), sq(0.2)), (sq(0.96), sq(0.96))], 2)
 
 
 # ------------------------------------------------------------ circle norms
