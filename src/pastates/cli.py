@@ -182,15 +182,11 @@ def cmd_overlap(args) -> int:
         xi = fockstate.SqueezeParam(parse_complex(args.xi))
         zeta = fockstate.SqueezeParam(parse_complex(args.zeta))
         if args.family == "sv":
-            value = overlap.sv_overlap(xi, zeta)
-            oracle = fockstate.inner(
-                fockstate.pasvs(xi, 0, eps=1e-26), fockstate.pasvs(zeta, 0, eps=1e-26)
-            )
+            value, build = overlap.sv_overlap(xi, zeta), fockstate.pasvs
         else:
-            value = overlap.sops_overlap(xi, zeta)
-            oracle = fockstate.inner(
-                fockstate.pasops(xi, 0, eps=1e-26), fockstate.pasops(zeta, 0, eps=1e-26)
-            )
+            value, build = overlap.sops_overlap(xi, zeta), fockstate.pasops
+        eps = overlap._SERIES_EPS
+        oracle = fockstate.inner(build(xi, 0, eps=eps), build(zeta, 0, eps=eps))
         err = abs(value - oracle)
         env = _envelope(
             "overlap",
@@ -230,10 +226,10 @@ def cmd_norm(args) -> int:
         param = fockstate.SqueezeParam(parse_complex(args.zeta))
         if args.family == "pasvs":
             value = overlap.pasvs_norm(param, args.m)
-            vec = fockstate.pasvs(param, args.m, eps=1e-26)
+            vec = fockstate.pasvs(param, args.m, eps=overlap._SERIES_EPS)
         else:
             value = overlap.pasops_norm(param, args.m)
-            vec = fockstate.pasops(param, args.m, eps=1e-26)
+            vec = fockstate.pasops(param, args.m, eps=overlap._SERIES_EPS)
         err = abs(vec.norm_sq() + vec.tail_bound - 1.0)
         results = {"value": value, "normalization_defect": err}
         params = {"family": args.family, "zeta": args.zeta, "m": args.m}

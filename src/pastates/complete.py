@@ -2,8 +2,9 @@
 unity, and the Carleman uniqueness test.
 
 The continuous resolutions reduce, after exact angular integration, to
-radial power moments of the weight functions; those moments are verified by
-double-exponential quadrature against log-space factorial references.  The
+radial power moments of the weight functions; all the moments of one weight
+come from one nested double-exponential pass, which evaluates the weight
+once per node, and are verified against log-space factorial references.  The
 discrete resolution over the photon-added family is assembled both from its
 closed-form coefficients and from a numerically resummed expansion through
 the squeezed-number-state basis.
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fockstate, overlap, specfun
-from .quadrature import QuadResult, exp_sinh, tanh_sinh
+from .quadrature import QuadResult, exp_sinh_moments, tanh_sinh, tanh_sinh_moments
 
 __all__ = [
     "FAMILIES",
@@ -203,56 +204,26 @@ def weight_hmum(lam: int, mu: int, m: int, y: float) -> float:
     )
 
 
-class _KummerCache:
-    """Memoized U(m, 1, x): quadrature nodes repeat across radial integrals.
+def _radial_moments(wf: WeightFunction, powers, quad: QuadSettings) -> list[QuadResult]:
+    """Integrals of y^p h(y) over the family's radial domain for every p in
+    ``powers``, from one nested pass that evaluates the weight once per node.
 
-    Every refinement level of every radial integral re-evaluates the nodes
-    of the coarser levels, so in ``verify all`` the integrands ask for U
-    about 107 k times and only 7.4 k of those miss the memo.  Even with U by
-    recurrence that run takes about 1.7 times as long without the memo; it
-    can go once the quadrature reuses the previous level's nodes.
+    For the circle family h is e^(-x) U(m,1,x) on (0, inf): the measure after
+    the exact angular reduction and the substitution mapping it to the
+    Laplace variable.
     """
+    if wf.family == "pacsc":
 
-    def __init__(self, m: int):
-        self.m = m
-        self._values: dict[float, float] = {}
+        def laplace(x: float) -> float:
+            return math.exp(-x) * specfun.kummer_u_int(wf.m, x)
 
-    def __call__(self, x: float) -> float:
-        v = self._values.get(x)
-        if v is None:
-            v = specfun.kummer_u_int(self.m, x)
-            self._values[x] = v
-        return v
+        return exp_sinh_moments(laplace, powers, tol=quad.tol, max_level=quad.max_level)
+    weight = weight_h if wf.family == "pasvs" else weight_h1m
 
+    def radial(y: float, da: float, db: float) -> float:
+        return weight(wf.m, y, one_minus_y=db)
 
-def _pasvs_radial_moment(m: int, power: float, quad: QuadSettings) -> QuadResult:
-    def f(y: float, da: float, db: float) -> float:
-        return y**power * weight_h(m, y, one_minus_y=db)
-
-    return tanh_sinh(f, 0.0, 1.0, tol=quad.tol, max_level=quad.max_level)
-
-
-def _pasops_radial_moment(m: int, power: float, quad: QuadSettings) -> QuadResult:
-    def f(y: float, da: float, db: float) -> float:
-        return y**power * weight_h1m(m, y, one_minus_y=db)
-
-    return tanh_sinh(f, 0.0, 1.0, tol=quad.tol, max_level=quad.max_level)
-
-
-def _pacsc_radial_moment(power: float, u: _KummerCache, quad: QuadSettings) -> QuadResult:
-    """Integral of x^power e^(-x) U(m,1,x) over (0, inf).
-
-    This is the circle-family moment after the exact angular reduction and
-    the substitution mapping the measure to the Laplace variable.
-    """
-
-    def f(x: float) -> float:
-        ln = power * math.log(x) - x
-        if ln < -745.0:
-            return 0.0
-        return math.exp(ln) * u(x)
-
-    return exp_sinh(f, tol=quad.tol, max_level=quad.max_level)
+    return tanh_sinh_moments(radial, 0.0, 1.0, powers, tol=quad.tol, max_level=quad.max_level)
 
 
 def moment_check(wf: WeightFunction, k_max: int, quad: QuadSettings | None = None) -> list[MomentReport]:
@@ -267,28 +238,18 @@ def moment_check(wf: WeightFunction, k_max: int, quad: QuadSettings | None = Non
     if k_max < 0:
         raise ValueError("moment_check requires k_max >= 0")
     quad = quad or QuadSettings()
+    ks = range(k_max + 1)
+    orders = [k * wf.lam + wf.mu for k in ks] if wf.family == "pacsc" else list(ks)
+    m_eff = wf.m if wf.family == "pasvs" else wf.m + 1
     reports = []
-    u_cache = _KummerCache(wf.m) if wf.family == "pacsc" else None
-    for k in range(k_max + 1):
-        if wf.family == "pasvs":
-            res = _pasvs_radial_moment(wf.m, float(k), quad)
-            log_rhs = (
-                2.0 * specfun.log_double_factorial(2 * k)
-                - math.log(math.pi)
-                - specfun.log_factorial(wf.m + 2 * k)
-            )
-        elif wf.family == "pasops":
-            res = _pasops_radial_moment(wf.m, float(k), quad)
-            log_rhs = (
-                2.0 * specfun.log_double_factorial(2 * k)
-                - math.log(math.pi)
-                - specfun.log_factorial(wf.m + 1 + 2 * k)
-            )
+    for k, n, res in zip(ks, orders, _radial_moments(wf, [float(n) for n in orders], quad)):
+        if wf.family == "pacsc":
+            log_rhs = 2.0 * specfun.log_factorial(n) - specfun.log_factorial(n + wf.m)
         else:
-            power = float(k * wf.lam + wf.mu)
-            res = _pacsc_radial_moment(power, u_cache, quad)
-            log_rhs = 2.0 * specfun.log_factorial(k * wf.lam + wf.mu) - specfun.log_factorial(
-                k * wf.lam + wf.m + wf.mu
+            log_rhs = (
+                2.0 * specfun.log_double_factorial(2 * k)
+                - math.log(math.pi)
+                - specfun.log_factorial(m_eff + 2 * k)
             )
         rhs = math.exp(log_rhs)
         abs_err = abs(res.value - rhs)
@@ -342,21 +303,17 @@ def unity_resolution_matrix(
     else:
         stride, offset = 2, (wf.m if wf.family == "pasvs" else wf.m + 1)
     t_fact = _angular_check_factors(basis_dim, stride)
-    u_cache = _KummerCache(wf.m) if wf.family == "pacsc" else None
 
-    # radial integrals indexed by j+l
+    # radial integrals indexed by the index sum s2 = j + l
+    powers = [0.5 * s2 for s2 in range(2 * basis_dim - 1)]
+    if wf.family == "pacsc":
+        powers = [p * wf.lam + wf.mu for p in powers]
     radial = []
-    for s2 in range(2 * basis_dim - 1):   # s2 = j + l
-        power = 0.5 * s2
-        if wf.family == "pasvs":
-            res = _pasvs_radial_moment(wf.m, power, quad)
-        elif wf.family == "pasops":
-            res = _pasops_radial_moment(wf.m, power, quad)
-        else:
-            res = _pacsc_radial_moment(power * wf.lam + wf.mu, u_cache, quad)
+    for s2, (power, res) in enumerate(zip(powers, _radial_moments(wf, powers, quad))):
         if not res.converged:
-            raise ValueError(
-                f"unity_resolution_matrix: radial quadrature failed at index sum {s2} "
+            raise ArithmeticError(
+                f"unity_resolution_matrix: radial quadrature did not converge at index sum "
+                f"{s2} (power {power}) after {res.nodes_used} nodes "
                 f"(last estimate {res.value:.6e})"
             )
         radial.append(res.value)

@@ -184,15 +184,16 @@ def pacsc_norm(param, m: int, form: str = "pfq") -> float:
     raise ValueError(f"unknown pacsc_norm form: {form!r}")
 
 
-def _pasvs_forms(xi, n: int, zeta, m: int) -> tuple[complex, complex, complex]:
-    """The three closed forms of the photon-added squeezed vacuum overlap
-    for n >= m with n - m even: hypergeometric, Euler-transformed
-    terminating hypergeometric, and associated-Legendre."""
+def _hypergeometric_forms(
+    xi, n: int, zeta, m: int, pref: float, svo: complex
+) -> tuple[complex, complex]:
+    """Forms 1 and 2 of the photon-added squeezed vacuum overlap for n >= m
+    with n - m even: hypergeometric, and Euler-transformed terminating
+    hypergeometric.  ``pref`` is the normalization prefactor and ``svo`` the
+    squeezed vacuum overlap, which the caller shares with its other form."""
     w = xi.zeta.conjugate() * zeta.zeta
     q = (n - m) // 2
-    pref = (pasvs_norm(zeta, m) * pasvs_norm(xi, n)) ** -0.5
     quarter = ((1.0 - zeta.y) * (1.0 - xi.y)) ** 0.25
-    svo = sv_overlap(xi, zeta)
     front = math.exp(specfun.log_factorial(n) - specfun.log_factorial(q))
     zq = (0.5 * zeta.zeta) ** q
 
@@ -207,6 +208,18 @@ def _pasvs_forms(xi, n: int, zeta, m: int) -> tuple[complex, complex, complex]:
         * (1.0 - w) ** (-(n + m) // 2)
         * specfun.gauss_2f1(-0.5 * (m - 1), -0.5 * m, q + 1.0, w)
     )
+    return f1, f2
+
+
+def _pasvs_forms(xi, n: int, zeta, m: int) -> tuple[complex, complex, complex]:
+    """The three closed forms of the photon-added squeezed vacuum overlap
+    for n >= m with n - m even: the two hypergeometric forms and the
+    associated-Legendre form."""
+    w = xi.zeta.conjugate() * zeta.zeta
+    q = (n - m) // 2
+    pref = (pasvs_norm(zeta, m) * pasvs_norm(xi, n)) ** -0.5
+    svo = sv_overlap(xi, zeta)
+    f1, f2 = _hypergeometric_forms(xi, n, zeta, m, pref, svo)
     x_arg = (1.0 - w) ** -0.5
     powers = _powprod(
         [
@@ -230,11 +243,12 @@ def _pasops_forms(xi, n: int, zeta, m: int) -> tuple[complex, complex, complex]:
     """The three closed forms of the photon-added squeezed one-photon
     overlap for n >= m with n - m even.
 
-    Forms 1 and 2 are those of the photon-added squeezed vacuum overlap at
-    (n+1, m+1), to which these states are exactly proportional; form 3 is
-    the printed associated-Legendre expression.
+    Forms 1 and 2 are the hypergeometric forms of the photon-added squeezed
+    vacuum overlap at (n+1, m+1), to which these states are exactly
+    proportional; form 3 is the printed associated-Legendre expression.
     """
-    f1, f2, _ = _pasvs_forms(xi, n + 1, zeta, m + 1)
+    pasvs_pref = (pasvs_norm(zeta, m + 1) * pasvs_norm(xi, n + 1)) ** -0.5
+    f1, f2 = _hypergeometric_forms(xi, n + 1, zeta, m + 1, pasvs_pref, sv_overlap(xi, zeta))
     w = xi.zeta.conjugate() * zeta.zeta
     q = (n - m) // 2
     pref = (pasops_norm(zeta, m) * pasops_norm(xi, n)) ** -0.5

@@ -266,6 +266,20 @@ def test_failed_normalization_check_exits_1(capsys):
     assert "normalization check failed" in err
 
 
+def test_radial_nonconvergence_exits_1(monkeypatch, capsys):
+    import functools
+
+    from pastates import complete
+
+    starved = functools.partial(complete.QuadSettings, max_level=2)
+    monkeypatch.setattr(complete, "QuadSettings", starved)
+    code, out, err = run_cli(["verify", "unity", "--family", "pasvs", "--m", "2", "--dim", "4"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ArithmeticError: unity_resolution_matrix")
+    assert "index sum 0" in err and "nodes" in err
+
+
 def test_verify_overlaps_builds_each_oracle_vector_once(monkeypatch, capsys):
     from pastates import fockstate
 

@@ -193,6 +193,14 @@ def test_moment_check_pacsc_grid(lam, mu, m):
     assert max(r.rel_err for r in reports) < 1e-8
 
 
+def test_pacsc_moment_check_at_high_order():
+    # order k*lam + mu reaches 140: x^140 e^-x U(1,1,x) peaks near x = 140
+    reports = cm.moment_check(cm.WeightFunction("pacsc", 1, mu=0, lam=10), 14)
+    assert reports[-1].k * 10 == 140
+    assert all(r.converged for r in reports)
+    assert max(r.rel_err for r in reports) < 1e-8
+
+
 def test_moment_report_consistency():
     reports = cm.moment_check(cm.WeightFunction("pasvs", 2), 3)
     for r in reports:
@@ -207,6 +215,55 @@ def test_pacsc_moment_reduces_to_laplace_identity():
         want = math.factorial(r.k) ** 2 / math.factorial(r.k + 2)
         assert r.rhs == pytest.approx(want, rel=1e-12)
         assert r.lhs == pytest.approx(want, rel=1e-9)
+
+
+def test_moment_check_makes_one_pass_over_the_weight(monkeypatch):
+    calls = []
+    real = cm.weight_h
+
+    def counted(m, y, *args, **kwargs):
+        calls.append(y)
+        return real(m, y, *args, **kwargs)
+
+    monkeypatch.setattr(cm, "weight_h", counted)
+    reports = cm.moment_check(cm.WeightFunction("pasvs", 3), 10)
+    assert all(r.converged for r in reports)
+    assert len(calls) <= max(r.nodes_used for r in reports)
+
+
+def test_pacsc_moment_check_evaluates_kummer_once_per_node(monkeypatch):
+    from pastates import specfun
+
+    calls = []
+    real = specfun.kummer_u_int
+
+    def counted(m, x):
+        calls.append(x)
+        return real(m, x)
+
+    monkeypatch.setattr(specfun, "kummer_u_int", counted)
+    reports = cm.moment_check(cm.WeightFunction("pacsc", 2, mu=1, lam=2), 8)
+    assert all(r.converged for r in reports)
+    assert len(calls) == len(set(calls)) == max(r.nodes_used for r in reports)
+
+
+def test_no_kummer_memo_left_in_the_package():
+    import pathlib
+
+    import pastates
+
+    for path in pathlib.Path(pastates.__file__).parent.glob("*.py"):
+        assert "_KummerCache" not in path.read_text(), path.name
+
+
+def test_moment_check_reports_every_k_when_starved():
+    starved = cm.QuadSettings(max_level=3)
+    for wf in (cm.WeightFunction("pasvs", 3), cm.WeightFunction("pacsc", 1, mu=0, lam=2)):
+        reports = cm.moment_check(wf, 6, starved)
+        assert [r.k for r in reports] == list(range(7))
+        assert not all(r.converged for r in reports)
+        for r in reports:
+            assert r.nodes_used > 0 and math.isfinite(r.lhs)
 
 
 # ------------------------------------------------------------ unity
@@ -225,6 +282,12 @@ def test_unity_resolution_matrices(family, m, mu, lam):
     assert mat.dim == 12
     assert mat.identity_deviation() < 1e-6
     assert mat.max_offdiagonal() < 1e-10
+
+
+def test_unity_matrix_radial_failure_is_arithmetic_error():
+    wf = cm.WeightFunction("pasvs", 2)
+    with pytest.raises(ArithmeticError, match=r"index sum 0 \(power 0.0\) after \d+ nodes"):
+        cm.unity_resolution_matrix(wf, 4, cm.QuadSettings(max_level=2))
 
 
 def test_unity_matrix_subspace_labels():

@@ -226,6 +226,22 @@ def test_pasops_overlap_builds_one_oracle_pair(monkeypatch):
     assert res.form_spread < 1e-9 and res.oracle_error < 1e-9
 
 
+def test_pasops_overlap_evaluates_one_legendre_form(monkeypatch):
+    from pastates import specfun
+
+    calls = []
+    real = specfun.legendre_p_deriv
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(specfun, "legendre_p_deriv", counted)
+    res = ov.pasops_overlap(sq(0.4), 4, sq(0.3j), 2)
+    assert len(calls) == 1
+    assert res.form_spread < 1e-9
+
+
 @pytest.mark.parametrize("family", ["pasvs", "pasops"])
 def test_overlap_grid_builds_each_oracle_vector_once(family, monkeypatch):
     calls = counting_constructors(monkeypatch)

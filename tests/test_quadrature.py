@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from pastates.quadrature import exp_sinh, tanh_sinh
+from pastates.quadrature import exp_sinh, exp_sinh_moments, tanh_sinh, tanh_sinh_moments
 
 
 def test_tanh_sinh_polynomial():
@@ -71,3 +71,131 @@ def test_results_are_deterministic():
     a = tanh_sinh(lambda x, da, db: math.exp(x), 0.0, 1.0)
     b = tanh_sinh(lambda x, da, db: math.exp(x), 0.0, 1.0)
     assert a.value == b.value and a.nodes_used == b.nodes_used
+
+
+@pytest.mark.parametrize(
+    "f,max_level",
+    [
+        (lambda x, da, db: 1.0 / math.sqrt(da * db), 12),
+        (lambda x, da, db: math.cos(3.0 * x), 12),
+        (lambda x, da, db: 1e-4 / (1e-8 + (x - 0.37) ** 2), 5),   # never converges
+    ],
+)
+def test_tanh_sinh_evaluates_each_node_once(f, max_level):
+    calls = []
+
+    def counted(x, da, db):
+        calls.append((x, da, db))
+        return f(x, da, db)
+
+    res = tanh_sinh(counted, -1.0, 1.0, tol=1e-12, max_level=max_level)
+    assert len(calls) == res.nodes_used
+    # the endpoint distances tell apart nodes whose x rounds to the same float
+    assert len(set(calls)) == len(calls)
+
+
+@pytest.mark.parametrize("f", [lambda x: math.exp(-x) * x**3, lambda x: math.exp(-x) / math.sqrt(x)])
+def test_exp_sinh_evaluates_each_node_once(f):
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return f(x)
+
+    res = exp_sinh(counted, tol=1e-12)
+    assert res.converged
+    assert len(calls) == res.nodes_used == len(set(calls))
+
+
+def test_tanh_sinh_moments_match_scalar_rule():
+    powers = (0.0, 0.5, 3.0, 10.5)
+
+    def f(x, da, db):
+        return math.log(1.0 / x) / math.sqrt(db)
+
+    moments = tanh_sinh_moments(f, 0.0, 1.0, powers, tol=1e-12)
+    for p, got in zip(powers, moments):
+        want = tanh_sinh(lambda x, da, db: x**p * f(x, da, db), 0.0, 1.0, tol=1e-12)
+        assert got.converged and want.converged
+        assert got.value == pytest.approx(want.value, rel=1e-12)
+
+
+def test_tanh_sinh_moments_on_negative_interval():
+    # int_{-1}^{1} x^p e^x dx against the scalar rule; odd powers are signed
+    powers = (0, 1, 2, 7)
+    moments = tanh_sinh_moments(lambda x, da, db: math.exp(x), -1.0, 1.0, powers, tol=1e-12)
+    for p, got in zip(powers, moments):
+        want = tanh_sinh(lambda x, da, db: x**p * math.exp(x), -1.0, 1.0, tol=1e-12)
+        assert got.value == pytest.approx(want.value, rel=1e-12)
+
+
+@pytest.mark.parametrize("powers", [(1.0,), (1.0, 3.0)])
+def test_tanh_sinh_moments_with_odd_powers_on_negative_interval(powers):
+    # one or two powers take no exact check over every power, so the walk's
+    # own tail test must be sign-safe: int_{-1}^{1} x^p * x dx
+    moments = tanh_sinh_moments(lambda x, da, db: x, -1.0, 1.0, powers, tol=1e-12)
+    for p, got in zip(powers, moments):
+        want = tanh_sinh(lambda x, da, db: x ** (p + 1.0), -1.0, 1.0, tol=1e-12)
+        assert got.converged and want.converged
+        assert got.value == pytest.approx(want.value, rel=1e-12)
+        assert got.value == pytest.approx(2.0 / (p + 2.0), rel=1e-12)
+        # the walk stops where the scalar rule's does, not at the end of the ray
+        assert got.nodes_used == want.nodes_used
+
+
+@pytest.mark.parametrize("powers", [(140.0,), (0.0, 3.0, 140.0)])
+def test_exp_sinh_moments_at_high_power(powers):
+    # x^140 e^-x peaks at x = 140 and x^140 alone overflows past x ~ 160
+    moments = exp_sinh_moments(lambda x: math.exp(-x), powers, tol=1e-12)
+    for p, got in zip(powers, moments):
+        assert got.converged
+        assert got.value == pytest.approx(math.exp(math.lgamma(p + 1.0)), rel=1e-12)
+
+
+def test_overflowing_moment_is_not_converged():
+    # int x^175 e^-x dx = 175! exceeds the float range
+    (res,) = exp_sinh_moments(lambda x: math.exp(-x), (175.0,), max_level=5)
+    assert not res.converged
+
+
+def test_exp_sinh_moments_match_scalar_rule_and_gamma():
+    # x^35 e^-x peaks at x = 35, far from where the low powers live
+    powers = (0.0, 1.0, 7.5, 30.0, 35.0)
+    moments = exp_sinh_moments(lambda x: math.exp(-x) / math.sqrt(x), powers, tol=1e-12)
+    for p, got in zip(powers, moments):
+        want = exp_sinh(lambda x: x**p * math.exp(-x) / math.sqrt(x), tol=1e-12)
+        assert got.converged and want.converged
+        assert got.value == pytest.approx(want.value, rel=1e-12)
+        assert got.value == pytest.approx(math.gamma(p + 0.5), rel=1e-12)
+
+
+def test_moment_components_converge_on_their_own():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return math.exp(-x)
+
+    low, high = exp_sinh_moments(f, (0.0, 35.0), tol=1e-12)
+    assert low.converged and high.converged
+    # the walk stops when the last power converges; the first keeps its level
+    assert low.nodes_used < high.nodes_used == len(calls)
+
+
+def test_moment_rule_reports_every_unconverged_component():
+    moments = tanh_sinh_moments(
+        lambda x, da, db: 1e-4 / (1e-8 + (x - 0.37) ** 2), 0.0, 1.0, (0.0, 1.0, 2.0),
+        tol=1e-12, max_level=4,
+    )
+    assert len(moments) == 3
+    assert not any(r.converged for r in moments)
+    assert all(r.est_abs_error > 0.0 for r in moments)
+
+
+def test_moment_rules_reject_bad_powers():
+    with pytest.raises(ValueError, match="at least one power"):
+        exp_sinh_moments(math.exp, ())
+    with pytest.raises(ValueError, match="nonnegative"):
+        exp_sinh_moments(math.exp, (1.0, -0.5))
+    with pytest.raises(ValueError, match="fractional"):
+        tanh_sinh_moments(lambda x, da, db: 1.0, -1.0, 1.0, (0.5,))
