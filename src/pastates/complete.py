@@ -168,23 +168,12 @@ def weight_h(m: int, y: float, form: str = "closed", one_minus_y: float | None =
 def weight_h1m(m: int, y: float, one_minus_y: float | None = None) -> float:
     """Radial weight of the photon-added squeezed one-photon measure.
 
-    Printed for m >= 1; the m = 0 case is filled through the index identity
-    with the squeezed-vacuum family (the two families share states up to an
-    index shift).
+    |1, zeta, m> is the vacuum-family state |zeta, m+1>, so this is the
+    closed form of ``weight_h`` at m+1.
     """
     if m < 0:
         raise ValueError("weight_h1m requires m >= 0")
-    if m == 0:
-        return weight_h(1, y, one_minus_y=one_minus_y)
-    omy = (1.0 - y) if one_minus_y is None else one_minus_y
-    if not (y > 0.0 and omy > 0.0):
-        raise ValueError("weight_h1m requires 0 < y < 1")
-    x, xm1 = _stable_x_args(y, omy)
-    return (
-        omy ** (0.5 * (m - 1))
-        * specfun.legendre_q(m - 1, x, x_minus_1=xm1)
-        / (_TWO_PI * math.exp(specfun.log_factorial(m - 1)))
-    )
+    return weight_h(m + 1, y, one_minus_y=one_minus_y)
 
 
 def weight_hmum(lam: int, mu: int, m: int, y: float) -> float:
@@ -204,6 +193,11 @@ def weight_hmum(lam: int, mu: int, m: int, y: float) -> float:
     )
 
 
+def _vacuum_index(wf: WeightFunction) -> int:
+    """Vacuum-family index of a squeezed family: |1, zeta, m> = |zeta, m+1>."""
+    return wf.m + 1 if wf.family == "pasops" else wf.m
+
+
 def _radial_moments(wf: WeightFunction, powers, quad: QuadSettings) -> list[QuadResult]:
     """Integrals of y^p h(y) over the family's radial domain for every p in
     ``powers``, from one nested pass that evaluates the weight once per node.
@@ -218,10 +212,10 @@ def _radial_moments(wf: WeightFunction, powers, quad: QuadSettings) -> list[Quad
             return math.exp(-x) * specfun.kummer_u_int(wf.m, x)
 
         return exp_sinh_moments(laplace, powers, tol=quad.tol, max_level=quad.max_level)
-    weight = weight_h if wf.family == "pasvs" else weight_h1m
+    m = _vacuum_index(wf)
 
     def radial(y: float, da: float, db: float) -> float:
-        return weight(wf.m, y, one_minus_y=db)
+        return weight_h(m, y, one_minus_y=db)
 
     return tanh_sinh_moments(radial, 0.0, 1.0, powers, tol=quad.tol, max_level=quad.max_level)
 
@@ -230,7 +224,7 @@ def moment_check(wf: WeightFunction, k_max: int, quad: QuadSettings | None = Non
     """Verify the power moments that make the family resolve unity.
 
     Squeezed families: int_0^1 y^k h(y) dy = [(2k)!!]^2 / (pi (m_eff+2k)!)
-    with m_eff = m for the vacuum family and m+1 for the one-photon family.
+    with m_eff the vacuum-family index (m, or m+1 for the one-photon family).
     Circle family: the (kL+mu)-th Laplace moment of U(m,1,x) against
     ((kL+mu)!)^2/(kL+m+mu)!.  A report is produced for every k; quadrature
     that fails to converge is flagged, never skipped.
@@ -240,7 +234,7 @@ def moment_check(wf: WeightFunction, k_max: int, quad: QuadSettings | None = Non
     quad = quad or QuadSettings()
     ks = range(k_max + 1)
     orders = [k * wf.lam + wf.mu for k in ks] if wf.family == "pacsc" else list(ks)
-    m_eff = wf.m if wf.family == "pasvs" else wf.m + 1
+    m_eff = _vacuum_index(wf)
     reports = []
     for k, n, res in zip(ks, orders, _radial_moments(wf, [float(n) for n in orders], quad)):
         if wf.family == "pacsc":
@@ -267,80 +261,45 @@ def moment_check(wf: WeightFunction, k_max: int, quad: QuadSettings | None = Non
     return reports
 
 
-def _angular_check_factors(basis_dim: int, stride: int) -> np.ndarray:
-    """Trapezoid angular averages T_d, d = -(dim-1) .. dim-1.
-
-    The rule with 2*basis_dim*stride + 1 equally spaced nodes is exact for
-    every trigonometric monomial the truncated kernel contains, so T_0 = 1
-    and the others vanish to rounding; they are computed, not assumed, and
-    multiply the off-diagonal entries.
-    """
-    m_nodes = 2 * basis_dim * stride + 1
-    out = np.zeros(2 * basis_dim - 1, dtype=complex)
-    for idx, d in enumerate(range(-(basis_dim - 1), basis_dim)):
-        acc = 0.0 + 0.0j
-        for s in range(m_nodes):
-            acc += cmath.exp(2j * math.pi * d * s / m_nodes)
-        out[idx] = acc / m_nodes
-    return out
-
-
 def unity_resolution_matrix(
     wf: WeightFunction, basis_dim: int, quad: QuadSettings | None = None
 ) -> OperatorMatrix:
     """Truncated continuous resolution of unity in the family's subspace.
 
-    Angular integration is exact (checked numerically through the trapezoid
-    factors); the radial part reduces to the moment integrals, shared across
-    entries with equal index sum.  The normalization coefficients of state
-    and measure cancel analytically and are not re-evaluated per node.
+    The angular integral is exact: it vanishes between different basis
+    states, so the matrix is diagonal, and each diagonal entry is the radial
+    moment of its basis state's power.  The normalization coefficients of
+    state and measure cancel analytically and are not re-evaluated per node.
     """
     if basis_dim < 1 or basis_dim > 64:
         raise ValueError("unity_resolution_matrix requires 1 <= basis_dim <= 64")
     quad = quad or QuadSettings()
     if wf.family == "pacsc":
         stride, offset = wf.lam, wf.m + wf.mu
+        powers = [float(j * wf.lam + wf.mu) for j in range(basis_dim)]
     else:
-        stride, offset = 2, (wf.m if wf.family == "pasvs" else wf.m + 1)
-    t_fact = _angular_check_factors(basis_dim, stride)
-
-    # radial integrals indexed by the index sum s2 = j + l
-    powers = [0.5 * s2 for s2 in range(2 * basis_dim - 1)]
-    if wf.family == "pacsc":
-        powers = [p * wf.lam + wf.mu for p in powers]
-    radial = []
-    for s2, (power, res) in enumerate(zip(powers, _radial_moments(wf, powers, quad))):
+        stride, offset = 2, _vacuum_index(wf)
+        powers = [float(j) for j in range(basis_dim)]
+    diagonal = []
+    for j, (power, res) in enumerate(zip(powers, _radial_moments(wf, powers, quad))):
         if not res.converged:
             raise ArithmeticError(
                 f"unity_resolution_matrix: radial quadrature did not converge at index sum "
-                f"{s2} (power {power}) after {res.nodes_used} nodes "
+                f"{2 * j} (power {power}) after {res.nodes_used} nodes "
                 f"(last estimate {res.value:.6e})"
             )
-        radial.append(res.value)
-
-    m_eff = wf.m if wf.family == "pasvs" else wf.m + 1
-    entries = np.zeros((basis_dim, basis_dim), dtype=complex)
-    for j in range(basis_dim):
-        for l in range(basis_dim):
-            if wf.family == "pacsc":
-                log_pre = (
-                    0.5 * specfun.log_factorial(j * wf.lam + wf.m + wf.mu)
-                    + 0.5 * specfun.log_factorial(l * wf.lam + wf.m + wf.mu)
-                    - specfun.log_factorial(j * wf.lam + wf.mu)
-                    - specfun.log_factorial(l * wf.lam + wf.mu)
-                )
-                scale = math.exp(log_pre)
-            else:
-                log_pre = (
-                    0.5 * specfun.log_factorial(2 * j + m_eff)
-                    + 0.5 * specfun.log_factorial(2 * l + m_eff)
-                    - specfun.log_factorial(j)
-                    - specfun.log_factorial(l)
-                    - (j + l) * math.log(2.0)
-                )
-                scale = math.pi * math.exp(log_pre)
-            entries[j, l] = scale * radial[j + l] * t_fact[j - l + basis_dim - 1]
-    return OperatorMatrix(offset, stride, basis_dim, entries)
+        if wf.family == "pacsc":
+            n = j * wf.lam + wf.mu
+            scale = math.exp(specfun.log_factorial(n + wf.m) - 2.0 * specfun.log_factorial(n))
+        else:
+            log_pre = (
+                specfun.log_factorial(2 * j + offset)
+                - 2.0 * specfun.log_factorial(j)
+                - 2 * j * math.log(2.0)
+            )
+            scale = math.pi * math.exp(log_pre)
+        diagonal.append(scale * res.value)
+    return OperatorMatrix(offset, stride, basis_dim, np.diag(np.array(diagonal, dtype=complex)))
 
 
 def pasvs_sns_matrix(param: fockstate.SqueezeParam, dim: int) -> np.ndarray:

@@ -199,28 +199,14 @@ def pasvs(param: SqueezeParam, m: int, eps: float = 1e-14) -> FockVector:
 
 
 def pasops(param: SqueezeParam, m: int, eps: float = 1e-14) -> FockVector:
-    """Photon-added squeezed one-photon state |1, zeta, m> as a Fock vector."""
+    """Photon-added squeezed one-photon state |1, zeta, m> as a Fock vector.
+
+    S(zeta)|1> is proportional to a^dag S(zeta)|0>, so |1, zeta, m> is the
+    photon-added squeezed vacuum state |zeta, m+1>.
+    """
     if m < 0:
         raise ValueError("pasops requires m >= 0")
-    if eps <= 0:
-        raise ValueError("pasops requires eps > 0")
-    az = abs(param.zeta)
-    if az >= 1.0 - 1e-12:
-        raise ValueError("pasops: |zeta| too close to 1, truncation cost diverges")
-    if param.zeta == 0:
-        return _unit_vector(m + 1, 2)
-    norm = overlap.pasops_norm(param, m)
-    log_mag0 = (
-        -0.5 * math.log(norm)
-        + 0.75 * math.log1p(-param.y)
-        + 0.5 * specfun.log_factorial(m + 1)
-    )
-
-    def ratio(k: int) -> float:
-        return math.sqrt((2 * k + m + 2) * (2 * k + m + 3)) * az / (2.0 * (k + 1))
-
-    coeffs, tail = _build_truncated(log_mag0, param.zeta / az, ratio, az, eps)
-    return _check_normalized(FockVector(m + 1, 2, coeffs, tail), "pasops")
+    return pasvs(param, m + 1, eps)
 
 
 def sns_coefficient(param: SqueezeParam, m: int, k: int) -> complex:

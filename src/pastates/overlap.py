@@ -95,17 +95,12 @@ def pasvs_norm(zeta, m: int) -> float:
 def pasops_norm(zeta, m: int) -> float:
     """Squared norm of (a^dag)^m applied to a squeezed one-photon state.
 
-    (m+1)! (1-y)^(-(m-1)/2) P_{m+1}((1-y)^(-1/2)).
+    (m+1)! (1-y)^(-(m-1)/2) P_{m+1}((1-y)^(-1/2)): the squeezed vacuum norm
+    at m+1 times 1-y, since S(zeta)|1> = sqrt(1-y) a^dag S(zeta)|0>.
     """
     if m < 0:
         raise ValueError("pasops_norm requires m >= 0")
-    omy = 1.0 - zeta.y
-    x = omy**-0.5
-    return (
-        math.exp(specfun.log_factorial(m + 1))
-        * omy ** (-0.5 * (m - 1))
-        * specfun.legendre_p(m + 1, x)
-    )
+    return (1.0 - zeta.y) * pasvs_norm(zeta, m + 1)
 
 
 def _csc_pfq_params(lam: int, mu: int) -> list[float]:
@@ -184,15 +179,14 @@ def pacsc_norm(param, m: int, form: str = "pfq") -> float:
     raise ValueError(f"unknown pacsc_norm form: {form!r}")
 
 
-def _hypergeometric_forms(
-    xi, n: int, zeta, m: int, pref: float, svo: complex
-) -> tuple[complex, complex]:
-    """Forms 1 and 2 of the photon-added squeezed vacuum overlap for n >= m
-    with n - m even: hypergeometric, and Euler-transformed terminating
-    hypergeometric.  ``pref`` is the normalization prefactor and ``svo`` the
-    squeezed vacuum overlap, which the caller shares with its other form."""
+def _pasvs_forms(xi, n: int, zeta, m: int) -> tuple[complex, complex, complex]:
+    """The three closed forms of the photon-added squeezed vacuum overlap
+    for n >= m with n - m even: hypergeometric, Euler-transformed
+    terminating hypergeometric, and associated-Legendre."""
     w = xi.zeta.conjugate() * zeta.zeta
     q = (n - m) // 2
+    pref = (pasvs_norm(zeta, m) * pasvs_norm(xi, n)) ** -0.5
+    svo = sv_overlap(xi, zeta)
     quarter = ((1.0 - zeta.y) * (1.0 - xi.y)) ** 0.25
     front = math.exp(specfun.log_factorial(n) - specfun.log_factorial(q))
     zq = (0.5 * zeta.zeta) ** q
@@ -208,18 +202,6 @@ def _hypergeometric_forms(
         * (1.0 - w) ** (-(n + m) // 2)
         * specfun.gauss_2f1(-0.5 * (m - 1), -0.5 * m, q + 1.0, w)
     )
-    return f1, f2
-
-
-def _pasvs_forms(xi, n: int, zeta, m: int) -> tuple[complex, complex, complex]:
-    """The three closed forms of the photon-added squeezed vacuum overlap
-    for n >= m with n - m even: the two hypergeometric forms and the
-    associated-Legendre form."""
-    w = xi.zeta.conjugate() * zeta.zeta
-    q = (n - m) // 2
-    pref = (pasvs_norm(zeta, m) * pasvs_norm(xi, n)) ** -0.5
-    svo = sv_overlap(xi, zeta)
-    f1, f2 = _hypergeometric_forms(xi, n, zeta, m, pref, svo)
     x_arg = (1.0 - w) ** -0.5
     powers = _powprod(
         [
@@ -239,81 +221,51 @@ def _pasvs_forms(xi, n: int, zeta, m: int) -> tuple[complex, complex, complex]:
     return f1, f2, f3
 
 
-def _pasops_forms(xi, n: int, zeta, m: int) -> tuple[complex, complex, complex]:
-    """The three closed forms of the photon-added squeezed one-photon
-    overlap for n >= m with n - m even.
-
-    Forms 1 and 2 are the hypergeometric forms of the photon-added squeezed
-    vacuum overlap at (n+1, m+1), to which these states are exactly
-    proportional; form 3 is the printed associated-Legendre expression.
-    """
-    pasvs_pref = (pasvs_norm(zeta, m + 1) * pasvs_norm(xi, n + 1)) ** -0.5
-    f1, f2 = _hypergeometric_forms(xi, n + 1, zeta, m + 1, pasvs_pref, sv_overlap(xi, zeta))
-    w = xi.zeta.conjugate() * zeta.zeta
-    q = (n - m) // 2
-    pref = (pasops_norm(zeta, m) * pasops_norm(xi, n)) ** -0.5
-    so = sops_overlap(xi, zeta)
-    x_arg = (1.0 - w) ** -0.5
-    powers = _powprod(
-        [
-            (xi.zeta.conjugate(), (m - n) / 4 + q / 2),
-            (zeta.zeta, (n - m) / 4 + q / 2),
-            (1.0 - w, -(m + n - 2) / 4 - q / 2),
-        ]
-    )
-    f3 = (
-        pref
-        * so
-        * math.exp(specfun.log_factorial(n + 1))
-        * math.exp(specfun.log_factorial(m + 1) - specfun.log_factorial(n + 1))
-        * powers
-        * specfun.legendre_p_deriv(q, (m + n + 2) // 2, x_arg)
-    )
-    return f1, f2, f3
-
-
-_FORMS_OF = {"pasvs": _pasvs_forms, "pasops": _pasops_forms}
-
 # Oracle vectors are truncated far below working precision: the inner
 # product of two vectors cut at different lengths loses ~sqrt(eps_u * eps_v)
 # of cross terms, so eps must sit well under the comparison tolerances.
 _SERIES_EPS = 1e-26
 
 
-def _oracle_vector(family: str, param, index: int, vectors: dict):
-    """Series-oracle Fock vector of ``family`` at (param, index), built on
-    first use and kept in the caller's ``vectors``."""
+def _oracle_vector(param, index: int, vectors: dict):
+    """Series-oracle squeezed vacuum vector at (param, index), built on first
+    use and kept in the caller's ``vectors``."""
     from . import fockstate
 
     key = (param.zeta, index)
     if key not in vectors:
-        vectors[key] = getattr(fockstate, family)(param, index, eps=_SERIES_EPS)
+        vectors[key] = fockstate.pasvs(param, index, eps=_SERIES_EPS)
     return vectors[key]
 
 
 def _overlap(family: str, xi, n: int, zeta, m: int, form, vectors: dict) -> OverlapResult:
     """Overlap of ``family`` states with its three closed forms cross-checked
-    against each other and against the series inner product."""
+    against each other and against the series inner product.
+
+    The one-photon state |1, zeta, m> is the vacuum-family state |zeta, m+1>,
+    so both families are evaluated as photon-added squeezed vacuum states.
+    """
     from . import fockstate
 
     if n < 0 or m < 0:
-        raise ValueError("photon-added index must be >= 0")
+        raise ValueError(f"{family}_overlap requires n >= 0 and m >= 0")
     if (n - m) % 2 != 0:
         return OverlapResult(0.0 + 0.0j, 0.0, 0.0)
-    if n < m:
-        sub = _overlap(family, zeta, m, xi, n, form, vectors)
-        return OverlapResult(sub.value.conjugate(), sub.form_spread, sub.oracle_error)
     if abs(xi.zeta.conjugate() * zeta.zeta) > 0.9:
         raise ValueError(f"{family}_overlap requires |conj(xi) zeta| <= 0.9")
     if form not in (1, 2, 3, "series"):
         raise ValueError(f"unknown {family}_overlap form: {form!r}")
-    f1, f2, f3 = _FORMS_OF[family](xi, n, zeta, m)
-    series = fockstate.inner(
-        _oracle_vector(family, xi, n, vectors), _oracle_vector(family, zeta, m, vectors)
-    )
+    if family == "pasops":
+        n, m = n + 1, m + 1
+    # the closed forms need n >= m; the swapped overlap is the conjugate
+    swap = n < m
+    if swap:
+        xi, n, zeta, m = zeta, m, xi, n
+    f1, f2, f3 = _pasvs_forms(xi, n, zeta, m)
+    series = fockstate.inner(_oracle_vector(xi, n, vectors), _oracle_vector(zeta, m, vectors))
     value = {1: f1, 2: f2, 3: f3, "series": series}[form]
     spread = max(abs(f1 - f2), abs(f1 - f3), abs(f2 - f3))
-    return OverlapResult(value, spread, abs(value - series))
+    return OverlapResult(value.conjugate() if swap else value, spread, abs(value - series))
 
 
 def pasvs_overlap(xi, n: int, zeta, m: int, form=1) -> OverlapResult:
@@ -332,10 +284,10 @@ def pasvs_overlap(xi, n: int, zeta, m: int, form=1) -> OverlapResult:
 def pasops_overlap(xi, n: int, zeta, m: int, form=3) -> OverlapResult:
     """Overlap of two photon-added squeezed one-photon states.
 
-    Form 3 is the printed associated-Legendre expression; forms 1 and 2 are
-    those of the photon-added squeezed vacuum overlap at indices (n+1, m+1),
-    to which these states are exactly proportional.  The series oracle uses
-    the one-photon vectors themselves.
+    |1, zeta, m> is the photon-added squeezed vacuum state |zeta, m+1>, so
+    this is ``pasvs_overlap(xi, n+1, zeta, m+1, form)``: forms 1 and 2 are
+    its hypergeometric forms, form 3 is its associated-Legendre form at
+    (n+1, m+1), and the series oracle uses the vacuum vectors at n+1, m+1.
     """
     return _overlap("pasops", xi, n, zeta, m, form, {})
 
@@ -348,7 +300,7 @@ def overlap_grid(family: str, label_pairs, max_n: int) -> tuple[float, int]:
     Each oracle vector is built once per (label, index) and shared by every
     grid point that uses it; the vectors are dropped when the call returns.
     """
-    if family not in _FORMS_OF:
+    if family not in ("pasvs", "pasops"):
         raise ValueError(f"unknown overlap family: {family!r}")
     vectors: dict = {}
     worst = 0.0

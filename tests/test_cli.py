@@ -184,6 +184,20 @@ def test_verify_discrete(capsys):
     assert "strictly_decreasing=True" in out
 
 
+def test_verify_discrete_builds_each_closed_matrix_once(capsys, monkeypatch):
+    routes = []
+    real = cli.complete.discrete_completeness_matrix
+
+    def counted(param, cutoff, dim, coefficients="closed"):
+        routes.append((cutoff, coefficients))
+        return real(param, cutoff, dim, coefficients)
+
+    monkeypatch.setattr(cli.complete, "discrete_completeness_matrix", counted)
+    code, _, _ = run_cli(["verify", "discrete", "--cutoffs", "10,20,40", "--dim", "8"], capsys)
+    assert code == 0
+    assert routes == [(10, "closed"), (20, "closed"), (40, "closed"), (20, "series")]
+
+
 def test_verify_discrete_fails_below_rounding(capsys):
     code, out, _ = run_cli(
         ["verify", "discrete", "--zeta", "0.3", "--cutoffs", "10,20,40", "--dim", "8", "--tol", "1e-16"],
@@ -207,6 +221,18 @@ def test_verify_unity_single(capsys):
         capsys,
     )
     assert code == 0
+    # the matrix is diagonal by construction, so only its deviation is reported
+    assert out.splitlines()[0].startswith(
+        "[PASS] unity pacsc m=1 mu=1 lambda=2 dim=8: identity_deviation="
+    )
+    assert "max_offdiagonal" not in out
+
+
+def test_verify_unity_has_no_offtol_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["verify", "unity", "--offtol", "1e-10"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --offtol" in capsys.readouterr().err
 
 
 def test_verify_pacsc_requires_indices(capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from pastates import complete as cm
 from pastates import fockstate as fs
+from pastates.specfun import legendre_q
 
 TWO_PI = 2.0 * math.pi
 EULER_GAMMA = 0.5772156649015328606
@@ -115,6 +116,25 @@ def test_weight_h1m_index_identity():
     for m in range(1, 7):
         for y in (0.1, 0.5, 0.9):
             assert cm.weight_h1m(m, y) == pytest.approx(cm.weight_h(m + 1, y), rel=1e-12)
+
+
+def printed_weight_h1m(m: int, y: float) -> float:
+    """The one-photon weight as printed for m >= 1:
+    (1-y)^((m-1)/2) Q_{m-1}((1-y)^(-1/2)) / (2 pi (m-1)!)."""
+    omy = 1.0 - y
+    return omy ** (0.5 * (m - 1)) * legendre_q(m - 1, omy**-0.5) / (TWO_PI * math.factorial(m - 1))
+
+
+def test_weight_h1m_matches_printed_form():
+    for m in range(1, 7):
+        for y in (0.1, 0.5, 0.9):
+            assert cm.weight_h1m(m, y) == pytest.approx(printed_weight_h1m(m, y), rel=1e-12)
+
+
+def test_weight_h1m_rejects_negative_index():
+    # a shift applied before the check would return the m = 0 vacuum weight
+    with pytest.raises(ValueError, match="weight_h1m requires m >= 0"):
+        cm.weight_h1m(-1, 0.5)
 
 
 def test_weight_h1m_base_cases():
@@ -281,13 +301,28 @@ def test_unity_resolution_matrices(family, m, mu, lam):
     mat = cm.unity_resolution_matrix(wf, 12)
     assert mat.dim == 12
     assert mat.identity_deviation() < 1e-6
-    assert mat.max_offdiagonal() < 1e-10
+    # the angular integral is exact, so nothing off the diagonal is assembled
+    assert mat.max_offdiagonal() == 0.0
 
 
 def test_unity_matrix_radial_failure_is_arithmetic_error():
     wf = cm.WeightFunction("pasvs", 2)
     with pytest.raises(ArithmeticError, match=r"index sum 0 \(power 0.0\) after \d+ nodes"):
         cm.unity_resolution_matrix(wf, 4, cm.QuadSettings(max_level=2))
+
+
+def test_unity_matrix_integrates_only_diagonal_powers(monkeypatch):
+    asked = []
+    real = cm._radial_moments
+
+    def recorded(wf, powers, quad):
+        asked.append(list(powers))
+        return real(wf, powers, quad)
+
+    monkeypatch.setattr(cm, "_radial_moments", recorded)
+    cm.unity_resolution_matrix(cm.WeightFunction("pasops", 1), 4)
+    cm.unity_resolution_matrix(cm.WeightFunction("pacsc", 2, mu=2, lam=3), 3)
+    assert asked == [[0.0, 1.0, 2.0, 3.0], [2.0, 5.0, 8.0]]
 
 
 def test_unity_matrix_subspace_labels():

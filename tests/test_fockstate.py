@@ -129,14 +129,19 @@ def test_pasops_squeezed_one_photon_coefficients():
 
 @pytest.mark.parametrize("m", [0, 1, 2, 4])
 def test_pasops_equals_shifted_pasvs(m):
-    # the one-photon family coincides with the vacuum family at m+1;
-    # the proportionality scalar between the unit vectors is exactly 1
-    param = fs.SqueezeParam(0.45 * unit_phase(1.3))
-    a = fs.pasops(param, m, eps=TIGHT)
-    b = fs.pasvs(param, m + 1, eps=TIGHT)
-    assert a.offset == b.offset
-    for n in range(0, 40):
-        assert abs(a.coefficient(n) - b.coefficient(n)) < 1e-12
+    # the one-photon family coincides with the vacuum family at m+1, so
+    # pasops builds exactly the vacuum-family vector
+    for mod in (0.2, 0.45, 0.6):
+        param = fs.SqueezeParam(mod * unit_phase(1.3))
+        a, b = fs.pasops(param, m, eps=TIGHT), fs.pasvs(param, m + 1, eps=TIGHT)
+        assert (a.offset, a.stride, a.tail_bound) == (b.offset, b.stride, b.tail_bound)
+        assert np.array_equal(a.coeffs, b.coeffs)
+
+
+def test_pasops_rejects_negative_index():
+    # a shift applied before the check would build the vacuum state at m = 0
+    with pytest.raises(ValueError, match="pasops requires m >= 0"):
+        fs.pasops(fs.SqueezeParam(0.3), -1)
 
 
 # ------------------------------------------------------------ sns

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pastates import fockstate as fs
 from pastates import overlap as ov
-from pastates.specfun import laguerre, log_factorial
+from pastates.specfun import laguerre, legendre_p_deriv, log_factorial
 
 
 def sq(value) -> fs.SqueezeParam:
@@ -81,6 +81,23 @@ def test_pasops_norm_series_oracle():
     assert ov.pasops_norm(z, 3) == pytest.approx(
         (1 - z.y) * pasvs_norm_series(0.5, 4), rel=1e-10
     )
+
+
+@pytest.mark.parametrize("m", range(0, 6))
+def test_pasops_norm_one_photon_series(m):
+    # (a^dag)^m S(zeta)|1> summed directly on |2k+1>, not through the vacuum
+    # family: (1-y)^(3/2) sum_k (2k+1+m)!/(k!)^2 (y/4)^k
+    y = 0.25
+    series = sum(
+        math.exp(log_factorial(2 * k + 1 + m) - 2 * log_factorial(k) + k * math.log(y / 4))
+        for k in range(300)
+    )
+    assert ov.pasops_norm(sq(0.5), m) == pytest.approx((1 - y) ** 1.5 * series, rel=1e-10)
+
+
+def test_pasops_norm_rejects_negative_index():
+    with pytest.raises(ValueError, match="pasops_norm requires m >= 0"):
+        ov.pasops_norm(sq(0.5), -1)
 
 
 @pytest.mark.parametrize("m", range(0, 7))
@@ -195,6 +212,60 @@ def test_pasops_overlap_series_oracle():
     assert abs(res.value - series) < 1e-9
 
 
+PASOPS_LABELS = [
+    (sq(polar(0.5, -0.8)), sq(polar(0.6, 1.9))),
+    (sq(0.2), sq(polar(0.4, 1.0472))),
+    (sq(polar(0.6, 2.9)), sq(polar(0.3, -2.9))),
+]
+
+
+@pytest.mark.parametrize("form", [1, 2, 3, "series"])
+def test_pasops_overlap_is_shifted_pasvs_overlap(form):
+    # |1, zeta, m> = |zeta, m+1>: same value and diagnostics, bit for bit
+    for xi, ze in PASOPS_LABELS:
+        for n in range(5):
+            for m in range(5):
+                assert ov.pasops_overlap(xi, n, ze, m, form) == ov.pasvs_overlap(
+                    xi, n + 1, ze, m + 1, form
+                )
+
+
+def printed_pasops_legendre_form(xi, n, zeta, m) -> complex:
+    """The one-photon overlap in its printed associated-Legendre form, n >= m
+    with n - m even, written out on its own one-photon normalizations."""
+    w = xi.zeta.conjugate() * zeta.zeta
+    q = (n - m) // 2
+    pref = (ov.pasops_norm(zeta, m) * ov.pasops_norm(xi, n)) ** -0.5
+    powers = cmath.exp(
+        ((m - n) / 4 + q / 2) * cmath.log(xi.zeta.conjugate())
+        + ((n - m) / 4 + q / 2) * cmath.log(zeta.zeta)
+        - ((m + n - 2) / 4 + q / 2) * cmath.log(1.0 - w)
+    )
+    return (
+        pref
+        * ov.sops_overlap(xi, zeta)
+        * math.factorial(m + 1)
+        * powers
+        * legendre_p_deriv(q, (m + n + 2) // 2, (1.0 - w) ** -0.5)
+    )
+
+
+def test_pasops_overlap_matches_printed_legendre_form():
+    for xi, ze in PASOPS_LABELS:
+        for n in range(7):
+            for m in range(n % 2, n + 1, 2):
+                got = ov.pasops_overlap(xi, n, ze, m).value
+                assert abs(got - printed_pasops_legendre_form(xi, n, ze, m)) < 1e-12
+
+
+def test_pasops_overlap_rejects_negative_index():
+    # a shift applied before the check would accept n = -1 as vacuum index 0
+    with pytest.raises(ValueError, match="pasops_overlap requires n >= 0"):
+        ov.pasops_overlap(sq(0.2), -1, sq(0.4), 1)
+    with pytest.raises(ValueError, match="pasvs_overlap requires n >= 0"):
+        ov.pasvs_overlap(sq(0.2), 1, sq(0.4), -1)
+
+
 def test_pasops_overlap_forms_agree():
     worst = 0.0
     for n in range(0, 7):
@@ -220,9 +291,10 @@ def counting_constructors(monkeypatch) -> list:
 
 
 def test_pasops_overlap_builds_one_oracle_pair(monkeypatch):
+    # the oracle pair is the vacuum-family pair at the shifted indices
     calls = counting_constructors(monkeypatch)
     res = ov.pasops_overlap(sq(0.4), 4, sq(0.3j), 2)
-    assert sorted(calls, key=lambda c: c[2]) == [("pasops", 0.3j, 2), ("pasops", 0.4, 4)]
+    assert sorted(calls, key=lambda c: c[2]) == [("pasvs", 0.3j, 3), ("pasvs", 0.4, 5)]
     assert res.form_spread < 1e-9 and res.oracle_error < 1e-9
 
 
@@ -249,9 +321,10 @@ def test_overlap_grid_builds_each_oracle_vector_once(family, monkeypatch):
     worst, count = ov.overlap_grid(family, pairs, 3)
     assert count == 6 * len(pairs)
     assert worst < 1e-9
-    # two labels at indices 0..3
+    # two labels at indices 0..3, vacuum-family indices 1..4 for pasops
     assert len(calls) == len(set(calls)) == 8
-    assert {c[0] for c in calls} == {family}
+    shift = 1 if family == "pasops" else 0
+    assert {(c[0], c[2]) for c in calls} == {("pasvs", i + shift) for i in range(4)}
 
 
 def test_overlap_grid_matches_pointwise_overlaps():
