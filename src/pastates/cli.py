@@ -50,18 +50,22 @@ def parse_complex(text: str) -> complex:
         raise UsageError(f"cannot parse complex value {text!r}: use MOD or MOD@RADIANS") from exc
 
 
-def parse_int_list(text: str) -> list[int]:
+def _parse_list(text: str, convert, kind: str) -> list:
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        values = [convert(part) for part in text.split(",") if part != ""]
     except ValueError as exc:
-        raise UsageError(f"cannot parse integer list {text!r}") from exc
+        raise UsageError(f"cannot parse {kind} list {text!r}") from exc
+    if not values:
+        raise UsageError(f"empty {kind} list {text!r}")
+    return values
+
+
+def parse_int_list(text: str) -> list[int]:
+    return _parse_list(text, int, "integer")
 
 
 def parse_float_list(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part != ""]
-    except ValueError as exc:
-        raise UsageError(f"cannot parse float list {text!r}") from exc
+    return _parse_list(text, float, "float")
 
 
 def _fmt(v: float) -> str:

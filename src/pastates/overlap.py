@@ -15,6 +15,8 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import specfun
 
 __all__ = [
@@ -292,25 +294,115 @@ def pasops_overlap(xi, n: int, zeta, m: int, form=3) -> OverlapResult:
     return _overlap("pasops", xi, n, zeta, m, form, {})
 
 
+def _gauss_2f1_array(a, b, c, z):
+    """Gauss series 2F1(a, b; c; z) on broadcast arrays.
+
+    Each element stops, as in ``specfun.gauss_2f1``, once three of its terms
+    in a row fall below ``_TERM_EPS`` of its partial sum; its later terms are
+    zeroed so its sum stays put while the others run on.  A terminating
+    element's terms are exactly 0 past its last one, so it stops three terms
+    later with the same sum.
+    """
+    term = np.ones(np.broadcast_shapes(np.shape(a), np.shape(z)), dtype=complex)
+    total = term.copy()
+    small = np.zeros(term.shape, dtype=int)
+    for k in range(2000):
+        term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
+        total += term
+        small = np.where(np.abs(term) < specfun._TERM_EPS * np.abs(total), small + 1, 0)
+        done = small >= specfun._SMALL_RUN
+        if done.all():
+            return total
+        term[done] = 0.0
+    raise ValueError("gauss_2f1: series did not converge within 2000 terms")
+
+
+def _grid_forms(label_pairs, max_n: int, shift: int):
+    """The three closed forms and the series oracle of the photon-added
+    squeezed vacuum overlap <xi, N | zeta, M> at every N = n + shift,
+    M = m + shift with m <= n <= max_n, n - m even, and every (xi, zeta) in
+    ``label_pairs``.
+
+    Returns an array of shape (4, points, pairs) holding forms 1, 2, 3 and
+    the oracle; the points run over n ascending, then m ascending.  Each
+    form is evaluated once per point on the array of all pairs.  The oracle
+    vectors of each label are built once per index and stacked as the
+    columns of one zero-padded dense matrix V, so a pair's oracle overlaps
+    at every point are the entries of one product V_xi^H V_zeta.
+    """
+    from . import fockstate
+
+    indices = range(shift, max_n + shift + 1)
+    norms, dense = {}, {}
+    for param in {p.zeta: p for pair in label_pairs for p in pair}.values():
+        vecs = [fockstate.pasvs(param, i, eps=_SERIES_EPS) for i in indices]
+        dim = max(v.offset + v.stride * len(v.coeffs) for v in vecs)
+        dense[param.zeta] = np.column_stack([v.dense(dim) for v in vecs])
+        norms[param.zeta] = [pasvs_norm(param, i) for i in indices]
+    gram = np.empty((len(indices), len(indices), len(label_pairs)), dtype=complex)
+    for p, (xi, zeta) in enumerate(label_pairs):
+        v_xi, v_zeta = dense[xi.zeta], dense[zeta.zeta]
+        rows = min(len(v_xi), len(v_zeta))
+        gram[:, :, p] = v_xi[:rows].conj().T @ v_zeta[:rows]
+
+    points = [(n + shift, m + shift) for n in range(max_n + 1) for m in range(n % 2, n + 1, 2)]
+    big_n, big_m = (np.array(col) for col in zip(*points))
+    q = ((big_n - big_m) // 2)[:, None]
+    cols_n, cols_m = big_n - shift, big_m - shift
+    xi_c = np.array([xi.zeta.conjugate() for xi, _ in label_pairs])
+    ze = np.array([zeta.zeta for _, zeta in label_pairs])
+    w = xi_c * ze
+    log_omw = np.log(1.0 - w)
+    x_arg = (1.0 - w) ** -0.5
+    quarter = ((1.0 - np.abs(ze) ** 2) * (1.0 - np.abs(xi_c) ** 2)) ** 0.25
+    svo = quarter * x_arg
+    log_fact = np.array([specfun.log_factorial(k) for k in range(max_n + shift + 1)])
+    pref = (
+        np.array([norms[zeta.zeta] for _, zeta in label_pairs]).T[cols_m]
+        * np.array([norms[xi.zeta] for xi, _ in label_pairs]).T[cols_n]
+    ) ** -0.5
+    common = pref * np.exp(log_fact[big_n] - log_fact[q[:, 0]])[:, None] * (0.5 * ze) ** q
+
+    # forms 1 and 2 share one series run: 2F1((N+1)/2, (N+2)/2; q+1; w) and
+    # the terminating 2F1(-(M-1)/2, -M/2; q+1; w)
+    upper_a = np.concatenate([0.5 * (big_n + 1), -0.5 * (big_m - 1)])[:, None]
+    upper_b = np.concatenate([0.5 * (big_n + 2), -0.5 * big_m])[:, None]
+    lower = np.concatenate([q, q]) + 1.0
+    series_1, series_2 = np.split(_gauss_2f1_array(upper_a, upper_b, lower, w), 2)
+    f1 = common * quarter * series_1
+    f2 = common * svo * (1.0 - w) ** (-(big_n + big_m) // 2)[:, None] * series_2
+
+    # form 3: the exponent (m-n)/4 + q/2 of conj(xi) vanishes, leaving
+    # zeta^q (1-w)^(-N/2) on principal logarithms; zeta = 0 with q > 0 gives 0
+    zero = ze == 0
+    log_ze = np.log(np.where(zero, 1.0, ze))
+    powers = np.where(zero & (q > 0), 0.0, np.exp(q * log_ze - 0.5 * big_n[:, None] * log_omw))
+    legendre = np.empty(powers.shape, dtype=complex)
+    for i, (n_i, m_i) in enumerate(points):
+        legendre[i] = specfun.legendre_p_deriv((n_i - m_i) // 2, (m_i + n_i) // 2, x_arg)
+    f3 = pref * svo * np.exp(log_fact[big_m])[:, None] * powers * legendre
+    return np.stack([f1, f2, f3, gram[cols_n, cols_m]])
+
+
 def overlap_grid(family: str, label_pairs, max_n: int) -> tuple[float, int]:
     """Worst form spread or form-1 oracle error of the ``family`` overlap
     ("pasvs" or "pasops") over every n <= max_n, m <= n with n - m even,
     and every (xi, zeta) in ``label_pairs``; returns (worst, point count).
 
-    Each oracle vector is built once per (label, index) and shared by every
-    grid point that uses it; the vectors are dropped when the call returns.
+    Each (n, m) is evaluated once for all label pairs, and each oracle
+    vector is built once per (label, index); the vectors are dropped when
+    the call returns.  pasops is evaluated as pasvs at (n+1, m+1).
     """
     if family not in ("pasvs", "pasops"):
         raise ValueError(f"unknown overlap family: {family!r}")
-    vectors: dict = {}
-    worst = 0.0
-    count = 0
-    for n in range(max_n + 1):
-        for m in range(n % 2, n + 1, 2):
-            for xi, zeta in label_pairs:
-                res = _overlap(family, xi, n, zeta, m, 1, vectors)
-                for dev in (res.form_spread, res.oracle_error):
-                    # max() would drop a NaN, and a NaN must fail the grid
-                    worst = max(worst, math.inf if math.isnan(dev) else dev)
-                count += 1
-    return worst, count
+    if not label_pairs:
+        raise ValueError("overlap_grid requires at least one label pair")
+    if max_n < 0:
+        raise ValueError("overlap_grid requires max_n >= 0")
+    if any(abs(xi.zeta.conjugate() * zeta.zeta) > 0.9 for xi, zeta in label_pairs):
+        raise ValueError(f"{family}_overlap requires |conj(xi) zeta| <= 0.9")
+    f1, f2, f3, series = _grid_forms(label_pairs, max_n, 1 if family == "pasops" else 0)
+    dev = np.max([abs(f1 - f2), abs(f1 - f3), abs(f2 - f3), abs(f1 - series)], axis=0)
+    # np.max keeps a NaN, and a NaN must fail the grid
+    worst = float(dev.max())
+    return (math.inf if math.isnan(worst) else worst), dev.size

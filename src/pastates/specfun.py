@@ -27,7 +27,6 @@ __all__ = [
     "log_double_factorial",
     "legendre_p",
     "legendre_p_deriv",
-    "legendre_p_assoc",
     "legendre_q",
     "gauss_2f1",
     "gauss_2f1_ex",
@@ -134,28 +133,6 @@ def legendre_p_deriv(order: int, degree: int, x):
             d_next[j] = ((2 * k + 1) * (x * d[j] + j * lower) - k * d_prev[j]) / (k + 1)
         d_prev, d = d, d_next
     return d[order]
-
-
-def legendre_p_assoc(order: int, degree: int, x):
-    """Associated Legendre function of the first kind, argument x > 1.
-
-    Positive order: P^m_n(x) = (x^2-1)^(m/2) d^m/dx^m P_n(x) (off-cut
-    convention, no Condon-Shortley sign).  Negative order comes from the
-    positive one through the gamma ratio (n-m)!/(n+m)!; the convention is
-    pinned by cross-validation against the hypergeometric overlap forms
-    rather than trusted a priori.
-    """
-    if degree < 0:
-        raise ValueError("legendre_p_assoc requires degree >= 0")
-    if abs(order) > degree:
-        raise ValueError("legendre_p_assoc requires |order| <= degree")
-    mu = abs(order)
-    deriv = legendre_p_deriv(mu, degree, x)
-    val = (x * x - 1.0) ** (0.5 * mu) * deriv
-    if order >= 0:
-        return val
-    ratio = math.exp(log_factorial(degree - mu) - log_factorial(degree + mu))
-    return ratio * val
 
 
 def legendre_q(n: int, x: float, x_minus_1: float | None = None) -> float:

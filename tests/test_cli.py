@@ -31,6 +31,13 @@ def test_parse_lists():
         cli.parse_int_list("1,x")
 
 
+@pytest.mark.parametrize("parse", [cli.parse_int_list, cli.parse_float_list])
+@pytest.mark.parametrize("text", ["", ",", ",,"])
+def test_parse_lists_reject_empty(parse, text):
+    with pytest.raises(cli.UsageError, match="empty"):
+        parse(text)
+
+
 # ------------------------------------------------------------ state
 
 def test_state_number_state_row(capsys):
@@ -325,6 +332,17 @@ def test_verify_overlaps_builds_each_oracle_vector_once(monkeypatch, capsys):
     assert len(keys) == len(set(keys))
     # 2 moduli x 11 distinct phases, indices 0..3
     assert len(keys) == 88
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["discrete", "--cutoffs", ","], ["carleman", "--k", ","], ["overlaps", "--moduli", ","]],
+)
+def test_verify_rejects_empty_lists(argv, capsys):
+    code, out, err = run_cli(["verify", *argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: empty")
 
 
 def test_verify_overlaps_rejects_unknown_family(capsys):

@@ -328,22 +328,73 @@ def test_overlap_grid_builds_each_oracle_vector_once(family, monkeypatch):
 
 
 def test_overlap_grid_matches_pointwise_overlaps():
-    pairs = [(sq(polar(0.6, -2.9)), sq(polar(0.4, 2.9))), (sq(0.2), sq(polar(0.6, 1.0)))]
-    for family, fn in (("pasvs", ov.pasvs_overlap), ("pasops", ov.pasops_overlap)):
-        worst = max(
-            max(res.form_spread, res.oracle_error)
-            for n in range(5)
-            for m in range(n % 2, n + 1, 2)
-            for xi, ze in pairs
-            for res in [fn(xi, n, ze, m, form=1)]
-        )
-        assert ov.overlap_grid(family, pairs, 4) == (worst, 9 * len(pairs))
+    # batched forms and oracle against the scalar forms and inner products,
+    # point by point; the pairs include a zero label and phases across the
+    # branch cut
+    pairs = [
+        (sq(polar(0.6, -2.9)), sq(polar(0.4, 2.9))),
+        (sq(0.2), sq(polar(0.6, 1.0))),
+        (sq(0), sq(polar(0.4, 2.9))),
+        (sq(polar(0.4, -2.9)), sq(0)),
+    ]
+    for family, shift in (("pasvs", 0), ("pasops", 1)):
+        points = [(n + shift, m + shift) for n in range(5) for m in range(n % 2, n + 1, 2)]
+        forms = ov._grid_forms(pairs, 4, shift)
+        assert forms.shape == (4, len(points), len(pairs))
+        for i, (big_n, big_m) in enumerate(points):
+            for p, (xi, ze) in enumerate(pairs):
+                oracle = fs.inner(
+                    fs.pasvs(xi, big_n, eps=ov._SERIES_EPS), fs.pasvs(ze, big_m, eps=ov._SERIES_EPS)
+                )
+                scalar = [*ov._pasvs_forms(xi, big_n, ze, big_m), oracle]
+                for got, want in zip(forms[:, i, p], scalar):
+                    assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+        assert ov.overlap_grid(family, pairs, 4)[1] == 9 * len(pairs)
+
+
+def corrupt_oracle_vector(monkeypatch, label, index, corrupt):
+    """Make fockstate.pasvs hand ``corrupt(coeffs)`` for one (label, index)."""
+    real = fs.pasvs
+
+    def patched(param, m, *args, **kwargs):
+        v = real(param, m, *args, **kwargs)
+        if (param.zeta, m) != (label, index):
+            return v
+        return fs.FockVector(v.offset, v.stride, corrupt(v.coeffs.copy()), v.tail_bound)
+
+    monkeypatch.setattr(fs, "pasvs", patched)
+
+
+GRID_PAIRS = [(sq(0.2), sq(0.4)), (sq(0.4), sq(0.2))]
 
 
 def test_overlap_grid_fails_on_nan_oracle(monkeypatch):
-    monkeypatch.setattr(fs, "inner", lambda u, v: complex("nan"))
-    worst, count = ov.overlap_grid("pasvs", [(sq(0.2), sq(0.4)), (sq(0.4), sq(0.2))], 1)
-    assert (worst, count) == (math.inf, 4)
+    def nan_first(coeffs):
+        coeffs[0] = complex("nan")
+        return coeffs
+
+    corrupt_oracle_vector(monkeypatch, 0.4, 1, nan_first)
+    assert ov.overlap_grid("pasvs", GRID_PAIRS, 1) == (math.inf, 4)
+
+
+def test_overlap_grid_fails_on_nan_legendre_form(monkeypatch):
+    from pastates import specfun
+
+    monkeypatch.setattr(specfun, "legendre_p_deriv", lambda order, degree, x: math.nan)
+    assert ov.overlap_grid("pasvs", GRID_PAIRS, 1) == (math.inf, 4)
+
+
+def test_overlap_grid_fails_on_scaled_oracle_vector(monkeypatch):
+    corrupt_oracle_vector(monkeypatch, 0.4, 1, lambda coeffs: coeffs * (1.0 + 1e-8))
+    worst, count = ov.overlap_grid("pasvs", GRID_PAIRS, 1)
+    assert worst > 1e-9 and count == 4
+
+
+def test_overlap_grid_rejects_empty_grids():
+    with pytest.raises(ValueError, match="at least one label pair"):
+        ov.overlap_grid("pasvs", [], 2)
+    with pytest.raises(ValueError, match="max_n >= 0"):
+        ov.overlap_grid("pasops", GRID_PAIRS, -1)
 
 
 def test_overlap_grid_rejects_unknown_family_and_wide_pairs():

@@ -98,27 +98,6 @@ def test_legendre_p_deriv_matches_finite_difference():
             assert sf.legendre_p_deriv(1, n, x) == pytest.approx(fd, rel=1e-8)
 
 
-def test_legendre_p_assoc_order_zero_reduces():
-    for n in (0, 1, 4, 9):
-        assert sf.legendre_p_assoc(0, n, 1.25) == pytest.approx(
-            sf.legendre_p(n, 1.25), rel=1e-14
-        )
-    assert sf.legendre_p_assoc(0, 0, 1.25) == 1.0
-
-
-def test_legendre_p_assoc_negative_order_value():
-    # P_1^{-1}(x) = sqrt(x^2 - 1) / 2
-    x = 1.25
-    assert sf.legendre_p_assoc(-1, 1, x) == pytest.approx(
-        0.5 * math.sqrt(x * x - 1.0), rel=1e-13
-    )
-
-
-def test_legendre_p_assoc_rejects_large_order():
-    with pytest.raises(ValueError):
-        sf.legendre_p_assoc(3, 2, 1.5)
-
-
 # ------------------------------------------------------------ Legendre Q
 
 def test_legendre_q_closed_values():
