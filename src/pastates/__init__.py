@@ -40,6 +40,7 @@ from .complete import (
     discrete_completeness_matrix,
     moment_check,
     pasvs_sns_matrix,
+    radial_checks,
     sns_completeness_matrix,
     sns_pasvs_matrix,
     unity_resolution_matrix,
@@ -78,6 +79,7 @@ __all__ = [
     "weight_hmum",
     "moment_check",
     "unity_resolution_matrix",
+    "radial_checks",
     "pasvs_sns_matrix",
     "sns_pasvs_matrix",
     "discrete_completeness_matrix",

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,7 @@ __all__ = [
     "weight_hmum",
     "moment_check",
     "unity_resolution_matrix",
+    "radial_checks",
     "pasvs_sns_matrix",
     "sns_pasvs_matrix",
     "discrete_completeness_matrix",
@@ -198,26 +200,154 @@ def _vacuum_index(wf: WeightFunction) -> int:
     return wf.m + 1 if wf.family == "pasops" else wf.m
 
 
-def _radial_moments(wf: WeightFunction, powers, quad: QuadSettings) -> list[QuadResult]:
-    """Integrals of y^p h(y) over the family's radial domain for every p in
-    ``powers``, from one nested pass that evaluates the weight once per node.
-
-    For the circle family h is e^(-x) U(m,1,x) on (0, inf): the measure after
-    the exact angular reduction and the substitution mapping it to the
-    Laplace variable.
-    """
+def _integrand(wf: WeightFunction) -> tuple[str, int]:
+    """The radial weight a family's checks integrate: ("vacuum", index) for
+    the squeezed families, ("laplace", m) for the circle family, whose
+    lam and mu only choose which powers are integrated."""
     if wf.family == "pacsc":
+        return ("laplace", wf.m)
+    return ("vacuum", _vacuum_index(wf))
+
+
+def _radial_moments(integrand: tuple[str, int], powers, quad: QuadSettings) -> list[QuadResult]:
+    """Integrals of y^p h(y) over the radial domain of ``integrand`` for
+    every p in ``powers``, from one nested pass that evaluates the weight
+    once per node.
+
+    For ("laplace", m) h is e^(-x) U(m,1,x) on (0, inf): the circle-family
+    measure after the exact angular reduction and the substitution mapping
+    it to the Laplace variable.  For ("vacuum", m) h is h_m on (0, 1).
+    """
+    kind, m = integrand
+    if kind == "laplace":
 
         def laplace(x: float) -> float:
-            return math.exp(-x) * specfun.kummer_u_int(wf.m, x)
+            return math.exp(-x) * specfun.kummer_u_int(m, x)
 
         return exp_sinh_moments(laplace, powers, tol=quad.tol, max_level=quad.max_level)
-    m = _vacuum_index(wf)
 
     def radial(y: float, da: float, db: float) -> float:
         return weight_h(m, y, one_minus_y=db)
 
     return tanh_sinh_moments(radial, 0.0, 1.0, powers, tol=quad.tol, max_level=quad.max_level)
+
+
+# a reference moment outside the normal float range cannot serve as one:
+# it overflows, or underflows to a subnormal or zero that no relative error
+# can be measured against
+_LOG_RHS_MIN = math.log(sys.float_info.min)
+_LOG_RHS_MAX = math.log(sys.float_info.max)
+
+
+def _moment_plan(wf: WeightFunction, k_max: int):
+    """Powers and assembly of ``moment_check(wf, k_max)``."""
+    if k_max < 0:
+        raise ValueError("moment_check requires k_max >= 0")
+    ks = range(k_max + 1)
+    orders = [k * wf.lam + wf.mu for k in ks] if wf.family == "pacsc" else list(ks)
+    m_eff = _vacuum_index(wf)
+    rhs = []
+    for k, n in zip(ks, orders):
+        if wf.family == "pacsc":
+            log_rhs = 2.0 * specfun.log_factorial(n) - specfun.log_factorial(n + wf.m)
+        else:
+            log_rhs = (
+                2.0 * specfun.log_double_factorial(2 * k)
+                - math.log(math.pi)
+                - specfun.log_factorial(m_eff + 2 * k)
+            )
+        if not _LOG_RHS_MIN < log_rhs < _LOG_RHS_MAX:
+            raise ValueError(
+                f"moment_check: k_max={k_max} (m={wf.m}) needs the reference moment of "
+                f"order {n} at k={k}, which is outside the normal float range"
+            )
+        rhs.append(math.exp(log_rhs))
+
+    def assemble(results: list[QuadResult]) -> list[MomentReport]:
+        return [
+            MomentReport(
+                k=k,
+                lhs=res.value,
+                rhs=r,
+                abs_err=abs(res.value - r),
+                rel_err=abs(res.value - r) / abs(r),
+                nodes_used=res.nodes_used,
+                converged=res.converged,
+            )
+            for k, r, res in zip(ks, rhs, results)
+        ]
+
+    return [float(n) for n in orders], assemble
+
+
+def _unity_plan(wf: WeightFunction, basis_dim: int):
+    """Powers and assembly of ``unity_resolution_matrix(wf, basis_dim)``."""
+    if basis_dim < 1 or basis_dim > 64:
+        raise ValueError("unity_resolution_matrix requires 1 <= basis_dim <= 64")
+    if wf.family == "pacsc":
+        stride, offset = wf.lam, wf.m + wf.mu
+        powers = [float(j * wf.lam + wf.mu) for j in range(basis_dim)]
+    else:
+        stride, offset = 2, _vacuum_index(wf)
+        powers = [float(j) for j in range(basis_dim)]
+
+    def assemble(results: list[QuadResult]) -> OperatorMatrix:
+        diagonal = []
+        for j, (power, res) in enumerate(zip(powers, results)):
+            if not res.converged:
+                raise ArithmeticError(
+                    f"unity_resolution_matrix: radial quadrature did not converge at index sum "
+                    f"{2 * j} (power {power}) after {res.nodes_used} nodes "
+                    f"(last estimate {res.value:.6e})"
+                )
+            if wf.family == "pacsc":
+                n = j * wf.lam + wf.mu
+                scale = math.exp(specfun.log_factorial(n + wf.m) - 2.0 * specfun.log_factorial(n))
+            else:
+                log_pre = (
+                    specfun.log_factorial(2 * j + offset)
+                    - 2.0 * specfun.log_factorial(j)
+                    - 2 * j * math.log(2.0)
+                )
+                scale = math.pi * math.exp(log_pre)
+            diagonal.append(scale * res.value)
+        return OperatorMatrix(offset, stride, basis_dim, np.diag(np.array(diagonal, dtype=complex)))
+
+    return powers, assemble
+
+
+_PLANS = {"moments": _moment_plan, "unity": _unity_plan}
+
+
+def radial_checks(checks, quad: QuadSettings | None = None) -> list:
+    """Run a batch of radial checks with one moment-rule pass per weight.
+
+    Each check is ("moments", wf, k_max), answered as ``moment_check`` does,
+    or ("unity", wf, basis_dim), answered as ``unity_resolution_matrix``
+    does; the results come back in input order.  Checks that integrate the
+    same weight share one pass over the sorted union of their powers: the
+    one-photon family at m is the vacuum family at m+1, and the circle
+    families at one m share e^(-x) U(m,1,x).  Every check is validated
+    before any pass runs.  A power converges on its own, but a level's tail
+    cut follows every power still active, so ``nodes_used`` counts the
+    nodes of the shared pass.
+    """
+    quad = quad or QuadSettings()
+    plans = []
+    needed: dict[tuple[str, int], set[float]] = {}
+    for kind, wf, size in checks:
+        if kind not in _PLANS:
+            raise ValueError(f"unknown radial check: {kind!r}")
+        integrand, (powers, assemble) = _integrand(wf), _PLANS[kind](wf, size)
+        needed.setdefault(integrand, set()).update(powers)
+        plans.append((integrand, powers, assemble))
+    moments = {}
+    for integrand, powers in needed.items():
+        union = sorted(powers)
+        moments[integrand] = dict(zip(union, _radial_moments(integrand, union, quad)))
+    return [
+        assemble([moments[integrand][p] for p in powers]) for integrand, powers, assemble in plans
+    ]
 
 
 def moment_check(wf: WeightFunction, k_max: int, quad: QuadSettings | None = None) -> list[MomentReport]:
@@ -227,38 +357,11 @@ def moment_check(wf: WeightFunction, k_max: int, quad: QuadSettings | None = Non
     with m_eff the vacuum-family index (m, or m+1 for the one-photon family).
     Circle family: the (kL+mu)-th Laplace moment of U(m,1,x) against
     ((kL+mu)!)^2/(kL+m+mu)!.  A report is produced for every k; quadrature
-    that fails to converge is flagged, never skipped.
+    that fails to converge is flagged, never skipped.  A reference moment
+    outside the normal float range is a ValueError, raised before any
+    integration.
     """
-    if k_max < 0:
-        raise ValueError("moment_check requires k_max >= 0")
-    quad = quad or QuadSettings()
-    ks = range(k_max + 1)
-    orders = [k * wf.lam + wf.mu for k in ks] if wf.family == "pacsc" else list(ks)
-    m_eff = _vacuum_index(wf)
-    reports = []
-    for k, n, res in zip(ks, orders, _radial_moments(wf, [float(n) for n in orders], quad)):
-        if wf.family == "pacsc":
-            log_rhs = 2.0 * specfun.log_factorial(n) - specfun.log_factorial(n + wf.m)
-        else:
-            log_rhs = (
-                2.0 * specfun.log_double_factorial(2 * k)
-                - math.log(math.pi)
-                - specfun.log_factorial(m_eff + 2 * k)
-            )
-        rhs = math.exp(log_rhs)
-        abs_err = abs(res.value - rhs)
-        reports.append(
-            MomentReport(
-                k=k,
-                lhs=res.value,
-                rhs=rhs,
-                abs_err=abs_err,
-                rel_err=abs_err / abs(rhs),
-                nodes_used=res.nodes_used,
-                converged=res.converged,
-            )
-        )
-    return reports
+    return radial_checks([("moments", wf, k_max)], quad)[0]
 
 
 def unity_resolution_matrix(
@@ -271,35 +374,7 @@ def unity_resolution_matrix(
     moment of its basis state's power.  The normalization coefficients of
     state and measure cancel analytically and are not re-evaluated per node.
     """
-    if basis_dim < 1 or basis_dim > 64:
-        raise ValueError("unity_resolution_matrix requires 1 <= basis_dim <= 64")
-    quad = quad or QuadSettings()
-    if wf.family == "pacsc":
-        stride, offset = wf.lam, wf.m + wf.mu
-        powers = [float(j * wf.lam + wf.mu) for j in range(basis_dim)]
-    else:
-        stride, offset = 2, _vacuum_index(wf)
-        powers = [float(j) for j in range(basis_dim)]
-    diagonal = []
-    for j, (power, res) in enumerate(zip(powers, _radial_moments(wf, powers, quad))):
-        if not res.converged:
-            raise ArithmeticError(
-                f"unity_resolution_matrix: radial quadrature did not converge at index sum "
-                f"{2 * j} (power {power}) after {res.nodes_used} nodes "
-                f"(last estimate {res.value:.6e})"
-            )
-        if wf.family == "pacsc":
-            n = j * wf.lam + wf.mu
-            scale = math.exp(specfun.log_factorial(n + wf.m) - 2.0 * specfun.log_factorial(n))
-        else:
-            log_pre = (
-                specfun.log_factorial(2 * j + offset)
-                - 2.0 * specfun.log_factorial(j)
-                - 2 * j * math.log(2.0)
-            )
-            scale = math.pi * math.exp(log_pre)
-        diagonal.append(scale * res.value)
-    return OperatorMatrix(offset, stride, basis_dim, np.diag(np.array(diagonal, dtype=complex)))
+    return radial_checks([("unity", wf, basis_dim)], quad)[0]
 
 
 def pasvs_sns_matrix(param: fockstate.SqueezeParam, dim: int) -> np.ndarray:
@@ -428,8 +503,8 @@ def sns_completeness_matrix(
     if basis_dim < 1 or basis_dim > 64:
         raise ValueError("sns_completeness_matrix requires 1 <= basis_dim <= 64")
     entries = np.zeros((basis_dim, basis_dim), dtype=complex)
-    for j in range(m_cutoff + 1):
-        v = fockstate.sns(param, j, eps=1e-26).dense(basis_dim)
+    for state in fockstate._sns_states(param, range(m_cutoff + 1), 1e-26):
+        v = state.dense(basis_dim)
         entries += np.outer(v, v.conj())
     return OperatorMatrix(0, 1, basis_dim, entries)
 

@@ -254,25 +254,32 @@ def pasvs_coefficient(param: SqueezeParam, m: int, k: int) -> complex:
 def sns(param: SqueezeParam, m: int, eps: float = 1e-14) -> FockVector:
     """Squeezed number state |m, zeta> assembled as its finite combination
     of photon-added squeezed vacuum states."""
-    if m < 0:
+    return _sns_states(param, [m], eps)[0]
+
+
+def _sns_states(param: SqueezeParam, ms, eps: float) -> list[FockVector]:
+    """The squeezed number states |m, zeta> for every m in ``ms``, with each
+    photon-added part |zeta, k> built once for all of them."""
+    if any(m < 0 for m in ms):
         raise ValueError("sns requires m >= 0")
     if param.zeta == 0:
-        return _unit_vector(m, 2)
-    off = m % 2
-    parts = []
-    weights = []
-    for k in range(off, m + 1, 2):
-        c = sns_coefficient(param, m, k)
-        parts.append(pasvs(param, k, eps))
-        weights.append(c)
-    length = max((k_vec.offset - off) // 2 + len(k_vec.coeffs) for k_vec in parts)
-    out = np.zeros(length, dtype=complex)
-    tail_amp = 0.0
-    for w, vec in zip(weights, parts):
-        shift = (vec.offset - off) // 2
-        out[shift : shift + len(vec.coeffs)] += w * vec.coeffs
-        tail_amp += abs(w) * math.sqrt(vec.tail_bound)
-    return _check_normalized(FockVector(off, 2, out, tail_amp**2), "sns")
+        return [_unit_vector(m, 2) for m in ms]
+    parities = {m % 2 for m in ms}
+    parts = {k: pasvs(param, k, eps) for k in range(max(ms, default=-1) + 1) if k % 2 in parities}
+    states = []
+    for m in ms:
+        off = m % 2
+        ks = range(off, m + 1, 2)
+        length = max((parts[k].offset - off) // 2 + len(parts[k].coeffs) for k in ks)
+        out = np.zeros(length, dtype=complex)
+        tail_amp = 0.0
+        for k in ks:
+            w, vec = sns_coefficient(param, m, k), parts[k]
+            shift = (vec.offset - off) // 2
+            out[shift : shift + len(vec.coeffs)] += w * vec.coeffs
+            tail_amp += abs(w) * math.sqrt(vec.tail_bound)
+        states.append(_check_normalized(FockVector(off, 2, out, tail_amp**2), "sns"))
+    return states
 
 
 def csc(param: CircleParam, eps: float = 1e-14) -> FockVector:

@@ -229,18 +229,7 @@ def _pasvs_forms(xi, n: int, zeta, m: int) -> tuple[complex, complex, complex]:
 _SERIES_EPS = 1e-26
 
 
-def _oracle_vector(param, index: int, vectors: dict):
-    """Series-oracle squeezed vacuum vector at (param, index), built on first
-    use and kept in the caller's ``vectors``."""
-    from . import fockstate
-
-    key = (param.zeta, index)
-    if key not in vectors:
-        vectors[key] = fockstate.pasvs(param, index, eps=_SERIES_EPS)
-    return vectors[key]
-
-
-def _overlap(family: str, xi, n: int, zeta, m: int, form, vectors: dict) -> OverlapResult:
+def _overlap(family: str, xi, n: int, zeta, m: int, form) -> OverlapResult:
     """Overlap of ``family`` states with its three closed forms cross-checked
     against each other and against the series inner product.
 
@@ -264,7 +253,10 @@ def _overlap(family: str, xi, n: int, zeta, m: int, form, vectors: dict) -> Over
     if swap:
         xi, n, zeta, m = zeta, m, xi, n
     f1, f2, f3 = _pasvs_forms(xi, n, zeta, m)
-    series = fockstate.inner(_oracle_vector(xi, n, vectors), _oracle_vector(zeta, m, vectors))
+    u = fockstate.pasvs(xi, n, eps=_SERIES_EPS)
+    # on the diagonal one oracle vector serves both sides
+    v = u if (xi.zeta, n) == (zeta.zeta, m) else fockstate.pasvs(zeta, m, eps=_SERIES_EPS)
+    series = fockstate.inner(u, v)
     value = {1: f1, 2: f2, 3: f3, "series": series}[form]
     spread = max(abs(f1 - f2), abs(f1 - f3), abs(f2 - f3))
     return OverlapResult(value.conjugate() if swap else value, spread, abs(value - series))
@@ -280,7 +272,7 @@ def pasvs_overlap(xi, n: int, zeta, m: int, form=1) -> OverlapResult:
     the swapped arguments.  ``form`` picks which evaluation is reported
     (1, 2, 3, or "series").
     """
-    return _overlap("pasvs", xi, n, zeta, m, form, {})
+    return _overlap("pasvs", xi, n, zeta, m, form)
 
 
 def pasops_overlap(xi, n: int, zeta, m: int, form=3) -> OverlapResult:
@@ -291,7 +283,7 @@ def pasops_overlap(xi, n: int, zeta, m: int, form=3) -> OverlapResult:
     its hypergeometric forms, form 3 is its associated-Legendre form at
     (n+1, m+1), and the series oracle uses the vacuum vectors at n+1, m+1.
     """
-    return _overlap("pasops", xi, n, zeta, m, form, {})
+    return _overlap("pasops", xi, n, zeta, m, form)
 
 
 def _gauss_2f1_array(a, b, c, z):

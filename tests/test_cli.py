@@ -248,6 +248,64 @@ def test_verify_pacsc_requires_indices(capsys):
     assert "--mu" in err
 
 
+def test_verify_moments_reference_overflow_exits_2(capsys):
+    code, out, err = run_cli(
+        ["verify", "moments", "--family", "pacsc", "--m", "1", "--mu", "0", "--lambda", "1",
+         "--kmax", "200"],
+        capsys,
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: moment_check: k_max=200")
+    assert "Traceback" not in err and "OverflowError" not in err
+
+
+def run_verify_all(capsys, tmp_path) -> list[dict]:
+    out = tmp_path / "all.json"
+    code, stdout, _ = run_cli(["verify", "all", "--out", str(out)], capsys)
+    assert code == 0 and stdout.endswith("verify all: PASS\n")
+    return json.loads(out.read_text())["results"]
+
+
+def test_verify_all_makes_one_radial_pass_per_weight(capsys, tmp_path, monkeypatch):
+    integrands = []
+    real = cli.complete._radial_moments
+
+    def counted(integrand, powers, quad):
+        integrands.append(integrand)
+        return real(integrand, powers, quad)
+
+    monkeypatch.setattr(cli.complete, "_radial_moments", counted)
+    run_verify_all(capsys, tmp_path)
+    # h_m for vacuum indices 1..6 and e^-x U(m,1,x) for m = 0..4
+    assert sorted(integrands) == sorted(
+        [("vacuum", m) for m in range(1, 7)] + [("laplace", m) for m in range(5)]
+    )
+
+
+def test_verify_all_radial_lines_match_single_suites(capsys, tmp_path):
+    radial = ("moment ", "unity ")
+    battery = [line for line in run_verify_all(capsys, tmp_path) if line["check"].startswith(radial)]
+    single = tmp_path / "single.json"
+    alone = []
+    for suite, params, tol in cli._BATTERY:
+        if suite not in ("moments", "unity"):
+            continue
+        argv = ["verify", suite, "--tol", str(tol), "--out", str(single)]
+        for key, value in params.items():
+            argv += ["--lambda" if key == "lam" else f"--{key}", str(value)]
+        run_cli(argv, capsys)
+        alone += json.loads(single.read_text())["results"]
+    assert len(battery) == len(alone) == 6 * 11 + 6 * 11 + 20 * 9 + 12
+    for got, want in zip(battery, alone):
+        assert got["check"] == want["check"] and got["pass"]
+        if "lhs" in want:
+            assert got["rhs"] == want["rhs"]
+            assert abs(got["lhs"] - want["lhs"]) <= 1e-12 * abs(want["lhs"])
+        else:
+            assert abs(got["identity_deviation"] - want["identity_deviation"]) <= 1e-12
+
+
 # ------------------------------------------------------------ determinism
 
 def test_outputs_are_byte_identical(tmp_path, capsys):

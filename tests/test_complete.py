@@ -339,6 +339,107 @@ def test_unity_matrix_rejects_large_dim():
         cm.unity_resolution_matrix(cm.WeightFunction("pasvs", 1), 65)
 
 
+# ------------------------------------------------------------ radial batches
+
+BATCH = [
+    ("moments", cm.WeightFunction("pasvs", 2), 6),
+    ("unity", cm.WeightFunction("pacsc", 1, mu=2, lam=3), 5),
+    ("moments", cm.WeightFunction("pasops", 1), 4),
+    ("unity", cm.WeightFunction("pasvs", 2), 8),
+    ("moments", cm.WeightFunction("pacsc", 1, mu=0, lam=2), 6),
+]
+
+
+def recording_radial_moments(monkeypatch) -> list:
+    asked = []
+    real = cm._radial_moments
+
+    def recorded(integrand, powers, quad):
+        asked.append((integrand, list(powers)))
+        return real(integrand, powers, quad)
+
+    monkeypatch.setattr(cm, "_radial_moments", recorded)
+    return asked
+
+
+def test_single_checks_are_batches_of_one():
+    # the public single checks and a batch of one make the same pass over
+    # the same powers, so every number is equal, not merely close
+    quad = cm.QuadSettings()
+    for kind, wf, size in BATCH:
+        (batched,) = cm.radial_checks([(kind, wf, size)])
+        if kind == "moments":
+            reports = cm.moment_check(wf, size)
+            assert reports == batched
+            orders = [r.k * wf.lam + wf.mu if wf.lam else r.k for r in reports]
+            direct = cm._radial_moments(cm._integrand(wf), [float(n) for n in orders], quad)
+            assert [(r.lhs, r.nodes_used, r.converged) for r in reports] == [
+                (d.value, d.nodes_used, d.converged) for d in direct
+            ]
+        else:
+            mat = cm.unity_resolution_matrix(wf, size)
+            assert np.array_equal(mat.entries, batched.entries)
+            assert (mat.basis_offset, mat.basis_stride) == (batched.basis_offset, batched.basis_stride)
+
+
+def test_radial_checks_make_one_pass_per_weight(monkeypatch):
+    asked = recording_radial_moments(monkeypatch)
+    results = cm.radial_checks(BATCH)
+    # pasvs m=2 and pasops m=1 share h_2; both circle checks share e^-x U(1,1,x)
+    assert asked == [
+        (("vacuum", 2), [float(p) for p in range(8)]),
+        (("laplace", 1), [float(p) for p in (0, 2, 4, 5, 6, 8, 10, 11, 12, 14)]),
+    ]
+    assert [type(r).__name__ for r in results] == [
+        "list", "OperatorMatrix", "list", "OperatorMatrix", "list"
+    ]
+    assert [len(r) for r in results if isinstance(r, list)] == [7, 5, 7]
+
+
+def test_radial_batch_agrees_with_single_checks():
+    # a shared pass may cut each level's tail later, so the values may move
+    # in the last digits, never beyond rounding
+    for (kind, wf, size), got in zip(BATCH, cm.radial_checks(BATCH)):
+        (alone,) = cm.radial_checks([(kind, wf, size)])
+        if kind == "moments":
+            assert [r.k for r in got] == [r.k for r in alone]
+            for a, b in zip(got, alone):
+                assert a.converged and a.rhs == b.rhs
+                assert abs(a.lhs - b.lhs) <= 1e-12 * abs(b.lhs)
+        else:
+            assert np.max(np.abs(got.entries - alone.entries)) <= 1e-12
+
+
+def test_radial_checks_validate_every_check_before_any_pass(monkeypatch):
+    asked = recording_radial_moments(monkeypatch)
+    bad = [
+        ("moments", cm.WeightFunction("pacsc", 1, mu=0, lam=1), 200),
+        ("unity", cm.WeightFunction("pasvs", 1), 65),
+        ("moments", cm.WeightFunction("pasvs", 1), -1),
+        ("norms", cm.WeightFunction("pasvs", 1), 3),
+    ]
+    for check in bad:
+        with pytest.raises(ValueError):
+            cm.radial_checks([BATCH[0], check])
+    assert asked == []
+
+
+def test_moment_check_rejects_reference_beyond_float_range(monkeypatch):
+    asked = recording_radial_moments(monkeypatch)
+    # ((k lam + mu)!)^2 / (k lam + mu + m)! first overflows at order 171 + m
+    wf = cm.WeightFunction("pacsc", 1, mu=0, lam=1)
+    with pytest.raises(ValueError, match=r"k_max=172 \(m=1\) .* order 172 at k=172"):
+        cm.moment_check(wf, 172)
+    with pytest.raises(ValueError, match="k_max=200"):
+        cm.moment_check(wf, 200)
+    with pytest.raises(ValueError, match="order 171 at k=57"):
+        cm.moment_check(cm.WeightFunction("pacsc", 0, mu=0, lam=3), 60)
+    # 1/(pi m!) falls below the normal float range for m = 171
+    with pytest.raises(ValueError, match="order 0 at k=0"):
+        cm.moment_check(cm.WeightFunction("pasvs", 171), 0)
+    assert asked == []
+
+
 # ------------------------------------------------------------ basis matrices
 
 def test_basis_matrices_identity_at_zero():
@@ -404,6 +505,25 @@ def test_discrete_assembly_routes_agree_complex():
     a = cm.discrete_completeness_matrix(p, 16, 6, "closed")
     b = cm.discrete_completeness_matrix(p, 16, 6, "series")
     assert np.max(np.abs(a.entries - b.entries)) < 1e-9
+
+
+def test_sns_completeness_builds_each_part_once(monkeypatch):
+    p = fs.SqueezeParam(0.3 * cmath.exp(0.4j))
+    want = np.zeros((8, 8), dtype=complex)
+    for j in range(21):
+        v = fs.sns(p, j, eps=1e-26).dense(8)
+        want += np.outer(v, v.conj())
+    built = []
+    real = fs.pasvs
+
+    def counted(param, m, *args, **kwargs):
+        built.append(m)
+        return real(param, m, *args, **kwargs)
+
+    monkeypatch.setattr(fs, "pasvs", counted)
+    got = cm.sns_completeness_matrix(p, 20, 8)
+    assert sorted(built) == list(range(21))
+    assert np.array_equal(got.entries, want)
 
 
 def test_sns_completeness_monotone_convergence():

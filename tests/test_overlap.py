@@ -298,6 +298,17 @@ def test_pasops_overlap_builds_one_oracle_pair(monkeypatch):
     assert res.form_spread < 1e-9 and res.oracle_error < 1e-9
 
 
+def test_scalar_overlap_builds_one_oracle_vector_on_the_diagonal(monkeypatch):
+    calls = counting_constructors(monkeypatch)
+    for res in (ov.pasvs_overlap(sq(0.4j), 2, sq(0.4j), 2), ov.pasops_overlap(sq(0.3), 1, sq(0.3), 1)):
+        assert abs(res.value - 1.0) < 1e-12 and res.oracle_error < 1e-12
+    assert calls == [("pasvs", 0.4j, 2), ("pasvs", 0.3, 2)]
+    # the same label at another index, and another label at the same index
+    ov.pasvs_overlap(sq(0.4j), 2, sq(0.4j), 0)
+    ov.pasvs_overlap(sq(0.4j), 2, sq(0.4), 2)
+    assert len(calls) == 6
+
+
 def test_pasops_overlap_evaluates_one_legendre_form(monkeypatch):
     from pastates import specfun
 
