@@ -396,18 +396,23 @@ def _verify_carleman(args, lines: list[dict]) -> float:
     return final if shrinking else math.inf
 
 
-def _verify_overlaps(args, lines: list[dict]) -> float:
-    moduli = parse_float_list(args.moduli)
-    label_pairs = [
+def _label_pairs(moduli: str) -> list[tuple]:
+    """The overlaps suite's label pairs: every pair of moduli at every
+    phase pair."""
+    mods = parse_float_list(moduli)
+    return [
         (
             fockstate.SqueezeParam(axi * cmath.exp(1j * pxi)),
             fockstate.SqueezeParam(aze * cmath.exp(1j * pze)),
         )
-        for axi in moduli
-        for aze in moduli
+        for axi in mods
+        for aze in mods
         for pxi, pze in _PHASE_PAIRS
     ]
-    worst, count = overlap.overlap_grid(args.family, label_pairs, args.max_n)
+
+
+def _overlap_lines(args, grid: tuple[float, int], lines: list[dict]) -> float:
+    worst, count = grid
     lines.append(
         {
             "check": f"overlaps {args.family} grid (n,m <= {args.max_n}, {count} points)",
@@ -416,6 +421,11 @@ def _verify_overlaps(args, lines: list[dict]) -> float:
         }
     )
     return worst
+
+
+def _verify_overlaps(args, lines: list[dict]) -> float:
+    grids = overlap.overlap_grids([args.family], _label_pairs(args.moduli), args.max_n)
+    return _overlap_lines(args, grids[args.family], lines)
 
 
 _SUITES = {
@@ -454,7 +464,9 @@ def _run_verify_all(lines: list[dict]) -> tuple[float, float]:
     """Acceptance-scale battery; returns the worst error-to-tolerance ratio
     against a unit tolerance.  Every moments and unity check goes through
     one ``complete.radial_checks`` call, so each radial weight is integrated
-    once; the lines keep the battery's order."""
+    once, and the overlaps checks of one grid through one
+    ``overlap.overlap_grids`` call, so each point and oracle vector is
+    evaluated once; the lines keep the battery's order."""
     # carleman reads its tolerance as the limit, every other suite as tol
     battery = [
         (suite, argparse.Namespace(**{"mu": None, "lam": None, **params}, tol=tol, limit=tol), tol)
@@ -465,10 +477,20 @@ def _run_verify_all(lines: list[dict]) -> tuple[float, float]:
             [_radial_check(suite, args) for suite, args, _ in battery if suite in _RADIAL_LINES]
         )
     )
+    families = {}
+    for suite, args, _ in battery:
+        if suite == "overlaps":
+            families.setdefault((args.moduli, args.max_n), []).append(args.family)
+    grids = {
+        (moduli, max_n): overlap.overlap_grids(fams, _label_pairs(moduli), max_n)
+        for (moduli, max_n), fams in families.items()
+    }
     worst_ratio = 0.0
     for suite, args, tol in battery:
         if suite in _RADIAL_LINES:
             err = _RADIAL_LINES[suite](args, next(radial), lines)
+        elif suite == "overlaps":
+            err = _overlap_lines(args, grids[args.moduli, args.max_n][args.family], lines)
         else:
             err = _SUITES[suite](args, lines)
         worst_ratio = max(worst_ratio, err / tol)
@@ -476,6 +498,10 @@ def _run_verify_all(lines: list[dict]) -> tuple[float, float]:
 
 
 def cmd_verify(args) -> int:
+    if args.dim is None:
+        # the pairs up to the first default cutoff, 10, cover the first 11
+        # Fock states, not the 12 of the unity default
+        args.dim = 8 if args.suite == "discrete" else 12
     lines: list[dict] = []
     if args.suite == "all":
         max_err, tol = _run_verify_all(lines)
@@ -570,7 +596,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_v.add_argument("--mu", type=int, default=None)
     p_v.add_argument("--lambda", dest="lam", type=int, default=None)
     p_v.add_argument("--kmax", type=int, default=10)
-    p_v.add_argument("--dim", type=int, default=12)
+    p_v.add_argument(
+        "--dim", type=int, default=None, help="basis dimension (default 12; 8 for discrete)"
+    )
     p_v.add_argument("--zeta", default="0.3")
     p_v.add_argument("--cutoffs", default="10,20,40")
     p_v.add_argument("--k", default="10,100,1000")

@@ -460,25 +460,26 @@ def discrete_completeness_matrix(
     """
     if abs(param.zeta) > 0.5:
         raise ValueError("discrete_completeness_matrix requires |zeta| <= 0.5")
-    if m_cutoff > 80:
-        raise ValueError("discrete_completeness_matrix requires m_cutoff <= 80")
+    if not 0 <= m_cutoff <= 80:
+        raise ValueError("discrete_completeness_matrix requires 0 <= m_cutoff <= 80")
     if basis_dim < 1 or basis_dim > 64:
         raise ValueError("discrete_completeness_matrix requires 1 <= basis_dim <= 64")
     if coefficients not in ("closed", "series"):
         raise ValueError(f"unknown coefficient route: {coefficients!r}")
     if param.zeta == 0:
         return OperatorMatrix(0, 1, basis_dim, np.eye(basis_dim, dtype=complex))
-    dense = {
-        m: fockstate.pasvs(param, m, eps=1e-26).dense(basis_dim)
-        for m in range(min(m_cutoff, basis_dim - 1) + 1)
-    }
+    top = min(m_cutoff, basis_dim - 1)
+    # |zeta, 0..top> on the first basis_dim Fock states
+    dense = np.zeros((basis_dim, top + 1), dtype=complex)
+    block = fockstate._pasvs_columns(param, top, 1e-26)[0][:basis_dim]
+    dense[: len(block)] = block
     entries = np.zeros((basis_dim, basis_dim), dtype=complex)
-    for m in range(min(m_cutoff, basis_dim - 1) + 1):
-        vm = dense[m]
+    for m in range(top + 1):
+        vm = dense[:, m]
         for n in range(m, m_cutoff + 1, 2):
             if n >= basis_dim:
                 break   # no support on the block
-            vn = dense[n]
+            vn = dense[:, n]
             if coefficients == "closed":
                 d_mn = _pair_coefficient_closed(param, m, n)
             else:

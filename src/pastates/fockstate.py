@@ -177,25 +177,96 @@ def _build_truncated(log_mag0, phase_unit, ratio, limit_ratio, eps):
         r = r_next
 
 
-def pasvs(param: SqueezeParam, m: int, eps: float = 1e-14) -> FockVector:
-    """Photon-added squeezed vacuum state |zeta, m> as a Fock vector."""
+def _check_pasvs_args(param: SqueezeParam, m: int, eps: float) -> None:
     if m < 0:
         raise ValueError("pasvs requires m >= 0")
     if eps <= 0:
         raise ValueError("pasvs requires eps > 0")
-    az = abs(param.zeta)
-    if az >= 1.0 - 1e-12:
+    if abs(param.zeta) >= 1.0 - 1e-12:
         raise ValueError("pasvs: |zeta| too close to 1, truncation cost diverges")
+
+
+def _pasvs_log_amplitude0(param: SqueezeParam, m: int, norm: float) -> float:
+    """log |<m|zeta, m>|, the first amplitude of |zeta, m> (norm: its
+    closed-form normalization ``overlap.pasvs_norm``)."""
+    return -0.5 * math.log(norm) + 0.25 * math.log1p(-param.y) + 0.5 * specfun.log_factorial(m)
+
+
+def _pasvs_step_ratio(az: float, m, sqrt=math.sqrt):
+    """The amplitude ratio k -> |<m+2k+2|zeta, m> / <m+2k|zeta, m>| of
+    |zeta, m>; with sqrt=np.sqrt, m and k may be numpy arrays."""
+    return lambda k: sqrt((2 * k + m + 1) * (2 * k + m + 2)) * az / (2.0 * (k + 1))
+
+
+def pasvs(param: SqueezeParam, m: int, eps: float = 1e-14) -> FockVector:
+    """Photon-added squeezed vacuum state |zeta, m> as a Fock vector."""
+    _check_pasvs_args(param, m, eps)
     if param.zeta == 0:
         return _unit_vector(m, 2)
-    norm = overlap.pasvs_norm(param, m)
-    log_mag0 = -0.5 * math.log(norm) + 0.25 * math.log1p(-param.y) + 0.5 * specfun.log_factorial(m)
-
-    def ratio(k: int) -> float:
-        return math.sqrt((2 * k + m + 1) * (2 * k + m + 2)) * az / (2.0 * (k + 1))
-
-    coeffs, tail = _build_truncated(log_mag0, param.zeta / az, ratio, az, eps)
+    az = abs(param.zeta)
+    log_mag0 = _pasvs_log_amplitude0(param, m, overlap.pasvs_norm(param, m))
+    coeffs, tail = _build_truncated(log_mag0, param.zeta / az, _pasvs_step_ratio(az, m), az, eps)
     return _check_normalized(FockVector(m, 2, coeffs, tail), "pasvs")
+
+
+def _pasvs_columns(param: SqueezeParam, top: int, eps: float):
+    """|zeta, i> for every i = 0..top, built together in numpy passes.
+
+    Returns (dense, lengths, tails, norms): column i of ``dense`` holds the
+    coefficients of |zeta, i> on |0>, |1>, ... (zero-padded), and lengths[i],
+    tails[i] and norms[i] are its stored length, tail bound and closed-form
+    normalization ``overlap.pasvs_norm``.  Each column is ``pasvs(param, i,
+    eps)`` up to rounding: the same first amplitude and step ratio, the same
+    cut (the first k at which the step ratio underflows to 0, or at which
+    rho = max(ratio(k+1), |zeta|) < 1 and the geometric tail is below eps),
+    and the same normalization check on every column.
+    """
+    _check_pasvs_args(param, top, eps)
+    cols = np.arange(top + 1)
+    norms = np.array([overlap.pasvs_norm(param, i) for i in cols])
+    if param.zeta == 0:
+        return np.eye(top + 1, dtype=complex), np.ones(top + 1, dtype=int), np.zeros(top + 1), norms
+    az = abs(param.zeta)
+    log0 = np.array([_pasvs_log_amplitude0(param, i, norms[i]) for i in cols])
+    # |c_k|^2 falls like |zeta|^(2k) k^top in the longest column: a first
+    # guess at its cut, doubled until every column is cut within the scalar
+    # constructor's _MAX_TERMS steps
+    geometric = math.log(eps) / (2.0 * math.log(az))
+    guess = geometric + top * math.log(max(geometric, 2.0)) / (-2.0 * math.log(az))
+    rows = min(max(16, int(guess) + 1), _MAX_TERMS + 1)
+    while True:
+        ratio = _pasvs_step_ratio(az, cols, np.sqrt)(np.arange(rows + 1)[:, None])
+        with np.errstate(all="ignore"):
+            # log amplitudes at k = 0..rows, accumulated in the scalar order
+            log_mag = np.cumsum(np.vstack([log0, np.log(ratio[:rows])]), axis=0)
+            rho = np.maximum(ratio[1:], az)
+            tail = np.exp(2.0 * log_mag[1:]) / (1.0 - rho * rho)
+        underflow = ratio[:rows] == 0.0
+        stop = underflow | ((rho < 1.0) & (tail < eps))
+        if stop.any(axis=0).all():
+            break
+        if rows > _MAX_TERMS:
+            raise ValueError("state truncation did not converge")
+        rows = min(2 * rows, _MAX_TERMS + 1)
+    cut = np.argmax(stop, axis=0)
+    lengths = cut + 1
+    tails = np.where(underflow[cut, cols], 0.0, tail[cut, cols])
+    k = np.arange(int(lengths.max()))[:, None]
+    phase = np.full(len(k), param.zeta / az)
+    phase[0] = 1.0
+    coeffs = np.exp(log_mag[: len(k)]) * np.cumprod(phase)[:, None]
+    coeffs[k >= lengths] = 0.0
+    defect = np.abs(np.sum(np.abs(coeffs) ** 2, axis=0) + tails - 1.0)
+    if (bad := np.flatnonzero(~(defect <= _NORM_TOL))).size:
+        i = bad[0]
+        raise ArithmeticError(
+            f"pasvs zeta={param.zeta} m={i}: closed-form normalization check failed "
+            f"(defect {defect[i]:.3e})"
+        )
+    # coefficient k of column i sits on the photon number i + 2k
+    dense = np.zeros((top + 2 * len(k), top + 1), dtype=complex)
+    dense[cols + 2 * k, cols] = coeffs
+    return dense, lengths, tails, norms
 
 
 def pasops(param: SqueezeParam, m: int, eps: float = 1e-14) -> FockVector:
@@ -258,27 +329,23 @@ def sns(param: SqueezeParam, m: int, eps: float = 1e-14) -> FockVector:
 
 
 def _sns_states(param: SqueezeParam, ms, eps: float) -> list[FockVector]:
-    """The squeezed number states |m, zeta> for every m in ``ms``, with each
-    photon-added part |zeta, k> built once for all of them."""
+    """The squeezed number states |m, zeta> for every m in ``ms``, with the
+    photon-added parts |zeta, k> built once for all of them, as the columns
+    of ``_pasvs_columns``."""
     if any(m < 0 for m in ms):
         raise ValueError("sns requires m >= 0")
-    if param.zeta == 0:
+    if param.zeta == 0 or not ms:
         return [_unit_vector(m, 2) for m in ms]
-    parities = {m % 2 for m in ms}
-    parts = {k: pasvs(param, k, eps) for k in range(max(ms, default=-1) + 1) if k % 2 in parities}
+    dense, lengths, tails, _ = _pasvs_columns(param, max(ms), eps)
     states = []
     for m in ms:
         off = m % 2
-        ks = range(off, m + 1, 2)
-        length = max((parts[k].offset - off) // 2 + len(parts[k].coeffs) for k in ks)
-        out = np.zeros(length, dtype=complex)
-        tail_amp = 0.0
-        for k in ks:
-            w, vec = sns_coefficient(param, m, k), parts[k]
-            shift = (vec.offset - off) // 2
-            out[shift : shift + len(vec.coeffs)] += w * vec.coeffs
-            tail_amp += abs(w) * math.sqrt(vec.tail_bound)
-        states.append(_check_normalized(FockVector(off, 2, out, tail_amp**2), "sns"))
+        w = np.array([sns_coefficient(param, m, k) for k in range(off, m + 1, 2)])
+        ks = np.arange(off, m + 1, 2)
+        # part k is stored on the photon numbers k, k + 2, ... below k + 2 * lengths[k]
+        coeffs = dense[off : int(np.max(ks + 2 * lengths[ks])) : 2, ks] @ w
+        tail_amp = float(np.abs(w) @ np.sqrt(tails[ks]))
+        states.append(_check_normalized(FockVector(off, 2, coeffs, tail_amp**2), "sns"))
     return states
 
 

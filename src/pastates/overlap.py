@@ -30,6 +30,7 @@ __all__ = [
     "pasvs_overlap",
     "pasops_overlap",
     "overlap_grid",
+    "overlap_grids",
 ]
 
 
@@ -290,57 +291,59 @@ def _gauss_2f1_array(a, b, c, z):
     """Gauss series 2F1(a, b; c; z) on broadcast arrays.
 
     Each element stops, as in ``specfun.gauss_2f1``, once three of its terms
-    in a row fall below ``_TERM_EPS`` of its partial sum; its later terms are
-    zeroed so its sum stays put while the others run on.  A terminating
-    element's terms are exactly 0 past its last one, so it stops three terms
-    later with the same sum.
+    in a row fall below ``_TERM_EPS`` of its partial sum, and leaves the
+    arrays the others run on.  A terminating element's terms are exactly 0
+    past its last one, so it stops three terms later with the same sum.
     """
-    term = np.ones(np.broadcast_shapes(np.shape(a), np.shape(z)), dtype=complex)
-    total = term.copy()
-    small = np.zeros(term.shape, dtype=int)
+    shape = np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(c), np.shape(z))
+    a, b, c, z = (np.broadcast_to(v, shape).ravel() for v in (a, b, c, z))
+    total = np.ones(a.size, dtype=complex)
+    live = np.arange(a.size)
+    term, part, small = total.copy(), total.copy(), np.zeros(a.size, dtype=int)
     for k in range(2000):
         term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
-        total += term
-        small = np.where(np.abs(term) < specfun._TERM_EPS * np.abs(total), small + 1, 0)
+        part += term
+        small = np.where(np.abs(term) < specfun._TERM_EPS * np.abs(part), small + 1, 0)
         done = small >= specfun._SMALL_RUN
-        if done.all():
-            return total
-        term[done] = 0.0
+        if done.any():
+            total[live[done]] = part[done]
+            keep = ~done
+            live, a, b, c, z, term, part, small = (
+                v[keep] for v in (live, a, b, c, z, term, part, small)
+            )
+            if not live.size:
+                return total.reshape(shape)
     raise ValueError("gauss_2f1: series did not converge within 2000 terms")
 
 
-def _grid_forms(label_pairs, max_n: int, shift: int):
+def _grid_forms(label_pairs, points):
     """The three closed forms and the series oracle of the photon-added
-    squeezed vacuum overlap <xi, N | zeta, M> at every N = n + shift,
-    M = m + shift with m <= n <= max_n, n - m even, and every (xi, zeta) in
-    ``label_pairs``.
+    squeezed vacuum overlap <xi, N | zeta, M> at every (N, M) in ``points``
+    (N >= M, N - M even) and every (xi, zeta) in ``label_pairs``.
 
     Returns an array of shape (4, points, pairs) holding forms 1, 2, 3 and
-    the oracle; the points run over n ascending, then m ascending.  Each
-    form is evaluated once per point on the array of all pairs.  The oracle
-    vectors of each label are built once per index and stacked as the
-    columns of one zero-padded dense matrix V, so a pair's oracle overlaps
-    at every point are the entries of one product V_xi^H V_zeta.
+    the oracle.  Each form is evaluated once per point on the array of all
+    pairs.  Each label's oracle vectors |zeta, 0..max N> are built together
+    by ``fockstate._pasvs_columns`` as the columns of one zero-padded dense
+    matrix V, so a pair's oracle overlaps at every point are the entries of
+    one product V_xi^H V_zeta.
     """
     from . import fockstate
 
-    indices = range(shift, max_n + shift + 1)
+    big_n, big_m = (np.array(col) for col in zip(*points))
+    top = int(big_n.max())
     norms, dense = {}, {}
     for param in {p.zeta: p for pair in label_pairs for p in pair}.values():
-        vecs = [fockstate.pasvs(param, i, eps=_SERIES_EPS) for i in indices]
-        dim = max(v.offset + v.stride * len(v.coeffs) for v in vecs)
-        dense[param.zeta] = np.column_stack([v.dense(dim) for v in vecs])
-        norms[param.zeta] = [pasvs_norm(param, i) for i in indices]
-    gram = np.empty((len(indices), len(indices), len(label_pairs)), dtype=complex)
+        dense[param.zeta], _, _, norms[param.zeta] = fockstate._pasvs_columns(
+            param, top, _SERIES_EPS
+        )
+    gram = np.empty((top + 1, top + 1, len(label_pairs)), dtype=complex)
     for p, (xi, zeta) in enumerate(label_pairs):
         v_xi, v_zeta = dense[xi.zeta], dense[zeta.zeta]
         rows = min(len(v_xi), len(v_zeta))
         gram[:, :, p] = v_xi[:rows].conj().T @ v_zeta[:rows]
 
-    points = [(n + shift, m + shift) for n in range(max_n + 1) for m in range(n % 2, n + 1, 2)]
-    big_n, big_m = (np.array(col) for col in zip(*points))
     q = ((big_n - big_m) // 2)[:, None]
-    cols_n, cols_m = big_n - shift, big_m - shift
     xi_c = np.array([xi.zeta.conjugate() for xi, _ in label_pairs])
     ze = np.array([zeta.zeta for _, zeta in label_pairs])
     w = xi_c * ze
@@ -348,10 +351,10 @@ def _grid_forms(label_pairs, max_n: int, shift: int):
     x_arg = (1.0 - w) ** -0.5
     quarter = ((1.0 - np.abs(ze) ** 2) * (1.0 - np.abs(xi_c) ** 2)) ** 0.25
     svo = quarter * x_arg
-    log_fact = np.array([specfun.log_factorial(k) for k in range(max_n + shift + 1)])
+    log_fact = np.array([specfun.log_factorial(k) for k in range(top + 1)])
     pref = (
-        np.array([norms[zeta.zeta] for _, zeta in label_pairs]).T[cols_m]
-        * np.array([norms[xi.zeta] for xi, _ in label_pairs]).T[cols_n]
+        np.array([norms[zeta.zeta] for _, zeta in label_pairs]).T[big_m]
+        * np.array([norms[xi.zeta] for xi, _ in label_pairs]).T[big_n]
     ) ** -0.5
     common = pref * np.exp(log_fact[big_n] - log_fact[q[:, 0]])[:, None] * (0.5 * ze) ** q
 
@@ -373,28 +376,56 @@ def _grid_forms(label_pairs, max_n: int, shift: int):
     for i, (n_i, m_i) in enumerate(points):
         legendre[i] = specfun.legendre_p_deriv((n_i - m_i) // 2, (m_i + n_i) // 2, x_arg)
     f3 = pref * svo * np.exp(log_fact[big_m])[:, None] * powers * legendre
-    return np.stack([f1, f2, f3, gram[cols_n, cols_m]])
+    return np.stack([f1, f2, f3, gram[big_n, big_m]])
 
 
-def overlap_grid(family: str, label_pairs, max_n: int) -> tuple[float, int]:
-    """Worst form spread or form-1 oracle error of the ``family`` overlap
+# index shift of each family on the vacuum-family grid: the one-photon
+# overlap at (n, m) is the vacuum overlap at (n+1, m+1)
+_GRID_SHIFT = {"pasvs": 0, "pasops": 1}
+
+
+def overlap_grids(families, label_pairs, max_n: int) -> dict:
+    """Worst form spread or form-1 oracle error of each ``families`` overlap
     ("pasvs" or "pasops") over every n <= max_n, m <= n with n - m even,
-    and every (xi, zeta) in ``label_pairs``; returns (worst, point count).
+    and every (xi, zeta) in ``label_pairs``; returns {family: (worst, point
+    count)}.
 
-    Each (n, m) is evaluated once for all label pairs, and each oracle
-    vector is built once per (label, index); the vectors are dropped when
-    the call returns.  pasops is evaluated as pasvs at (n+1, m+1).
+    pasops at (n, m) is pasvs at (N, M) = (n+1, m+1), so each family's
+    points are a subset of one vacuum-family grid: those with N <= max_n for
+    pasvs, those with M >= 1 for pasops.  The forms and the oracle are
+    evaluated once on the union of the families' points (each (N, M) once
+    for all label pairs), and each label's oracle vectors |zeta, 0..max N>
+    are built once, as one array; each family's worst is the max over its
+    own points.
     """
-    if family not in ("pasvs", "pasops"):
-        raise ValueError(f"unknown overlap family: {family!r}")
+    if not families:
+        raise ValueError("overlap_grids requires at least one family")
+    for family in families:
+        if family not in _GRID_SHIFT:
+            raise ValueError(f"unknown overlap family: {family!r}")
     if not label_pairs:
         raise ValueError("overlap_grid requires at least one label pair")
     if max_n < 0:
         raise ValueError("overlap_grid requires max_n >= 0")
     if any(abs(xi.zeta.conjugate() * zeta.zeta) > 0.9 for xi, zeta in label_pairs):
-        raise ValueError(f"{family}_overlap requires |conj(xi) zeta| <= 0.9")
-    f1, f2, f3, series = _grid_forms(label_pairs, max_n, 1 if family == "pasops" else 0)
+        raise ValueError(f"{families[0]}_overlap requires |conj(xi) zeta| <= 0.9")
+    grid = [(n, m) for n in range(max_n + 1) for m in range(n % 2, n + 1, 2)]
+    members = {
+        family: {(n + _GRID_SHIFT[family], m + _GRID_SHIFT[family]) for n, m in grid}
+        for family in families
+    }
+    points = sorted(set().union(*members.values()))
+    f1, f2, f3, series = _grid_forms(label_pairs, points)
     dev = np.max([abs(f1 - f2), abs(f1 - f3), abs(f2 - f3), abs(f1 - series)], axis=0)
-    # np.max keeps a NaN, and a NaN must fail the grid
-    worst = float(dev.max())
-    return (math.inf if math.isnan(worst) else worst), dev.size
+    out = {}
+    for family in families:
+        own = dev[[i for i, point in enumerate(points) if point in members[family]]]
+        # np.max keeps a NaN, and a NaN must fail the grid
+        worst = float(own.max())
+        out[family] = (math.inf if math.isnan(worst) else worst), own.size
+    return out
+
+
+def overlap_grid(family: str, label_pairs, max_n: int) -> tuple[float, int]:
+    """``overlap_grids`` for one family: (worst deviation, point count)."""
+    return overlap_grids((family,), label_pairs, max_n)[family]

@@ -13,3 +13,22 @@ def cli_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     return env
+
+
+@pytest.fixture
+def oracle_builds(monkeypatch):
+    """Record every oracle-vector build: ("columns", label, top) for each
+    ``fockstate._pasvs_columns`` call and ("pasvs", label, m) for each scalar
+    ``fockstate.pasvs`` call."""
+    from pastates import fockstate
+
+    calls = []
+    for name, kind in (("_pasvs_columns", "columns"), ("pasvs", "pasvs")):
+        real = getattr(fockstate, name)
+
+        def counted(param, index, *args, _kind=kind, _real=real, **kwargs):
+            calls.append((_kind, param.zeta, index))
+            return _real(param, index, *args, **kwargs)
+
+        monkeypatch.setattr(fockstate, name, counted)
+    return calls

@@ -205,6 +205,20 @@ def test_verify_discrete_builds_each_closed_matrix_once(capsys, monkeypatch):
     assert routes == [(10, "closed"), (20, "closed"), (40, "closed"), (20, "series")]
 
 
+def test_verify_discrete_defaults_pass(capsys):
+    code, out, _ = run_cli(["verify", "discrete"], capsys)
+    assert code == 0
+    assert "[PASS] discrete cutoff=10:" in out and out.endswith("verify discrete: PASS\n")
+
+
+def test_verify_discrete_fails_when_the_cutoff_misses_the_block(capsys):
+    # the pair basis at cutoff 10 does not cover a 12-state block
+    code, out, _ = run_cli(["verify", "discrete", "--cutoffs", "10,20,40", "--dim", "12"], capsys)
+    assert code == 1
+    assert "[FAIL] discrete cutoff=10: number_basis_deviation=" in out
+    assert "pair_basis_deviation=2.58560049842068" in out
+
+
 def test_verify_discrete_fails_below_rounding(capsys):
     code, out, _ = run_cli(
         ["verify", "discrete", "--zeta", "0.3", "--cutoffs", "10,20,40", "--dim", "8", "--tol", "1e-16"],
@@ -371,25 +385,28 @@ def test_radial_nonconvergence_exits_1(monkeypatch, capsys):
     assert "index sum 0" in err and "nodes" in err
 
 
-def test_verify_overlaps_builds_each_oracle_vector_once(monkeypatch, capsys):
-    from pastates import fockstate
-
-    keys = []
-    real = fockstate.pasvs
-
-    def counted(param, m, *args, **kwargs):
-        keys.append((param.zeta, m))
-        return real(param, m, *args, **kwargs)
-
-    monkeypatch.setattr(fockstate, "pasvs", counted)
+def test_verify_overlaps_builds_each_oracle_vector_once(oracle_builds, capsys):
     code, out, _ = run_cli(
         ["verify", "overlaps", "--family", "pasvs", "--max-n", "3", "--moduli", "0.2,0.4"], capsys
     )
     assert code == 0
     assert "(n,m <= 3, 192 points)" in out
-    assert len(keys) == len(set(keys))
-    # 2 moduli x 11 distinct phases, indices 0..3
-    assert len(keys) == 88
+    # 2 moduli x 11 distinct phases, each label's indices 0..3 as one array
+    assert len(oracle_builds) == len(set(oracle_builds)) == 22
+    assert {(kind, top) for kind, _, top in oracle_builds} == {("columns", 3)}
+
+
+def test_verify_all_builds_each_overlap_label_once(oracle_builds, capsys, tmp_path):
+    lines = run_verify_all(capsys, tmp_path)
+    assert [line["check"] for line in lines if line["check"].startswith("overlaps")] == [
+        f"overlaps {family} grid (n,m <= 8, 1800 points)" for family in ("pasvs", "pasops")
+    ]
+    # both grids share one array per label: 3 moduli x 11 distinct phases,
+    # indices 0..9; the discrete suite builds its zeta = 0.3 arrays
+    grid_builds = [c for c in oracle_builds if c[1] != 0.3]
+    assert len(grid_builds) == len(set(grid_builds)) == 33
+    assert {(kind, top) for kind, _, top in grid_builds} == {("columns", 9)}
+    assert not [c for c in oracle_builds if c[0] == "pasvs"]
 
 
 @pytest.mark.parametrize(

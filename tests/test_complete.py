@@ -507,23 +507,27 @@ def test_discrete_assembly_routes_agree_complex():
     assert np.max(np.abs(a.entries - b.entries)) < 1e-9
 
 
-def test_sns_completeness_builds_each_part_once(monkeypatch):
+def test_sns_completeness_builds_each_part_once(oracle_builds):
     p = fs.SqueezeParam(0.3 * cmath.exp(0.4j))
     want = np.zeros((8, 8), dtype=complex)
     for j in range(21):
         v = fs.sns(p, j, eps=1e-26).dense(8)
         want += np.outer(v, v.conj())
-    built = []
-    real = fs.pasvs
-
-    def counted(param, m, *args, **kwargs):
-        built.append(m)
-        return real(param, m, *args, **kwargs)
-
-    monkeypatch.setattr(fs, "pasvs", counted)
+    oracle_builds.clear()
     got = cm.sns_completeness_matrix(p, 20, 8)
-    assert sorted(built) == list(range(21))
+    # the parts |zeta, 0..20> as one array
+    assert oracle_builds == [("columns", p.zeta, 20)]
     assert np.array_equal(got.entries, want)
+
+
+def test_discrete_matrix_builds_its_vectors_as_one_array(oracle_builds):
+    p = fs.SqueezeParam(0.3 * cmath.exp(0.4j))
+    mat = cm.discrete_completeness_matrix(p, 20, 8, "closed")
+    # pairs with n >= basis_dim have no support on the block
+    assert oracle_builds == [("columns", p.zeta, 7)]
+    assert mat.identity_deviation() < 1e-10
+    with pytest.raises(ValueError, match="0 <= m_cutoff"):
+        cm.discrete_completeness_matrix(p, -1, 8)
 
 
 def test_sns_completeness_monotone_convergence():

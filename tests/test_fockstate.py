@@ -111,6 +111,46 @@ def test_truncation_honesty():
         assert abs(coarse.coeffs[k] - fine.coeffs[k]) < 1e-13
 
 
+@pytest.mark.parametrize("eps", [1e-14, TIGHT])
+@pytest.mark.parametrize("zeta", [0, 0.3, 0.6 * unit_phase(2.9), 0.9, 0.95])
+def test_pasvs_columns_match_scalar_constructor(zeta, eps):
+    param = fs.SqueezeParam(zeta)
+    dense, lengths, tails, norms = fs._pasvs_columns(param, 40, eps)
+    for i in range(41):
+        v = fs.pasvs(param, i, eps)
+        assert v.offset == i and lengths[i] == len(v.coeffs)
+        assert abs(tails[i] - v.tail_bound) <= 1e-12 * v.tail_bound
+        assert norms[i] == ov.pasvs_norm(param, i)
+        # column i holds |zeta, i> on the photon numbers i, i + 2, ... only
+        support = np.arange(i, i + 2 * lengths[i], 2)
+        assert np.max(np.abs(dense[support, i] - v.coeffs)) <= 1e-14
+        assert not np.delete(dense[:, i], support).any()
+
+
+def test_pasvs_columns_check_every_normalization(monkeypatch):
+    real = ov.pasvs_norm
+    monkeypatch.setattr(ov, "pasvs_norm", lambda zeta, m: real(zeta, m) * (1.0 + 1e-8))
+    with pytest.raises(ArithmeticError, match=r"pasvs zeta=\(0\.3\+0j\) m=0: .*normalization"):
+        fs._pasvs_columns(fs.SqueezeParam(0.3), 5, TIGHT)
+    # a column that is not the first is named by its own index
+    monkeypatch.setattr(ov, "pasvs_norm", lambda zeta, m: real(zeta, m) * (1.0 + 1e-8 * (m == 4)))
+    with pytest.raises(ArithmeticError, match=r"m=4: closed-form normalization check failed"):
+        fs._pasvs_columns(fs.SqueezeParam(0.3), 5, TIGHT)
+
+
+@pytest.mark.parametrize(
+    "zeta, index, eps",
+    [(0.3, 2, 0.0), (0.3, 2, -1e-14), (0.3, -1, 1e-14), (1 - 1e-12, 2, 1e-14), (1 - 1e-13, 0, 1e-14)],
+)
+def test_pasvs_columns_reject_what_pasvs_rejects(zeta, index, eps):
+    param = fs.SqueezeParam(zeta)
+    with pytest.raises(ValueError) as scalar:
+        fs.pasvs(param, index, eps)
+    with pytest.raises(ValueError) as batch:
+        fs._pasvs_columns(param, index, eps)
+    assert str(batch.value) == str(scalar.value)
+
+
 # ------------------------------------------------------------ pasops
 
 def test_pasops_zero_squeezing():

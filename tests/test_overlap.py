@@ -326,16 +326,36 @@ def test_pasops_overlap_evaluates_one_legendre_form(monkeypatch):
 
 
 @pytest.mark.parametrize("family", ["pasvs", "pasops"])
-def test_overlap_grid_builds_each_oracle_vector_once(family, monkeypatch):
-    calls = counting_constructors(monkeypatch)
+def test_overlap_grid_builds_each_oracle_vector_once(family, oracle_builds):
     pairs = [(sq(polar(0.2, 0.5)), sq(0.4)), (sq(0.4), sq(polar(0.2, 0.5))), (sq(0.4), sq(0.4))]
     worst, count = ov.overlap_grid(family, pairs, 3)
     assert count == 6 * len(pairs)
     assert worst < 1e-9
-    # two labels at indices 0..3, vacuum-family indices 1..4 for pasops
-    assert len(calls) == len(set(calls)) == 8
-    shift = 1 if family == "pasops" else 0
-    assert {(c[0], c[2]) for c in calls} == {("pasvs", i + shift) for i in range(4)}
+    # one array per label: vacuum-family indices 0..3, or 0..4 for pasops
+    top = 4 if family == "pasops" else 3
+    assert sorted(oracle_builds, key=str) == [("columns", polar(0.2, 0.5), top), ("columns", 0.4, top)]
+
+
+def test_overlap_grids_share_one_evaluation(oracle_builds, monkeypatch):
+    from pastates import specfun
+
+    pairs = [(sq(polar(0.2, 0.5)), sq(0.4)), (sq(0.4), sq(polar(0.6, -2.9)))]
+    alone = {family: ov.overlap_grid(family, pairs, 4) for family in ("pasvs", "pasops")}
+    points = []
+    real = specfun.legendre_p_deriv
+
+    def counted(order, degree, x):
+        points.append((order, degree))
+        return real(order, degree, x)
+
+    monkeypatch.setattr(specfun, "legendre_p_deriv", counted)
+    oracle_builds.clear()
+    assert ov.overlap_grids(("pasvs", "pasops"), pairs, 4) == alone
+    # each label's vectors once, up to index 5, and one form-3 evaluation
+    # per point of the union: pasvs's 9 points with N <= 4, and the 3 with
+    # N = 5 of pasops's 9 (its other 6 are pasvs points)
+    assert len(oracle_builds) == 3 and {top for _, _, top in oracle_builds} == {5}
+    assert len(points) == len(set(points)) == 9 + 3
 
 
 def test_overlap_grid_matches_pointwise_overlaps():
@@ -350,7 +370,7 @@ def test_overlap_grid_matches_pointwise_overlaps():
     ]
     for family, shift in (("pasvs", 0), ("pasops", 1)):
         points = [(n + shift, m + shift) for n in range(5) for m in range(n % 2, n + 1, 2)]
-        forms = ov._grid_forms(pairs, 4, shift)
+        forms = ov._grid_forms(pairs, points)
         assert forms.shape == (4, len(points), len(pairs))
         for i, (big_n, big_m) in enumerate(points):
             for p, (xi, ze) in enumerate(pairs):
@@ -364,25 +384,26 @@ def test_overlap_grid_matches_pointwise_overlaps():
 
 
 def corrupt_oracle_vector(monkeypatch, label, index, corrupt):
-    """Make fockstate.pasvs hand ``corrupt(coeffs)`` for one (label, index)."""
-    real = fs.pasvs
+    """Make fockstate._pasvs_columns hand column ``index`` of ``label`` as
+    ``corrupt(column)``."""
+    real = fs._pasvs_columns
 
-    def patched(param, m, *args, **kwargs):
-        v = real(param, m, *args, **kwargs)
-        if (param.zeta, m) != (label, index):
-            return v
-        return fs.FockVector(v.offset, v.stride, corrupt(v.coeffs.copy()), v.tail_bound)
+    def patched(param, top, *args, **kwargs):
+        dense, *rest = real(param, top, *args, **kwargs)
+        if param.zeta == label:
+            dense[:, index] = corrupt(dense[:, index].copy())
+        return (dense, *rest)
 
-    monkeypatch.setattr(fs, "pasvs", patched)
+    monkeypatch.setattr(fs, "_pasvs_columns", patched)
 
 
 GRID_PAIRS = [(sq(0.2), sq(0.4)), (sq(0.4), sq(0.2))]
 
 
 def test_overlap_grid_fails_on_nan_oracle(monkeypatch):
-    def nan_first(coeffs):
-        coeffs[0] = complex("nan")
-        return coeffs
+    def nan_first(column):
+        column[1] = complex("nan")
+        return column
 
     corrupt_oracle_vector(monkeypatch, 0.4, 1, nan_first)
     assert ov.overlap_grid("pasvs", GRID_PAIRS, 1) == (math.inf, 4)
@@ -396,7 +417,7 @@ def test_overlap_grid_fails_on_nan_legendre_form(monkeypatch):
 
 
 def test_overlap_grid_fails_on_scaled_oracle_vector(monkeypatch):
-    corrupt_oracle_vector(monkeypatch, 0.4, 1, lambda coeffs: coeffs * (1.0 + 1e-8))
+    corrupt_oracle_vector(monkeypatch, 0.4, 1, lambda column: column * (1.0 + 1e-8))
     worst, count = ov.overlap_grid("pasvs", GRID_PAIRS, 1)
     assert worst > 1e-9 and count == 4
 
