@@ -83,7 +83,6 @@ class MomentReport:
     k: int
     lhs: float
     rhs: float
-    abs_err: float
     rel_err: float
     nodes_used: int
     converged: bool = True
@@ -269,7 +268,6 @@ def _moment_plan(wf: WeightFunction, k_max: int):
                 k=k,
                 lhs=res.value,
                 rhs=r,
-                abs_err=abs(res.value - r),
                 rel_err=abs(res.value - r) / abs(r),
                 nodes_used=res.nodes_used,
                 converged=res.converged,

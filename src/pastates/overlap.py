@@ -48,25 +48,10 @@ class OverlapResult:
     oracle_error: float
 
 
-def _powprod(pairs) -> complex:
-    """Product of base**exponent factors, phases combined before a single
-    exponentiation.
-
-    Exactly-zero exponents are skipped (their base may legitimately be 0),
-    and exponents are accumulated on the principal logarithms so that
-    analytically cancelling fractional powers cancel here too.
-    """
-    log_sum = 0.0 + 0.0j
-    for base, expo in pairs:
-        if expo == 0:
-            continue
-        b = complex(base)
-        if b == 0:
-            if expo > 0:
-                return 0.0 + 0.0j
-            raise ZeroDivisionError("zero base with nonpositive exponent")
-        log_sum += expo * cmath.log(b)
-    return cmath.exp(log_sum)
+def _nan_fails(err: float) -> float:
+    """A NaN deviation reads as inf, so that no check passes on it (Python's
+    max and < both drop a NaN)."""
+    return math.inf if math.isnan(err) else err
 
 
 def sv_overlap(xi, zeta) -> complex:
@@ -205,20 +190,15 @@ def _pasvs_forms(xi, n: int, zeta, m: int) -> tuple[complex, complex, complex]:
         * (1.0 - w) ** (-(n + m) // 2)
         * specfun.gauss_2f1(-0.5 * (m - 1), -0.5 * m, q + 1.0, w)
     )
+    # the printed form's conj(xi) exponent (m-n)/4 + q/2 vanishes, leaving
+    # zeta^q (1-w)^(-n/2)
     x_arg = (1.0 - w) ** -0.5
-    powers = _powprod(
-        [
-            (xi.zeta.conjugate(), (m - n) / 4 + q / 2),
-            (zeta.zeta, (n - m) / 4 + q / 2),
-            (1.0 - w, -(m + n) / 4 - q / 2),
-        ]
-    )
     f3 = (
         pref
         * svo
-        * math.exp(specfun.log_factorial(n))
-        * math.exp(specfun.log_factorial(m) - specfun.log_factorial(n))
-        * powers
+        * math.exp(specfun.log_factorial(m))
+        * zeta.zeta**q
+        * (1.0 - w) ** (-0.5 * n)
         * specfun.legendre_p_deriv(q, (m + n) // 2, x_arg)
     )
     return f1, f2, f3
@@ -259,8 +239,11 @@ def _overlap(family: str, xi, n: int, zeta, m: int, form) -> OverlapResult:
     v = u if (xi.zeta, n) == (zeta.zeta, m) else fockstate.pasvs(zeta, m, eps=_SERIES_EPS)
     series = fockstate.inner(u, v)
     value = {1: f1, 2: f2, 3: f3, "series": series}[form]
-    spread = max(abs(f1 - f2), abs(f1 - f3), abs(f2 - f3))
-    return OverlapResult(value.conjugate() if swap else value, spread, abs(value - series))
+    # np.max keeps a NaN, where Python's max would drop it
+    spread = float(np.max([abs(f1 - f2), abs(f1 - f3), abs(f2 - f3)]))
+    error = abs(value - series)
+    value = value.conjugate() if swap else value
+    return OverlapResult(value, _nan_fails(spread), _nan_fails(error))
 
 
 def pasvs_overlap(xi, n: int, zeta, m: int, form=1) -> OverlapResult:
@@ -420,9 +403,8 @@ def overlap_grids(families, label_pairs, max_n: int) -> dict:
     out = {}
     for family in families:
         own = dev[[i for i, point in enumerate(points) if point in members[family]]]
-        # np.max keeps a NaN, and a NaN must fail the grid
         worst = float(own.max())
-        out[family] = (math.inf if math.isnan(worst) else worst), own.size
+        out[family] = _nan_fails(worst), own.size
     return out
 
 

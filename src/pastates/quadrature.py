@@ -10,9 +10,10 @@ arbitrarily close to the endpoint.
 
 The refinement levels are nested (Takahasi-Mori): halving the mesh keeps
 every node of the coarser levels, so each level evaluates only its new
-odd-index nodes and adds their sum to the previous raw sum.  Each rule also
-has a moment form, which integrates x^p f(x) for several powers p from one
-evaluation of f per node; the scalar rules are its power-0 case.
+odd-index nodes and adds their sum to the previous sum, halved for the finer
+mesh.  Each rule also has a moment form, which integrates x^p f(x) for
+several powers p from one evaluation of f per node; the scalar rules are its
+power-0 case.
 """
 
 from __future__ import annotations
@@ -41,15 +42,15 @@ _ROUNDING = 32.0 * 2.220446049250313e-16
 @dataclass(frozen=True)
 class QuadResult:
     value: float
-    est_abs_error: float
     nodes_used: int
     converged: bool
 
 
 def _tanh_sinh_ray(f, a, width, h, first):
     """The level's nodes on (a, a + width) as one ray of steps (t, nodes),
-    each node an (x, w * f) pair with the weight w lacking the factor
-    width/2; a step pairs the node at t with its mirror at -t."""
+    each node an (x, w * f) pair with the weight w, mesh width h included,
+    lacking the factor width/2; a step pairs the node at t with its mirror
+    at -t."""
     k, stride = (0, 1) if first else (1, 2)
     while True:
         t = k * h
@@ -62,7 +63,7 @@ def _tanh_sinh_ray(f, a, width, h, first):
         d_a = width - d_b                     # x - a
         if d_b <= 0.0 or d_a <= 0.0:
             return
-        w = _HALF_PI * math.cosh(t) / math.cosh(g) ** 2
+        w = h * _HALF_PI * math.cosh(t) / math.cosh(g) ** 2
         x = a + d_a
         if k == 0:
             yield t, ((x, w * f(x, d_a, d_b)),)
@@ -74,9 +75,10 @@ def _tanh_sinh_ray(f, a, width, h, first):
 
 
 def _exp_sinh_rays(f, h, first):
-    """The level's nodes on (0, inf) as two rays of steps (t, nodes): t > 0,
-    where x grows doubly exponentially, and t < 0, where
-    the nodes cluster at 0."""
+    """The level's nodes on (0, inf) as two rays of steps (t, nodes), each
+    node an (x, w * f) pair with the weight w, mesh width h included: t > 0,
+    where x grows doubly exponentially, and t < 0, where the nodes cluster
+    at 0."""
 
     def ray(direction):
         k = 0 if first and direction == 1 else 1
@@ -90,7 +92,7 @@ def _exp_sinh_rays(f, h, first):
             w = x * _HALF_PI * math.cosh(t)
             if w == 0.0 or math.isinf(w):
                 return
-            yield t, ((x, w * f(x)),)
+            yield t, ((x, h * w * f(x)),)
             k += stride
 
     return ray(1), ray(-1)
@@ -200,34 +202,40 @@ def _nested_de(rays_at, scale, powers, tol, max_level) -> list[QuadResult]:
     its absolute mass).  A converged power keeps the result of the level at
     which it converged and drops out of the walk."""
     p = np.asarray(powers, dtype=float)
-    raw = np.zeros(len(p))         # sums over the nodes of every level so far
-    raw_abs = np.zeros(len(p))
+    # weighted sums over the nodes of every level so far; each node's weight
+    # includes the mesh width, so a sum estimates the integral itself, not
+    # 2^level times it, and overflows only with the integral
+    total = np.zeros(len(p))
+    total_abs = np.zeros(len(p))
     value = np.zeros(len(p))
     err = np.full(len(p), math.inf)
     results: list[QuadResult | None] = [None] * len(p)
     nodes_used = 0
     for level in range(2, max_level + 1):
         h = 0.5**level
+        # the finer mesh halves the weight of every node already summed
+        total *= 0.5
+        total_abs *= 0.5
         active = np.array([i for i, r in enumerate(results) if r is None])
-        sums = _walk_level(rays_at(h, level == 2), p[active], raw_abs[active])
+        sums = _walk_level(rays_at(h, level == 2), p[active], total_abs[active])
         nodes_used += len(sums.xs)
-        raw[active] += sums.total
-        raw_abs[active] += sums.abs_total
-        new_value = scale * h * raw[active]
+        total[active] += sums.total
+        total_abs[active] += sums.abs_total
+        new_value = scale * total[active]
         # rounding floor: cancellation-heavy integrands cannot converge
         # relative to a tiny result, only relative to their absolute mass
-        floor = _ROUNDING * scale * h * raw_abs[active]
+        floor = _ROUNDING * scale * total_abs[active]
         if level > 2:
             err[active] = np.abs(new_value - value[active])
         value[active] = new_value
         for j, i in enumerate(active):
             # an estimate that overflowed is never converged
             if math.isfinite(err[i]) and err[i] <= tol * abs(new_value[j]) + floor[j] + 1e-305:
-                results[i] = QuadResult(float(new_value[j]), float(err[i]), nodes_used, True)
+                results[i] = QuadResult(float(new_value[j]), nodes_used, True)
         if all(r is not None for r in results):
             break
     return [
-        r if r is not None else QuadResult(float(value[i]), float(err[i]), nodes_used, False)
+        r if r is not None else QuadResult(float(value[i]), nodes_used, False)
         for i, r in enumerate(results)
     ]
 

@@ -6,22 +6,18 @@ functions of both kinds (argument >= 1), Gauss and generalized hypergeometric
 series, Laguerre polynomials, Kummer's U at second parameter 1, and the
 hyperbolic functions of higher order.
 
-All functions are pure and deterministic; series evaluators expose an
-``EvalResult`` variant carrying a cheap error estimate and the number of
-terms consumed.
+All functions are pure and deterministic and return values only.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .quadrature import exp_sinh
 
 __all__ = [
-    "EvalResult",
     "log_factorial",
     "double_factorial",
     "log_double_factorial",
@@ -29,14 +25,10 @@ __all__ = [
     "legendre_p_deriv",
     "legendre_q",
     "gauss_2f1",
-    "gauss_2f1_ex",
     "generalized_pfq",
-    "generalized_pfq_ex",
     "laguerre",
     "kummer_u_int",
-    "kummer_u_int_ex",
     "hyperbolic_order",
-    "hyperbolic_order_ex",
 ]
 
 # Series stop: |term| below this fraction of the partial sum, three times in
@@ -45,15 +37,6 @@ _TERM_EPS = 1e-17
 _SMALL_RUN = 3
 _EPS = 2.220446049250313e-16
 _EULER_GAMMA = 0.57721566490153286
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    """Series/quadrature value plus diagnostics."""
-
-    value: complex
-    est_abs_error: float
-    terms_used: int
 
 
 def log_factorial(n: int) -> float:
@@ -186,15 +169,14 @@ def _nonpositive_int(v: float) -> bool:
     return v <= 0 and float(v).is_integer()
 
 
-def gauss_2f1_ex(a: float, b: float, c: float, z: complex) -> EvalResult:
+def gauss_2f1(a: float, b: float, c: float, z: complex) -> complex:
     """Gauss hypergeometric series 2F1(a, b; c; z), |z| <= 0.95.
 
     Terminates exactly when a or b is a nonpositive integer; otherwise a
     straight power series with the three-small-terms stopping rule.
     """
     z = complex(z)
-    az = abs(z)
-    if az > 0.95:
+    if abs(z) > 0.95:
         raise ValueError("gauss_2f1: |z| > 0.95 is outside the series domain")
     terminates_at = None
     if _nonpositive_int(a):
@@ -211,37 +193,34 @@ def gauss_2f1_ex(a: float, b: float, c: float, z: complex) -> EvalResult:
     max_terms = 2000
     while k < max_terms:
         if terminates_at is not None and k >= terminates_at:
-            return EvalResult(total, 0.0, k + 1)
+            return total
         term = term * (a + k) * (b + k) / ((c + k) * (k + 1)) * z
         total += term
         k += 1
         if abs(term) < _TERM_EPS * abs(total):
             small += 1
             if small >= _SMALL_RUN:
-                est = abs(term) * az / max(1.0 - az, 0.05)
-                return EvalResult(total, est, k + 1)
+                return total
         else:
             small = 0
     raise ValueError("gauss_2f1: series did not converge within 2000 terms")
 
 
-def gauss_2f1(a: float, b: float, c: float, z: complex) -> complex:
-    return gauss_2f1_ex(a, b, c, z).value
-
-
-def generalized_pfq_ex(
-    a_list: Sequence[float], b_list: Sequence[float], z: float
-) -> EvalResult:
+def generalized_pfq(a_list: Sequence[float], b_list: Sequence[float], z: float) -> float:
     """Generalized hypergeometric pFq(a; b; z) by direct summation.
 
     Compensated (Kahan) summation; the term is updated recursively.  Lower
-    parameters must not be nonpositive integers.
+    parameters must not be nonpositive integers.  A partial sum beyond the
+    float range raises ``OverflowError``.
     """
     for bv in b_list:
         if _nonpositive_int(bv):
             raise ValueError("generalized_pfq: nonpositive-integer lower parameter")
     if len(a_list) > len(b_list) + 1:
         raise ValueError("generalized_pfq: p > q + 1 series diverges")
+    terminating = any(_nonpositive_int(av) for av in a_list)
+    if len(a_list) == len(b_list) + 1 and abs(z) > 1.0 and not terminating:
+        raise ValueError(f"generalized_pfq: p = q + 1 series diverges at |z| > 1, got z={z}")
     term = 1.0
     total = 1.0
     comp = 0.0
@@ -253,7 +232,7 @@ def generalized_pfq_ex(
         for av in a_list:
             num *= av + k
         if num == 0.0:
-            return EvalResult(total, 0.0, k + 1)   # terminating case
+            return total   # terminating case
         den = k + 1.0
         for bv in b_list:
             den *= bv + k
@@ -261,20 +240,18 @@ def generalized_pfq_ex(
         # Kahan update
         yv = term - comp
         t = total + yv
+        if not math.isfinite(t):
+            raise OverflowError(f"generalized_pfq: partial sum overflows at z={z}")
         comp = (t - total) - yv
         total = t
         k += 1
         if abs(term) < _TERM_EPS * max(abs(total), 1e-300):
             small += 1
             if small >= _SMALL_RUN:
-                return EvalResult(total, abs(term), k + 1)
+                return total
         else:
             small = 0
     raise ValueError("generalized_pfq: series did not converge within 10000 terms")
-
-
-def generalized_pfq(a_list: Sequence[float], b_list: Sequence[float], z: float) -> float:
-    return generalized_pfq_ex(a_list, b_list, z).value.real
 
 
 def laguerre(m: int, x):
@@ -294,11 +271,12 @@ def laguerre(m: int, x):
     return l
 
 
-def _exp1_series(x: float) -> tuple[float, float, int]:
+def _exp1_series(x: float) -> float:
     """E1(x) = -gamma - ln x - sum_{k>=1} (-x)^k / (k k!), for 0 < x <= 0.5.
 
-    Returns (value, mass, terms); mass is the sum of the magnitudes of the
-    summands and bounds the rounding error of the cancelling sum.
+    The sum stops on its own terms against ``mass``, the sum of the
+    magnitudes of the summands, which bounds the rounding error of the
+    cancelling sum.
     """
     log_x = math.log(x)
     total = 0.0
@@ -311,30 +289,24 @@ def _exp1_series(x: float) -> tuple[float, float, int]:
         total += term / k
         mass += abs(term) / k
         if abs(term) < _TERM_EPS * mass:
-            return -_EULER_GAMMA - log_x - total, mass, k
+            return -_EULER_GAMMA - log_x - total
 
 
-def _kummer_u_forward(m: int, x: float) -> EvalResult:
+def _kummer_u_forward(m: int, x: float) -> float:
     """U(m,1,x) by forward recurrence from U(0) = 1, U(1) = e^x E1(x).
 
-    U is the minimal solution, so errors grow along a dominant solution; w,
-    the solution started from (0, 1), is the factor by which an error in
-    U(1) or in an early step reaches U(m).
+    U is the minimal solution, so errors grow along a dominant solution;
+    the caller keeps m x small enough that the growth stays harmless.
     """
-    e1, mass, terms = _exp1_series(x)
-    scale = math.exp(x)
-    u_prev, u = 1.0, scale * e1
-    start_err = 4.0 * _EPS * (scale * mass + m * abs(u))
-    w_prev, w = 0.0, 1.0
+    u_prev, u = 1.0, math.exp(x) * _exp1_series(x)
     for a in range(1, m):
         c = 2 * a - 1 + x
         a2 = a * a
         u_prev, u = u, (c * u - u_prev) / a2
-        w_prev, w = w, (c * w - w_prev) / a2
-    return EvalResult(u, abs(w) * start_err, terms + m - 1)
+    return u
 
 
-def _kummer_u_miller(m: int, x: float) -> EvalResult:
+def _kummer_u_miller(m: int, x: float) -> float:
     """U(m,1,x) by Miller's backward recurrence, normalized by U(0) = 1.
 
     Run in ratio form, r_a = U(a)/U(a-1) = 1 / (2a-1+x - a^2 r_(a+1)) from
@@ -346,7 +318,6 @@ def _kummer_u_miller(m: int, x: float) -> EvalResult:
     raised until the estimate is below half the machine epsilon.
     """
     n = int((math.sqrt(m) + 9.0 / math.sqrt(x)) ** 2) + 2
-    steps = 0
     while True:
         r_next = 0.0
         trunc = 1.0
@@ -358,18 +329,17 @@ def _kummer_u_miller(m: int, x: float) -> EvalResult:
         for a in range(m - 1, 0, -1):
             r_next = 1.0 / (2 * a - 1 + x - a * a * r_next)
             u *= r_next
-        steps += n
         if trunc <= 0.5 * _EPS:
-            return EvalResult(u, abs(u) * (trunc + 4.0 * (m + 1) * _EPS), steps)
+            return u
         n += n // 2 + 4
 
 
-def _kummer_u_integral(m: int, x: float) -> EvalResult:
+def _kummer_u_integral(m: int, x: float) -> float:
     """U(m,1,x) = (1/Gamma(m)) int_0^inf e^{-x t} t^{m-1} (1+t)^{-m} dt by
     exp-sinh quadrature, for integer m >= 0 and finite x > 0; slow, kept as
     the reference the recurrence is tested against."""
     if m == 0:
-        return EvalResult(1.0, 0.0, 1)
+        return 1.0
     lg = math.lgamma(m)
 
     def integrand(t: float) -> float:
@@ -385,10 +355,10 @@ def _kummer_u_integral(m: int, x: float) -> EvalResult:
     res = exp_sinh(integrand, tol=1e-12, max_level=11)
     if not res.converged:
         raise ValueError(f"kummer_u_int: quadrature did not converge (m={m}, x={x})")
-    return EvalResult(res.value, res.est_abs_error, res.nodes_used)
+    return res.value
 
 
-def kummer_u_int_ex(m: int, x: float) -> EvalResult:
+def kummer_u_int(m: int, x: float) -> float:
     """Kummer U(m, 1, x) for integer m >= 0 and finite x > 0.
 
     U(0,1,x) = 1 exactly, and DLMF 13.3.7 at b = 1,
@@ -396,7 +366,6 @@ def kummer_u_int_ex(m: int, x: float) -> EvalResult:
     minimal solution, so the recurrence runs forward from e^x E1(x) only
     while x <= 0.5 and m x <= 3 (error growth about exp(4 sqrt(m x)) times
     the rounding), and backward by Miller's algorithm otherwise.
-    ``terms_used`` counts E1 series terms plus recurrence steps.
     """
     if not (m >= 0 and float(m).is_integer()):
         raise ValueError(f"kummer_u_int requires integer m >= 0, got m={m}")
@@ -404,20 +373,17 @@ def kummer_u_int_ex(m: int, x: float) -> EvalResult:
     if not 0.0 < x < math.inf:
         raise ValueError(f"kummer_u_int requires finite x > 0, got x={x}")
     if m == 0:
-        return EvalResult(1.0, 0.0, 1)
+        return 1.0
     if x <= 0.5 and m * x <= 3.0:
         return _kummer_u_forward(m, x)
     return _kummer_u_miller(m, x)
 
 
-def kummer_u_int(m: int, x: float) -> float:
-    return kummer_u_int_ex(m, x).value.real
-
-
-def hyperbolic_order_ex(i: int, n: int, x: float) -> EvalResult:
+def hyperbolic_order(i: int, n: int, x: float) -> float:
     """Hyperbolic function of order n: h_i(x, n) = sum_k x^(nk+i-1)/(nk+i-1)!.
 
-    For x >= 0 the series has positive terms and is summed directly.  For
+    For x >= 0 the series has positive terms and is summed directly; a
+    partial sum beyond the float range raises ``OverflowError``.  For
     x < 0 direct summation cancels catastrophically once |x| is large, so
     the exponential-sum form h_i(x,n) = (1/n) sum_nu eps^{-(i-1)nu} e^{eps^nu x}
     (eps = e^{2 pi i / n}) is used instead; there the answer is carried by
@@ -430,11 +396,10 @@ def hyperbolic_order_ex(i: int, n: int, x: float) -> EvalResult:
         total = 0.0 + 0.0j
         for nu in range(n):
             total += eps ** (-(i - 1) * nu) * cmath.exp(x * eps**nu)
-        val = total.real / n
-        return EvalResult(val, abs(val) * 1e-15 * n, n)
+        return total.real / n
     # direct series; term_0 = x^(i-1)/(i-1)!
     if x == 0.0:
-        return EvalResult(1.0 if i == 1 else 0.0, 0.0, 1)
+        return 1.0 if i == 1 else 0.0
     term = math.exp((i - 1) * math.log(x) - log_factorial(i - 1)) if i > 1 else 1.0
     total = term
     comp = 0.0
@@ -449,17 +414,15 @@ def hyperbolic_order_ex(i: int, n: int, x: float) -> EvalResult:
         term = term * num / den
         yv = term - comp
         t = total + yv
+        if not math.isfinite(t):
+            raise OverflowError(f"hyperbolic_order: partial sum overflows at x={x}")
         comp = (t - total) - yv
         total = t
         k += 1
         if abs(term) < _TERM_EPS * abs(total):
             small += 1
             if small >= _SMALL_RUN:
-                return EvalResult(total, abs(term), k + 1)
+                return total
         else:
             small = 0
     raise ValueError("hyperbolic_order: series did not converge")
-
-
-def hyperbolic_order(i: int, n: int, x: float) -> float:
-    return hyperbolic_order_ex(i, n, x).value.real

@@ -105,6 +105,19 @@ def test_overlap_parity_zero(capsys):
     assert env["results"]["value"] == {"re": 0.0, "im": 0.0}
 
 
+def test_overlap_fails_on_nan_legendre_form(monkeypatch, capsys):
+    from pastates import specfun
+
+    monkeypatch.setattr(specfun, "legendre_p_deriv", lambda order, degree, x: math.nan)
+    code, out, _ = run_cli(
+        ["overlap", "pasvs", "--xi", "0.2", "--zeta", "0.4", "--n", "4", "--m", "2", "--form", "3"],
+        capsys,
+    )
+    assert code == 1
+    env = json.loads(out)
+    assert env["max_error"] == math.inf and env["pass"] is False
+
+
 def test_norm_two_form_check(capsys):
     code, out, _ = run_cli(
         ["norm", "pacsc", "--z", "0.5", "--lambda", "2", "--mu", "1", "--m", "2"], capsys
@@ -356,9 +369,16 @@ def test_envelope_records_version_and_tolerance(tmp_path, capsys):
     assert env["pass"] == (env["max_error"] < env["parameters"]["tol"])
 
 
-@pytest.mark.parametrize("command", ["state", "norm"])
-def test_numerical_overflow_exits_1_without_traceback(command, capsys):
-    code, out, err = run_cli([command, "pasvs", "--zeta", "0.5", "--m", "200"], capsys)
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["state", "pasvs", "--zeta", "0.5", "--m", "200"], id="state"),
+        pytest.param(["norm", "pasvs", "--zeta", "0.5", "--m", "200"], id="norm"),
+        pytest.param(["norm", "csc", "--z", "1000", "--lambda", "2"], id="norm-csc"),
+    ],
+)
+def test_numerical_overflow_exits_1_without_traceback(argv, capsys):
+    code, out, err = run_cli(argv, capsys)
     assert code == 1
     assert out == ""
     assert err.startswith("error: OverflowError")

@@ -416,6 +416,15 @@ def test_overlap_grid_fails_on_nan_legendre_form(monkeypatch):
     assert ov.overlap_grid("pasvs", GRID_PAIRS, 1) == (math.inf, 4)
 
 
+@pytest.mark.parametrize("form,field", [(1, "form_spread"), (3, "oracle_error")])
+def test_scalar_overlap_fails_on_nan_legendre_form(monkeypatch, form, field):
+    from pastates import specfun
+
+    monkeypatch.setattr(specfun, "legendre_p_deriv", lambda order, degree, x: math.nan)
+    res = ov.pasvs_overlap(sq(0.2), 4, sq(0.4), 2, form=form)
+    assert getattr(res, field) == math.inf
+
+
 def test_overlap_grid_fails_on_scaled_oracle_vector(monkeypatch):
     corrupt_oracle_vector(monkeypatch, 0.4, 1, lambda column: column * (1.0 + 1e-8))
     worst, count = ov.overlap_grid("pasvs", GRID_PAIRS, 1)

@@ -46,7 +46,6 @@ def test_tanh_sinh_reports_nonconvergence():
         lambda x, da, db: 1e-4 / (1e-8 + (x - 0.37) ** 2), 0.0, 1.0, tol=1e-12, max_level=4
     )
     assert not res.converged
-    assert res.est_abs_error > 0.0
 
 
 def test_exp_sinh_gamma_moment():
@@ -189,7 +188,6 @@ def test_moment_rule_reports_every_unconverged_component():
     )
     assert len(moments) == 3
     assert not any(r.converged for r in moments)
-    assert all(r.est_abs_error > 0.0 for r in moments)
 
 
 def test_moment_rules_reject_bad_powers():
