@@ -5,9 +5,10 @@ The continuous resolutions reduce, after exact angular integration, to
 radial power moments of the weight functions; all the moments of one weight
 come from one nested double-exponential pass, which evaluates the weight
 once per node, and are verified against log-space factorial references.  The
-discrete resolution over the photon-added family is assembled both from its
-closed-form coefficients and from a numerically resummed expansion through
-the squeezed-number-state basis.
+discrete resolution over the photon-added family is V D V^H, with V the
+photon-added states |zeta, 0..top> on the Fock block and D the Hermitian
+matrix of pair coefficients: closed-form, or resummed numerically as C^T
+conj(C) from the squeezed-number-state expansion matrix C.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .quadrature import QuadResult, exp_sinh_moments, tanh_sinh, tanh_sinh_momen
 
 __all__ = [
     "FAMILIES",
-    "QuadSettings",
     "WeightFunction",
     "MomentReport",
     "OperatorMatrix",
@@ -45,12 +45,9 @@ FAMILIES = ("pasvs", "pasops", "pacsc")
 
 _TWO_PI = 2.0 * math.pi
 _HERMITICITY_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class QuadSettings:
-    tol: float = 1e-11
-    max_level: int = 12
+# tolerance and deepest level of every radial moment-rule pass
+_QUAD_TOL = 1e-11
+_QUAD_MAX_LEVEL = 12
 
 
 @dataclass(frozen=True)
@@ -208,7 +205,7 @@ def _integrand(wf: WeightFunction) -> tuple[str, int]:
     return ("vacuum", _vacuum_index(wf))
 
 
-def _radial_moments(integrand: tuple[str, int], powers, quad: QuadSettings) -> list[QuadResult]:
+def _radial_moments(integrand: tuple[str, int], powers) -> list[QuadResult]:
     """Integrals of y^p h(y) over the radial domain of ``integrand`` for
     every p in ``powers``, from one nested pass that evaluates the weight
     once per node.
@@ -223,12 +220,12 @@ def _radial_moments(integrand: tuple[str, int], powers, quad: QuadSettings) -> l
         def laplace(x: float) -> float:
             return math.exp(-x) * specfun.kummer_u_int(m, x)
 
-        return exp_sinh_moments(laplace, powers, tol=quad.tol, max_level=quad.max_level)
+        return exp_sinh_moments(laplace, powers, tol=_QUAD_TOL, max_level=_QUAD_MAX_LEVEL)
 
     def radial(y: float, da: float, db: float) -> float:
         return weight_h(m, y, one_minus_y=db)
 
-    return tanh_sinh_moments(radial, 0.0, 1.0, powers, tol=quad.tol, max_level=quad.max_level)
+    return tanh_sinh_moments(radial, 0.0, 1.0, powers, tol=_QUAD_TOL, max_level=_QUAD_MAX_LEVEL)
 
 
 # a reference moment outside the normal float range cannot serve as one:
@@ -279,36 +276,27 @@ def _moment_plan(wf: WeightFunction, k_max: int):
 
 
 def _unity_plan(wf: WeightFunction, basis_dim: int):
-    """Powers and assembly of ``unity_resolution_matrix(wf, basis_dim)``."""
+    """Powers and assembly of ``unity_resolution_matrix(wf, basis_dim)``:
+    diagonal entry j is moment j of ``moment_check(wf, basis_dim - 1)``
+    divided by its reference."""
     if basis_dim < 1 or basis_dim > 64:
         raise ValueError("unity_resolution_matrix requires 1 <= basis_dim <= 64")
     if wf.family == "pacsc":
         stride, offset = wf.lam, wf.m + wf.mu
-        powers = [float(j * wf.lam + wf.mu) for j in range(basis_dim)]
     else:
         stride, offset = 2, _vacuum_index(wf)
-        powers = [float(j) for j in range(basis_dim)]
+    powers, moments = _moment_plan(wf, basis_dim - 1)
 
     def assemble(results: list[QuadResult]) -> OperatorMatrix:
         diagonal = []
-        for j, (power, res) in enumerate(zip(powers, results)):
-            if not res.converged:
+        for power, r in zip(powers, moments(results)):
+            if not r.converged:
                 raise ArithmeticError(
                     f"unity_resolution_matrix: radial quadrature did not converge at index sum "
-                    f"{2 * j} (power {power}) after {res.nodes_used} nodes "
-                    f"(last estimate {res.value:.6e})"
+                    f"{2 * r.k} (power {power}) after {r.nodes_used} nodes "
+                    f"(last estimate {r.lhs:.6e})"
                 )
-            if wf.family == "pacsc":
-                n = j * wf.lam + wf.mu
-                scale = math.exp(specfun.log_factorial(n + wf.m) - 2.0 * specfun.log_factorial(n))
-            else:
-                log_pre = (
-                    specfun.log_factorial(2 * j + offset)
-                    - 2.0 * specfun.log_factorial(j)
-                    - 2 * j * math.log(2.0)
-                )
-                scale = math.pi * math.exp(log_pre)
-            diagonal.append(scale * res.value)
+            diagonal.append(r.lhs / r.rhs)
         return OperatorMatrix(offset, stride, basis_dim, np.diag(np.array(diagonal, dtype=complex)))
 
     return powers, assemble
@@ -317,7 +305,7 @@ def _unity_plan(wf: WeightFunction, basis_dim: int):
 _PLANS = {"moments": _moment_plan, "unity": _unity_plan}
 
 
-def radial_checks(checks, quad: QuadSettings | None = None) -> list:
+def radial_checks(checks) -> list:
     """Run a batch of radial checks with one moment-rule pass per weight.
 
     Each check is ("moments", wf, k_max), answered as ``moment_check`` does,
@@ -330,7 +318,6 @@ def radial_checks(checks, quad: QuadSettings | None = None) -> list:
     cut follows every power still active, so ``nodes_used`` counts the
     nodes of the shared pass.
     """
-    quad = quad or QuadSettings()
     plans = []
     needed: dict[tuple[str, int], set[float]] = {}
     for kind, wf, size in checks:
@@ -342,13 +329,13 @@ def radial_checks(checks, quad: QuadSettings | None = None) -> list:
     moments = {}
     for integrand, powers in needed.items():
         union = sorted(powers)
-        moments[integrand] = dict(zip(union, _radial_moments(integrand, union, quad)))
+        moments[integrand] = dict(zip(union, _radial_moments(integrand, union)))
     return [
         assemble([moments[integrand][p] for p in powers]) for integrand, powers, assemble in plans
     ]
 
 
-def moment_check(wf: WeightFunction, k_max: int, quad: QuadSettings | None = None) -> list[MomentReport]:
+def moment_check(wf: WeightFunction, k_max: int) -> list[MomentReport]:
     """Verify the power moments that make the family resolve unity.
 
     Squeezed families: int_0^1 y^k h(y) dy = [(2k)!!]^2 / (pi (m_eff+2k)!)
@@ -359,20 +346,20 @@ def moment_check(wf: WeightFunction, k_max: int, quad: QuadSettings | None = Non
     outside the normal float range is a ValueError, raised before any
     integration.
     """
-    return radial_checks([("moments", wf, k_max)], quad)[0]
+    return radial_checks([("moments", wf, k_max)])[0]
 
 
-def unity_resolution_matrix(
-    wf: WeightFunction, basis_dim: int, quad: QuadSettings | None = None
-) -> OperatorMatrix:
+def unity_resolution_matrix(wf: WeightFunction, basis_dim: int) -> OperatorMatrix:
     """Truncated continuous resolution of unity in the family's subspace.
 
     The angular integral is exact: it vanishes between different basis
     states, so the matrix is diagonal, and each diagonal entry is the radial
     moment of its basis state's power.  The normalization coefficients of
-    state and measure cancel analytically and are not re-evaluated per node.
+    state and measure cancel analytically: entry j is moment j of
+    ``moment_check(wf, basis_dim - 1)`` divided by its reference, so a
+    reference outside the normal float range is the same ValueError.
     """
-    return radial_checks([("unity", wf, basis_dim)], quad)[0]
+    return radial_checks([("unity", wf, basis_dim)])[0]
 
 
 def pasvs_sns_matrix(param: fockstate.SqueezeParam, dim: int) -> np.ndarray:
@@ -380,11 +367,7 @@ def pasvs_sns_matrix(param: fockstate.SqueezeParam, dim: int) -> np.ndarray:
     squeezed number states (rows: added-photon index, cols: number index)."""
     if dim < 1 or dim > 64:
         raise ValueError("pasvs_sns_matrix requires 1 <= dim <= 64")
-    out = np.zeros((dim, dim), dtype=complex)
-    for m in range(dim):
-        for k in range(m % 2, m + 1, 2):
-            out[m, k] = fockstate.pasvs_coefficient(param, m, k)
-    return out
+    return fockstate._expansion_matrix(param, range(dim), range(dim), "pasvs")
 
 
 def sns_pasvs_matrix(param: fockstate.SqueezeParam, dim: int) -> np.ndarray:
@@ -392,11 +375,7 @@ def sns_pasvs_matrix(param: fockstate.SqueezeParam, dim: int) -> np.ndarray:
     photon-added states; the two matrices are mutual inverses."""
     if dim < 1 or dim > 64:
         raise ValueError("sns_pasvs_matrix requires 1 <= dim <= 64")
-    out = np.zeros((dim, dim), dtype=complex)
-    for m in range(dim):
-        for k in range(m % 2, m + 1, 2):
-            out[m, k] = fockstate.sns_coefficient(param, m, k)
-    return out
+    return fockstate._expansion_matrix(param, range(dim), range(dim), "sns")
 
 
 def _pair_coefficient_closed(param: fockstate.SqueezeParam, m: int, n: int) -> complex:
@@ -420,24 +399,30 @@ def _pair_coefficient_closed(param: fockstate.SqueezeParam, m: int, n: int) -> c
     return math.exp(log_w) * phase
 
 
-def _pair_coefficient_series(param: fockstate.SqueezeParam, m: int, n: int) -> complex:
-    """Same coefficient resummed numerically through the orthonormal
-    squeezed-number-state expansion."""
-    total = 0.0 + 0.0j
-    small = 0
-    j = n
-    while j <= n + 4000:
-        term = fockstate.sns_coefficient(param, j, m) * fockstate.sns_coefficient(
-            param, j, n
-        ).conjugate()
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            small += 1
-            if small >= 2:
-                return total
-        else:
-            small = 0
-        j += 2
+def _pair_matrix(param: fockstate.SqueezeParam, top: int, coefficients: str) -> np.ndarray:
+    """Hermitian matrix D of the pair coefficients of |zeta,m><zeta,n| for
+    m, n <= top, zero across parity.
+
+    "closed": the closed form for m <= n, mirrored.  "series": D = C^T conj(C)
+    over the rows j of the squeezed-number-state expansion matrix C, with the
+    number of rows doubled until the last two rows of each parity add at
+    most 1e-17 of every entry.
+    """
+    if coefficients == "closed":
+        pairs = np.zeros((top + 1, top + 1), dtype=complex)
+        for m in range(top + 1):
+            for n in range(m, top + 1, 2):
+                pairs[m, n] = _pair_coefficient_closed(param, m, n)
+                pairs[n, m] = pairs[m, n].conjugate()
+        return pairs
+    rows = 2 * (top + 1)
+    while rows <= 4000:
+        c = fockstate._expansion_matrix(param, range(rows), range(top + 1), "sns")
+        pairs = c.T @ c.conj()
+        last = c[-4:].T @ c[-4:].conj()
+        if np.all(np.abs(last) <= 1e-17 * np.abs(pairs)):
+            return pairs
+        rows *= 2
     raise ValueError("pair coefficient series did not converge")
 
 
@@ -454,7 +439,9 @@ def discrete_completeness_matrix(
     their independent numerical resummation ("series"); the two assemblies
     agreeing validates the closed form.  Cross-parity pairs carry no
     coefficient (they would need half-integer-order Legendre functions and
-    cancel identically in the underlying expansion) and are skipped.
+    cancel identically in the underlying expansion).  The matrix is
+    V D V^H, with V the states |zeta, 0..top> on the block and D their pair
+    coefficients; pairs with n >= basis_dim have no support on the block.
     """
     if abs(param.zeta) > 0.5:
         raise ValueError("discrete_completeness_matrix requires |zeta| <= 0.5")
@@ -468,25 +455,10 @@ def discrete_completeness_matrix(
         return OperatorMatrix(0, 1, basis_dim, np.eye(basis_dim, dtype=complex))
     top = min(m_cutoff, basis_dim - 1)
     # |zeta, 0..top> on the first basis_dim Fock states
-    dense = np.zeros((basis_dim, top + 1), dtype=complex)
+    vectors = np.zeros((basis_dim, top + 1), dtype=complex)
     block = fockstate._pasvs_columns(param, top, 1e-26)[0][:basis_dim]
-    dense[: len(block)] = block
-    entries = np.zeros((basis_dim, basis_dim), dtype=complex)
-    for m in range(top + 1):
-        vm = dense[:, m]
-        for n in range(m, m_cutoff + 1, 2):
-            if n >= basis_dim:
-                break   # no support on the block
-            vn = dense[:, n]
-            if coefficients == "closed":
-                d_mn = _pair_coefficient_closed(param, m, n)
-            else:
-                d_mn = _pair_coefficient_series(param, m, n)
-            if n == m:
-                entries += d_mn * np.outer(vm, vm.conj())
-            else:
-                entries += d_mn * np.outer(vm, vn.conj())
-                entries += d_mn.conjugate() * np.outer(vn, vm.conj())
+    vectors[: len(block)] = block
+    entries = vectors @ _pair_matrix(param, top, coefficients) @ vectors.conj().T
     return OperatorMatrix(0, 1, basis_dim, entries)
 
 

@@ -82,7 +82,12 @@ class CircleParam:
 
     @property
     def y(self) -> float:
-        return abs(self.z) ** 2 / float(self.lam) ** self.lam
+        try:
+            return abs(self.z) ** 2 / float(self.lam) ** self.lam
+        except OverflowError:
+            raise OverflowError(
+                f"CircleParam: |z|^2 or lam^lam in y overflows at z={self.z}, lam={self.lam}"
+            ) from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,46 +285,39 @@ def pasops(param: SqueezeParam, m: int, eps: float = 1e-14) -> FockVector:
     return pasvs(param, m + 1, eps)
 
 
-def sns_coefficient(param: SqueezeParam, m: int, k: int) -> complex:
-    """Coefficient of |zeta, k> in the expansion of the squeezed number
-    state |m, zeta> over photon-added squeezed vacuum states.
+def _expansion_matrix(param: SqueezeParam, rows, cols, expand: str) -> np.ndarray:
+    """Expansion coefficients between the photon-added squeezed vacuum
+    states |zeta, k> and the orthonormal squeezed number states |k, zeta>.
 
-    Zero unless m - k is even and 0 <= k <= m.
+    expand="sns": entry (m, k) is the coefficient of |zeta, k> in |m, zeta>.
+    expand="pasvs": entry (m, k) is the coefficient of |k, zeta> in |zeta, m>.
+    An entry is zero unless m - k = 2p with p >= 0, and is otherwise
+    exp(1/2 (ln m! - ln k!) - ln (m-k)!! +- ln N_j) (-+conj(zeta))^p, with
+    N_j = (1-y)^(j/4) P_j(x)^(1/2) and x = (1-y)^(-1/2): the upper signs and
+    j = k for "sns", the lower signs and j = m for "pasvs".
     """
-    if k > m or k < 0 or (m - k) % 2 != 0:
-        return 0.0 + 0.0j
+    rows, cols = np.asarray(rows)[:, None], np.asarray(cols)[None, :]
+    top = int(max(rows.max(), cols.max()))
     omy = 1.0 - param.y
     x = omy**-0.5
-    p = (m - k) // 2
-    log_mag = (
-        0.5 * specfun.log_factorial(m)
-        - 0.5 * specfun.log_factorial(k)
-        - specfun.log_double_factorial(m - k)
-        + 0.25 * k * math.log(omy)
-        + 0.5 * math.log(specfun.legendre_p(k, x))
-    )
-    return math.exp(log_mag) * (-param.zeta.conjugate()) ** p
-
-
-def pasvs_coefficient(param: SqueezeParam, m: int, k: int) -> complex:
-    """Coefficient of |k, zeta> in the expansion of |zeta, m> over squeezed
-    number states.
-
-    Zero unless m - k is even and 0 <= k <= m.
-    """
-    if k > m or k < 0 or (m - k) % 2 != 0:
-        return 0.0 + 0.0j
-    omy = 1.0 - param.y
-    x = omy**-0.5
-    p = (m - k) // 2
-    log_mag = (
-        0.5 * specfun.log_factorial(m)
-        - 0.5 * specfun.log_factorial(k)
-        - specfun.log_double_factorial(m - k)
-        - 0.25 * m * math.log(omy)
-        - 0.5 * math.log(specfun.legendre_p(m, x))
-    )
-    return math.exp(log_mag) * param.zeta.conjugate() ** p
+    # ln P_j(x) from the ratios P_j / P_{j-1}, which cannot overflow
+    log_ratio = np.zeros(top + 1)
+    r = 1.0
+    for j in range(1, top + 1):
+        r = ((2 * j - 1) * x - (j - 1) / r) / j
+        log_ratio[j] = math.log(r)
+    log_n = 0.25 * np.arange(top + 1) * math.log(omy) + 0.5 * np.cumsum(log_ratio)
+    log_fact = np.array([specfun.log_factorial(i) for i in range(top + 1)])
+    diff = rows - cols
+    valid = (diff >= 0) & (diff % 2 == 0)
+    p = np.where(valid, diff // 2, 0)
+    if expand == "sns":
+        log_norm, unit = log_n[cols], -param.zeta.conjugate()
+    else:
+        log_norm, unit = -log_n[rows], param.zeta.conjugate()
+    # (m-k)!! = 2^p p! for even m - k
+    log_mag = 0.5 * (log_fact[rows] - log_fact[cols]) - p * math.log(2.0) - log_fact[p] + log_norm
+    return np.exp(np.where(valid, log_mag, -np.inf)) * unit**p
 
 
 def sns(param: SqueezeParam, m: int, eps: float = 1e-14) -> FockVector:
@@ -331,17 +329,26 @@ def sns(param: SqueezeParam, m: int, eps: float = 1e-14) -> FockVector:
 def _sns_states(param: SqueezeParam, ms, eps: float) -> list[FockVector]:
     """The squeezed number states |m, zeta> for every m in ``ms``, with the
     photon-added parts |zeta, k> built once for all of them, as the columns
-    of ``_pasvs_columns``."""
+    of ``_pasvs_columns``, and the weights as one row per state of the
+    expansion matrix.
+
+    The parts are cut at eps / max_m (sum_k |w_mk|)^2, so that the combined
+    tail bound (sum_k |w_mk| sqrt(tail_k))^2 of every state stays below eps
+    however large its weights are.
+    """
     if any(m < 0 for m in ms):
         raise ValueError("sns requires m >= 0")
     if param.zeta == 0 or not ms:
         return [_unit_vector(m, 2) for m in ms]
-    dense, lengths, tails, _ = _pasvs_columns(param, max(ms), eps)
+    top = max(ms)
+    weights = _expansion_matrix(param, ms, range(top + 1), "sns")
+    part_eps = eps / float(np.max(np.sum(np.abs(weights), axis=1))) ** 2
+    dense, lengths, tails, _ = _pasvs_columns(param, top, part_eps)
     states = []
-    for m in ms:
+    for m, row in zip(ms, weights):
         off = m % 2
-        w = np.array([sns_coefficient(param, m, k) for k in range(off, m + 1, 2)])
         ks = np.arange(off, m + 1, 2)
+        w = row[ks]
         # part k is stored on the photon numbers k, k + 2, ... below k + 2 * lengths[k]
         coeffs = dense[off : int(np.max(ks + 2 * lengths[ks])) : 2, ks] @ w
         tail_amp = float(np.abs(w) @ np.sqrt(tails[ks]))

@@ -32,3 +32,20 @@ def oracle_builds(monkeypatch):
 
         monkeypatch.setattr(fockstate, name, counted)
     return calls
+
+
+@pytest.fixture
+def expansion_builds(monkeypatch):
+    """Record every expansion-matrix build: (zeta, rows, columns, direction)
+    for each ``fockstate._expansion_matrix`` call."""
+    from pastates import fockstate
+
+    calls = []
+    real = fockstate._expansion_matrix
+
+    def counted(param, rows, cols, expand):
+        calls.append((param.zeta, len(rows), len(cols), expand))
+        return real(param, rows, cols, expand)
+
+    monkeypatch.setattr(fockstate, "_expansion_matrix", counted)
+    return calls

@@ -298,9 +298,9 @@ def test_verify_all_makes_one_radial_pass_per_weight(capsys, tmp_path, monkeypat
     integrands = []
     real = cli.complete._radial_moments
 
-    def counted(integrand, powers, quad):
+    def counted(integrand, powers):
         integrands.append(integrand)
-        return real(integrand, powers, quad)
+        return real(integrand, powers)
 
     monkeypatch.setattr(cli.complete, "_radial_moments", counted)
     run_verify_all(capsys, tmp_path)
@@ -370,18 +370,26 @@ def test_envelope_records_version_and_tolerance(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,names",
     [
-        pytest.param(["state", "pasvs", "--zeta", "0.5", "--m", "200"], id="state"),
-        pytest.param(["norm", "pasvs", "--zeta", "0.5", "--m", "200"], id="norm"),
-        pytest.param(["norm", "csc", "--z", "1000", "--lambda", "2"], id="norm-csc"),
+        pytest.param(["state", "pasvs", "--zeta", "0.5", "--m", "200"], (), id="state"),
+        pytest.param(["norm", "pasvs", "--zeta", "0.5", "--m", "200"], (), id="norm"),
+        pytest.param(["norm", "csc", "--z", "1000", "--lambda", "2"], ("z=",), id="norm-csc"),
+        # |z|^2 overflows in CircleParam.y before any kernel runs
+        pytest.param(
+            ["norm", "csc", "--z", "1e155", "--lambda", "2"], ("CircleParam", "z="), id="norm-csc-y2"
+        ),
+        pytest.param(
+            ["norm", "csc", "--z", "1e200", "--lambda", "1"], ("CircleParam", "z="), id="norm-csc-y1"
+        ),
     ],
 )
-def test_numerical_overflow_exits_1_without_traceback(argv, capsys):
+def test_numerical_overflow_exits_1_without_traceback(argv, names, capsys):
     code, out, err = run_cli(argv, capsys)
     assert code == 1
     assert out == ""
     assert err.startswith("error: OverflowError")
+    assert all(name in err for name in names)
     assert "Traceback" not in err
 
 
@@ -392,12 +400,9 @@ def test_failed_normalization_check_exits_1(capsys):
 
 
 def test_radial_nonconvergence_exits_1(monkeypatch, capsys):
-    import functools
-
     from pastates import complete
 
-    starved = functools.partial(complete.QuadSettings, max_level=2)
-    monkeypatch.setattr(complete, "QuadSettings", starved)
+    monkeypatch.setattr(complete, "_QUAD_MAX_LEVEL", 2)
     code, out, err = run_cli(["verify", "unity", "--family", "pasvs", "--m", "2", "--dim", "4"], capsys)
     assert code == 1
     assert out == ""

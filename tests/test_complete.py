@@ -285,10 +285,10 @@ def test_no_kummer_memo_left_in_the_package():
         assert "_KummerCache" not in path.read_text(), path.name
 
 
-def test_moment_check_reports_every_k_when_starved():
-    starved = cm.QuadSettings(max_level=3)
+def test_moment_check_reports_every_k_when_starved(monkeypatch):
+    monkeypatch.setattr(cm, "_QUAD_MAX_LEVEL", 3)
     for wf in (cm.WeightFunction("pasvs", 3), cm.WeightFunction("pacsc", 1, mu=0, lam=2)):
-        reports = cm.moment_check(wf, 6, starved)
+        reports = cm.moment_check(wf, 6)
         assert [r.k for r in reports] == list(range(7))
         assert not all(r.converged for r in reports)
         for r in reports:
@@ -314,19 +314,20 @@ def test_unity_resolution_matrices(family, m, mu, lam):
     assert mat.max_offdiagonal() == 0.0
 
 
-def test_unity_matrix_radial_failure_is_arithmetic_error():
+def test_unity_matrix_radial_failure_is_arithmetic_error(monkeypatch):
+    monkeypatch.setattr(cm, "_QUAD_MAX_LEVEL", 2)
     wf = cm.WeightFunction("pasvs", 2)
     with pytest.raises(ArithmeticError, match=r"index sum 0 \(power 0.0\) after \d+ nodes"):
-        cm.unity_resolution_matrix(wf, 4, cm.QuadSettings(max_level=2))
+        cm.unity_resolution_matrix(wf, 4)
 
 
 def test_unity_matrix_integrates_only_diagonal_powers(monkeypatch):
     asked = []
     real = cm._radial_moments
 
-    def recorded(wf, powers, quad):
+    def recorded(wf, powers):
         asked.append(list(powers))
-        return real(wf, powers, quad)
+        return real(wf, powers)
 
     monkeypatch.setattr(cm, "_radial_moments", recorded)
     cm.unity_resolution_matrix(cm.WeightFunction("pasops", 1), 4)
@@ -363,9 +364,9 @@ def recording_radial_moments(monkeypatch) -> list:
     asked = []
     real = cm._radial_moments
 
-    def recorded(integrand, powers, quad):
+    def recorded(integrand, powers):
         asked.append((integrand, list(powers)))
-        return real(integrand, powers, quad)
+        return real(integrand, powers)
 
     monkeypatch.setattr(cm, "_radial_moments", recorded)
     return asked
@@ -374,14 +375,13 @@ def recording_radial_moments(monkeypatch) -> list:
 def test_single_checks_are_batches_of_one():
     # the public single checks and a batch of one make the same pass over
     # the same powers, so every number is equal, not merely close
-    quad = cm.QuadSettings()
     for kind, wf, size in BATCH:
         (batched,) = cm.radial_checks([(kind, wf, size)])
         if kind == "moments":
             reports = cm.moment_check(wf, size)
             assert reports == batched
             orders = [r.k * wf.lam + wf.mu if wf.lam else r.k for r in reports]
-            direct = cm._radial_moments(cm._integrand(wf), [float(n) for n in orders], quad)
+            direct = cm._radial_moments(cm._integrand(wf), [float(n) for n in orders])
             assert [(r.lhs, r.nodes_used, r.converged) for r in reports] == [
                 (d.value, d.nodes_used, d.converged) for d in direct
             ]
@@ -527,6 +527,42 @@ def test_sns_completeness_builds_each_part_once(oracle_builds):
     # the parts |zeta, 0..20> as one array
     assert oracle_builds == [("columns", p.zeta, 20)]
     assert np.array_equal(got.entries, want)
+
+
+def test_sns_completeness_builds_one_expansion_matrix(expansion_builds):
+    p = fs.SqueezeParam(0.3 * cmath.exp(0.4j))
+    cm.sns_completeness_matrix(p, 20, 8)
+    # one row of weights per state
+    assert expansion_builds == [(p.zeta, 21, 21, "sns")]
+
+
+def test_series_route_doubles_its_rows_until_the_tail_is_negligible(expansion_builds):
+    p = fs.SqueezeParam(0.3)
+    closed = cm.discrete_completeness_matrix(p, 20, 8, "closed")
+    assert expansion_builds == []
+    series = cm.discrete_completeness_matrix(p, 20, 8, "series")
+    # 16 rows leave the tail of |zeta,7><zeta,7| far above 1e-17 of its sum
+    assert [rows for _, rows, _, _ in expansion_builds] == [16, 32, 64]
+    assert {(cols, expand) for _, _, cols, expand in expansion_builds} == {(8, "sns")}
+    assert np.max(np.abs(closed.entries - series.entries)) < 1e-13
+
+
+def test_series_pair_matrix_is_the_expansion_gram_matrix():
+    p = fs.SqueezeParam(0.5 * cmath.exp(-1.3j))
+    pairs = cm._pair_matrix(p, 9, "series")
+    c = fs._expansion_matrix(p, range(400), range(10), "sns")
+    np.testing.assert_allclose(pairs, c.T @ c.conj(), rtol=1e-14, atol=0)
+    np.testing.assert_allclose(pairs, cm._pair_matrix(p, 9, "closed"), rtol=1e-12, atol=1e-14)
+
+
+def test_pair_series_gives_up_after_4000_rows(monkeypatch):
+    # rows that never decay: the doubling stops at the row guard
+    def flat(param, rows, cols, expand):
+        return np.ones((len(rows), len(cols)))
+
+    monkeypatch.setattr(fs, "_expansion_matrix", flat)
+    with pytest.raises(ValueError, match="pair coefficient series did not converge"):
+        cm.discrete_completeness_matrix(fs.SqueezeParam(0.3), 20, 8, "series")
 
 
 def test_discrete_matrix_builds_its_vectors_as_one_array(oracle_builds):

@@ -226,6 +226,69 @@ def test_sns_ladder_identity():
             assert abs(lhs - math.sqrt(m) * target.coefficient(n)) < 1e-10
 
 
+def test_sns_passes_its_normalization_check_at_the_default_eps():
+    # weights up to ~1e5 near |zeta| = 1 amplify the parts' truncation
+    # tails; the parts are cut finer by the largest weight sum, so the
+    # combined tail of every state stays below the requested eps
+    for modulus in (1e-3, 0.3, 0.6, 0.9, 0.95):
+        param = fs.SqueezeParam(modulus)
+        for m in range(28):
+            v = fs.sns(param, m)
+            assert v.tail_bound <= 1e-14
+            assert abs(v.norm_sq() + v.tail_bound - 1.0) <= 1e-9
+
+
+def test_sns_builds_one_expansion_matrix(expansion_builds):
+    param = fs.SqueezeParam(0.4 * unit_phase(0.3))
+    fs.sns(param, 5)
+    assert expansion_builds == [(param.zeta, 1, 6, "sns")]
+
+
+# ------------------------------------------------------------ expansion matrix
+
+def expansion_oracle(zeta, top, expand):
+    """The expansion matrix on rows and columns 0..top at 40 digits, from
+    mpmath's Legendre polynomials and exact factorials."""
+    mpmath = pytest.importorskip("mpmath")
+    out = np.zeros((top + 1, top + 1), dtype=complex)
+    with mpmath.workdps(40):
+        z = mpmath.mpc(zeta)
+        omy = 1 - abs(z) ** 2
+        x = 1 / mpmath.sqrt(omy)
+        norm = [
+            omy ** (mpmath.mpf(j) / 4) * mpmath.sqrt(mpmath.legendre(j, x)) for j in range(top + 1)
+        ]
+        for m in range(top + 1):
+            for k in range(m % 2, m + 1, 2):
+                p = (m - k) // 2
+                mag = mpmath.sqrt(mpmath.mpf(math.factorial(m)) / math.factorial(k))
+                mag /= math.prod(range(m - k, 0, -2))
+                if expand == "sns":
+                    entry = mag * norm[k] * (-mpmath.conj(z)) ** p
+                else:
+                    entry = mag / norm[m] * mpmath.conj(z) ** p
+                out[m, k] = complex(entry)
+    return out
+
+
+@pytest.mark.parametrize("expand", ["sns", "pasvs"])
+@pytest.mark.parametrize("zeta", [0.3, 0.5 * unit_phase(0.8), 0.95 * unit_phase(-2.0)])
+def test_expansion_matrix_matches_mpmath(zeta, expand):
+    got = fs._expansion_matrix(fs.SqueezeParam(zeta), range(61), range(61), expand)
+    want = expansion_oracle(zeta, 60, expand)
+    # zero unless m - k is even and non-negative
+    assert np.array_equal(got == 0, want == 0)
+    nz = want != 0
+    assert np.max(np.abs(got[nz] - want[nz]) / np.abs(want[nz])) < 1e-13
+
+
+def test_expansion_matrix_rows_and_columns_are_index_lists():
+    param = fs.SqueezeParam(0.6 * unit_phase(1.1))
+    full = fs._expansion_matrix(param, range(12), range(12), "pasvs")
+    part = fs._expansion_matrix(param, [11, 4, 7], [0, 3, 4, 9], "pasvs")
+    np.testing.assert_array_equal(part, full[np.ix_([11, 4, 7], [0, 3, 4, 9])])
+
+
 # ------------------------------------------------------------ csc / pacsc
 
 def test_csc_zero_label():
