@@ -94,7 +94,11 @@ def _write_output(text: str, out_path: str | None) -> None:
     directory = os.path.dirname(os.path.abspath(out_path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".pastates-")
     try:
+        # mkstemp creates the file 0600; give it the mode open(path, "w") would
+        umask = os.umask(0)
+        os.umask(umask)
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, out_path)
     except BaseException:

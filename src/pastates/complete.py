@@ -217,13 +217,15 @@ def _radial_moments(integrand: tuple[str, int], powers) -> list[QuadResult]:
     kind, m = integrand
     if kind == "laplace":
 
-        def laplace(x: float) -> float:
-            return math.exp(-x) * specfun.kummer_u_int(m, x)
+        def laplace(x: np.ndarray) -> np.ndarray:
+            return np.array([math.exp(-xi) * specfun.kummer_u_int(m, xi) for xi in x.tolist()])
 
         return exp_sinh_moments(laplace, powers, tol=_QUAD_TOL, max_level=_QUAD_MAX_LEVEL)
 
-    def radial(y: float, da: float, db: float) -> float:
-        return weight_h(m, y, one_minus_y=db)
+    def radial(y: np.ndarray, da: np.ndarray, db: np.ndarray) -> np.ndarray:
+        return np.array(
+            [weight_h(m, yi, one_minus_y=dbi) for yi, dbi in zip(y.tolist(), db.tolist())]
+        )
 
     return tanh_sinh_moments(radial, 0.0, 1.0, powers, tol=_QUAD_TOL, max_level=_QUAD_MAX_LEVEL)
 

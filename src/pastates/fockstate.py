@@ -11,6 +11,7 @@ Exact ladder-operator actions are provided for independent verification.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -66,6 +67,8 @@ class CircleParam:
 
     def __post_init__(self):
         object.__setattr__(self, "z", complex(self.z))
+        if not cmath.isfinite(self.z):
+            raise ValueError(f"CircleParam requires a finite z, got z={self.z}")
         if self.lam < 1:
             raise ValueError("CircleParam requires lam >= 1")
         if not 0 <= self.mu < self.lam:

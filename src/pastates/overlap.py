@@ -71,13 +71,20 @@ def sops_overlap(xi, zeta) -> complex:
 def pasvs_norm(zeta, m: int) -> float:
     """Squared norm of (a^dag)^m applied to a squeezed vacuum state.
 
-    m! (1-y)^(-m/2) P_m((1-y)^(-1/2)) with y = |zeta|^2.
+    m! (1-y)^(-m/2) P_m((1-y)^(-1/2)) with y = |zeta|^2; a norm beyond the
+    float range raises ``OverflowError``.
     """
     if m < 0:
         raise ValueError("pasvs_norm requires m >= 0")
     omy = 1.0 - zeta.y
     x = omy**-0.5
-    return math.exp(specfun.log_factorial(m)) * omy ** (-0.5 * m) * specfun.legendre_p(m, x)
+    try:
+        norm = math.exp(specfun.log_factorial(m)) * omy ** (-0.5 * m) * specfun.legendre_p(m, x)
+    except OverflowError:
+        norm = math.inf
+    if not math.isfinite(norm):
+        raise OverflowError(f"pasvs_norm: norm overflows at zeta={zeta.zeta}, m={m}")
+    return norm
 
 
 def pasops_norm(zeta, m: int) -> float:
@@ -125,46 +132,70 @@ def pacsc_norm(param, m: int, form: str = "pfq") -> float:
 
     form="pfq": (m+mu)!/mu! * lamF_{2lam-1}(...; y) divided by the base
     normalization.  form="laguerre": the rotated-Laguerre sum over the lam
-    circle components; its imaginary part must vanish and is checked.
+    circle components; its imaginary part must vanish and is checked.  A
+    norm beyond the float range raises ``OverflowError``.
     """
     if m < 0:
         raise ValueError("pacsc_norm requires m >= 0")
     lam, mu = param.lam, param.mu
     if param.z == 0:
-        return math.exp(specfun.log_factorial(m + mu) - specfun.log_factorial(mu))
+        return _pacsc_in_float_range(
+            lambda: math.exp(specfun.log_factorial(m + mu) - specfun.log_factorial(mu)), param, m
+        )
     n_mu = csc_norm(param, "pfq")
     if form == "pfq":
         a_list = [(m + mu + j) / lam for j in range(1, lam + 1)]
         b_core = _csc_pfq_params(lam, mu)
         b_list = [1.0] + b_core + b_core
         series = specfun.generalized_pfq(a_list, b_list, param.y)
-        return (
-            math.exp(specfun.log_factorial(m + mu) - specfun.log_factorial(mu))
+        return _pacsc_in_float_range(
+            lambda: math.exp(specfun.log_factorial(m + mu) - specfun.log_factorial(mu))
             / n_mu
-            * series
+            * series,
+            param,
+            m,
         )
     if form == "laguerre":
-        t = param.t
-        t_sq = abs(t) ** 2
-        eps = cmath.exp(2j * math.pi / lam)
-        total = 0.0 + 0.0j
-        for nu in range(lam):
-            rot = eps**nu
-            total += eps ** (-mu * nu) * cmath.exp(t_sq * rot) * specfun.laguerre(
-                m, -t_sq * rot
-            )
-        value = (
-            math.exp(specfun.log_factorial(mu) + specfun.log_factorial(m))
-            * t_sq**-mu
-            / (lam * n_mu)
-            * total
-        )
+        value = _pacsc_in_float_range(lambda: _pacsc_laguerre_norm(param, m, n_mu), param, m)
         if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
             raise ValueError(
                 f"pacsc_norm laguerre form has non-vanishing imaginary part: {value.imag}"
             )
         return value.real
     raise ValueError(f"unknown pacsc_norm form: {form!r}")
+
+
+def _pacsc_in_float_range(compute, param, m: int):
+    """compute(), or an OverflowError that names ``pacsc_norm`` and its
+    parameters where a float operation in it overflows or its value is not
+    finite.  The kernels called before it, csc_norm and generalized_pfq,
+    raise their own named errors."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if not cmath.isfinite(value):
+        raise OverflowError(
+            f"pacsc_norm: norm overflows at z={param.z}, lam={param.lam}, mu={param.mu}, m={m}"
+        )
+    return value
+
+
+def _pacsc_laguerre_norm(param, m: int, n_mu: float) -> complex:
+    """The laguerre form of ``pacsc_norm`` before its imaginary part is checked."""
+    lam, mu = param.lam, param.mu
+    t_sq = abs(param.t) ** 2
+    eps = cmath.exp(2j * math.pi / lam)
+    total = 0.0 + 0.0j
+    for nu in range(lam):
+        rot = eps**nu
+        total += eps ** (-mu * nu) * cmath.exp(t_sq * rot) * specfun.laguerre(m, -t_sq * rot)
+    return (
+        math.exp(specfun.log_factorial(mu) + specfun.log_factorial(m))
+        * t_sq**-mu
+        / (lam * n_mu)
+        * total
+    )
 
 
 def _pasvs_forms(xi, n: int, zeta, m: int) -> tuple[complex, complex, complex]:

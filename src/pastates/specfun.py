@@ -15,8 +15,6 @@ import cmath
 import math
 from typing import Sequence
 
-from .quadrature import exp_sinh
-
 __all__ = [
     "log_factorial",
     "double_factorial",
@@ -332,30 +330,6 @@ def _kummer_u_miller(m: int, x: float) -> float:
         if trunc <= 0.5 * _EPS:
             return u
         n += n // 2 + 4
-
-
-def _kummer_u_integral(m: int, x: float) -> float:
-    """U(m,1,x) = (1/Gamma(m)) int_0^inf e^{-x t} t^{m-1} (1+t)^{-m} dt by
-    exp-sinh quadrature, for integer m >= 0 and finite x > 0; slow, kept as
-    the reference the recurrence is tested against."""
-    if m == 0:
-        return 1.0
-    lg = math.lgamma(m)
-
-    def integrand(t: float) -> float:
-        # assembled in log scale: t**(m-1) alone overflows long before the
-        # exponential cuts the tail off
-        ln = -x * t - m * math.log1p(t) - lg
-        if m > 1:
-            ln += (m - 1) * math.log(t)
-        if ln < -745.0:
-            return 0.0
-        return math.exp(ln)
-
-    res = exp_sinh(integrand, tol=1e-12, max_level=11)
-    if not res.converged:
-        raise ValueError(f"kummer_u_int: quadrature did not converge (m={m}, x={x})")
-    return res.value
 
 
 def kummer_u_int(m: int, x: float) -> float:

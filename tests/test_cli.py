@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 
@@ -313,11 +315,12 @@ def test_verify_all_makes_one_radial_pass_per_weight(capsys, tmp_path, monkeypat
 def test_verify_all_radial_lines_match_single_suites(capsys, tmp_path):
     radial = ("moment ", "unity ")
     battery = [line for line in run_verify_all(capsys, tmp_path) if line["check"].startswith(radial)]
-    single = tmp_path / "single.json"
     alone = []
-    for suite, params, tol in cli._BATTERY:
+    for i, (suite, params, tol) in enumerate(cli._BATTERY):
         if suite not in ("moments", "unity"):
             continue
+        # a new name per suite: replacing an existing file can cost a flush
+        single = tmp_path / f"single-{i}.json"
         argv = ["verify", suite, "--tol", str(tol), "--out", str(single)]
         for key, value in params.items():
             argv += ["--lambda" if key == "lam" else f"--{key}", str(value)]
@@ -372,8 +375,23 @@ def test_envelope_records_version_and_tolerance(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv,names",
     [
-        pytest.param(["state", "pasvs", "--zeta", "0.5", "--m", "200"], (), id="state"),
-        pytest.param(["norm", "pasvs", "--zeta", "0.5", "--m", "200"], (), id="norm"),
+        pytest.param(
+            ["state", "pasvs", "--zeta", "0.5", "--m", "200"], ("pasvs_norm", "m=200"), id="state"
+        ),
+        pytest.param(
+            ["norm", "pasvs", "--zeta", "0.5", "--m", "200"], ("pasvs_norm", "m=200"), id="norm"
+        ),
+        # the norm is inf below the m at which m! overflows
+        pytest.param(
+            ["state", "pasvs", "--zeta", "0.5", "--m", "170"],
+            ("pasvs_norm", "zeta=", "m=170"),
+            id="state-inf-norm",
+        ),
+        pytest.param(
+            ["norm", "pacsc", "--z", "0.8", "--lambda", "2", "--mu", "0", "--m", "200"],
+            ("pacsc_norm", "z=", "lam=2", "mu=0", "m=200"),
+            id="norm-pacsc",
+        ),
         pytest.param(["norm", "csc", "--z", "1000", "--lambda", "2"], ("z=",), id="norm-csc"),
         # |z|^2 overflows in CircleParam.y before any kernel runs
         pytest.param(
@@ -393,10 +411,37 @@ def test_numerical_overflow_exits_1_without_traceback(argv, names, capsys):
     assert "Traceback" not in err
 
 
-def test_failed_normalization_check_exits_1(capsys):
-    code, _, err = run_cli(["state", "pasvs", "--zeta", "0.5", "--m", "170"], capsys)
+def test_failed_normalization_check_exits_1(capsys, monkeypatch):
+    # a closed-form norm off by a factor of 2 must fail the constructor's check
+    from pastates import overlap
+
+    real = overlap.pasvs_norm
+    monkeypatch.setattr(overlap, "pasvs_norm", lambda zeta, m: 2.0 * real(zeta, m))
+    code, _, err = run_cli(["state", "pasvs", "--zeta", "0.5", "--m", "2"], capsys)
     assert code == 1
     assert "normalization check failed" in err
+
+
+@pytest.mark.parametrize("z", ["nan", "inf"])
+def test_non_finite_circle_label_exits_2(z, capsys):
+    code, out, err = run_cli(["state", "csc", "--z", z, "--lambda", "2"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "CircleParam" in err and "z=" in err
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_out_file_gets_the_mode_of_a_plain_open(umask, mode, tmp_path, capsys):
+    out = tmp_path / "state.csv"
+    previous = os.umask(umask)
+    try:
+        code, _, _ = run_cli(
+            ["state", "pasvs", "--zeta", "0.5", "--m", "2", "--out", str(out)], capsys
+        )
+    finally:
+        os.umask(previous)
+    assert code == 0
+    assert stat.S_IMODE(out.stat().st_mode) == mode
 
 
 def test_radial_nonconvergence_exits_1(monkeypatch, capsys):

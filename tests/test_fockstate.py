@@ -55,6 +55,12 @@ def test_circle_param_validation():
     assert p.y == pytest.approx(0.25 / 27)
 
 
+@pytest.mark.parametrize("z", [math.nan, math.inf, complex(0.5, math.nan), complex(-math.inf, 0.3)])
+def test_circle_param_rejects_non_finite_z(z):
+    with pytest.raises(ValueError, match="CircleParam requires a finite z, got z="):
+        fs.CircleParam(z, 2, 0)
+
+
 @pytest.mark.parametrize("z", [0.7, -0.4, 0.3 + 0.9j, 1.2 * unit_phase(2.8)])
 @pytest.mark.parametrize("lam", [1, 2, 3, 5])
 def test_circle_param_root_reproduces_z(z, lam):

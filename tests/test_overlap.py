@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from pastates import fockstate as fs
 from pastates import overlap as ov
-from pastates.specfun import laguerre, legendre_p_deriv, log_factorial
+from pastates.specfun import laguerre, legendre_p, legendre_p_deriv, log_factorial
 
 
 def sq(value) -> fs.SqueezeParam:
@@ -93,6 +93,20 @@ def test_pasops_norm_one_photon_series(m):
         for k in range(300)
     )
     assert ov.pasops_norm(sq(0.5), m) == pytest.approx((1 - y) ** 1.5 * series, rel=1e-10)
+
+
+@pytest.mark.parametrize("m", [169, 170, 200])
+def test_pasvs_norm_overflow_names_function_and_parameters(m):
+    # inf below m = 171, an overflowing m! from there on
+    with pytest.raises(OverflowError, match=rf"pasvs_norm: .*zeta=\(0\.5\+0j\), m={m}$"):
+        ov.pasvs_norm(sq(0.5), m)
+
+
+def test_pasvs_norm_keeps_the_largest_finite_value():
+    # m = 150 is the last finite norm at |zeta| = 0.5: the printed formula, unchanged
+    omy = 0.75
+    want = math.exp(log_factorial(150)) * omy**-75.0 * legendre_p(150, omy**-0.5)
+    assert ov.pasvs_norm(sq(0.5), 150) == want
 
 
 def test_pasops_norm_rejects_negative_index():
@@ -508,6 +522,15 @@ def test_pacsc_norm_two_forms(lam, mu, m, z):
     a = ov.pacsc_norm(p, m, "pfq")
     b = ov.pacsc_norm(p, m, "laguerre")
     assert a == pytest.approx(b, rel=1e-9)
+
+
+# at z = 0 the norm is m!, finite up to m = 170
+@pytest.mark.parametrize("z,m", [(0.8, 169), (0.8, 170), (0.8, 200), (0.0, 200)])
+@pytest.mark.parametrize("form", ["pfq", "laguerre"])
+def test_pacsc_norm_overflow_names_function_and_parameters(z, m, form):
+    want = rf"pacsc_norm: .*z=.*, lam=2, mu=0, m={m}$"
+    with pytest.raises(OverflowError, match=want):
+        ov.pacsc_norm(circle(z, 2, 0), m, form)
 
 
 def test_pacsc_norm_series_oracle():
