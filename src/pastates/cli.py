@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import functools
 import json
 import math
 import os
@@ -73,20 +72,6 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _json_ready(obj):
-    if isinstance(obj, complex):
-        return {"re": obj.real, "im": obj.imag}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
-
-
 def _write_output(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -110,16 +95,26 @@ def _write_output(text: str, out_path: str | None) -> None:
 def _envelope(command: str, parameters: dict, results, max_error: float, tol: float) -> dict:
     return {
         "command": command,
-        "parameters": _json_ready({**parameters, "tol": tol}),
-        "results": _json_ready(results),
+        "parameters": {**parameters, "tol": tol},
+        "results": results,
         "max_error": max_error,
         "pass": bool(max_error < tol),
         "tool_version": __version__,
     }
 
 
+def _json_default(obj):
+    """The JSON form of what ``json`` cannot write itself: complex values
+    and numpy integers (numpy's float64 is a float)."""
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag}
+    if isinstance(obj, np.integer):
+        return int(obj)
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+
+
 def _emit_envelope(env: dict, out_path: str | None) -> int:
-    _write_output(json.dumps(env, sort_keys=True, indent=2) + "\n", out_path)
+    _write_output(json.dumps(env, sort_keys=True, indent=2, default=_json_default) + "\n", out_path)
     return 0 if env["pass"] else 1
 
 
@@ -133,12 +128,23 @@ def _csv_table(header: list[str], rows: list[list[float]], preamble: list[str] |
 
 # ----------------------------------------------------------------- state
 
+def _label(args):
+    """The squeezing (--zeta) or circle (--z) label of a state or norm
+    command's family."""
+    flag = "zeta" if args.family in ("pasvs", "pasops", "sns") else "z"
+    text = getattr(args, flag)
+    if text is None:
+        raise UsageError(f"{args.command} {args.family} requires --{flag}")
+    if flag == "zeta":
+        return fockstate.SqueezeParam(parse_complex(text))
+    return fockstate.CircleParam(parse_complex(text), args.lam, args.mu)
+
+
 def _build_state(args) -> fockstate.FockVector:
+    param = _label(args)
     if args.family in ("pasvs", "pasops", "sns"):
-        param = fockstate.SqueezeParam(parse_complex(args.zeta))
         builder = {"pasvs": fockstate.pasvs, "pasops": fockstate.pasops, "sns": fockstate.sns}
         return builder[args.family](param, args.m, eps=args.eps)
-    param = fockstate.CircleParam(parse_complex(args.z), args.lam, args.mu)
     if args.family == "csc":
         return fockstate.csc(param, eps=args.eps)
     return fockstate.pacsc(param, args.m, eps=args.eps)
@@ -172,9 +178,9 @@ def cmd_state(args) -> int:
 # ----------------------------------------------------------------- overlap
 
 def cmd_overlap(args) -> int:
+    xi = fockstate.SqueezeParam(parse_complex(args.xi))
+    zeta = fockstate.SqueezeParam(parse_complex(args.zeta))
     if args.family in ("sv", "sops"):
-        xi = fockstate.SqueezeParam(parse_complex(args.xi))
-        zeta = fockstate.SqueezeParam(parse_complex(args.zeta))
         if args.family == "sv":
             value, build = overlap.sv_overlap(xi, zeta), fockstate.pasvs
         else:
@@ -190,8 +196,6 @@ def cmd_overlap(args) -> int:
             args.tol,
         )
         return _emit_envelope(env, args.out)
-    xi = fockstate.SqueezeParam(parse_complex(args.xi))
-    zeta = fockstate.SqueezeParam(parse_complex(args.zeta))
     form = int(args.form) if args.form in ("1", "2", "3") else args.form
     fn = overlap.pasvs_overlap if args.family == "pasvs" else overlap.pasops_overlap
     res = fn(xi, args.n, zeta, args.m, form=form)
@@ -216,8 +220,8 @@ def cmd_overlap(args) -> int:
 # ----------------------------------------------------------------- norm
 
 def cmd_norm(args) -> int:
+    param = _label(args)
     if args.family in ("pasvs", "pasops"):
-        param = fockstate.SqueezeParam(parse_complex(args.zeta))
         if args.family == "pasvs":
             value = overlap.pasvs_norm(param, args.m)
             vec = fockstate.pasvs(param, args.m, eps=overlap._SERIES_EPS)
@@ -228,7 +232,6 @@ def cmd_norm(args) -> int:
         results = {"value": value, "normalization_defect": err}
         params = {"family": args.family, "zeta": args.zeta, "m": args.m}
     else:
-        param = fockstate.CircleParam(parse_complex(args.z), args.lam, args.mu)
         if args.family == "csc":
             a = overlap.csc_norm(param, "pfq")
             b = overlap.csc_norm(param, "circle")
@@ -291,15 +294,14 @@ def cmd_weights(args) -> int:
 
 # ----------------------------------------------------------------- verify
 
-def _wf_from(family: str, m: int, mu, lam) -> complete.WeightFunction:
-    if family == "pacsc":
-        return complete.WeightFunction(family, m, mu=mu, lam=lam)
-    return complete.WeightFunction(family, m)
-
-
 def _radial_check(suite: str, args) -> tuple:
     """The ``complete.radial_checks`` entry of a moments or unity suite."""
-    wf = _wf_from(args.family, args.m, args.mu, args.lam)
+    if args.family != "pacsc":
+        wf = complete.WeightFunction(args.family, args.m)
+    elif args.mu is None or args.lam is None:
+        raise UsageError("pacsc verification requires --mu and --lambda")
+    else:
+        wf = complete.WeightFunction("pacsc", args.m, mu=args.mu, lam=args.lam)
     return (suite, wf, args.kmax if suite == "moments" else args.dim)
 
 
@@ -334,11 +336,6 @@ def _unity_lines(args, mat, lines: list[dict]) -> float:
 
 # line writers of the suites whose checks are batched by complete.radial_checks
 _RADIAL_LINES = {"moments": _moment_lines, "unity": _unity_lines}
-
-
-def _verify_radial(suite: str, args, lines: list[dict]) -> float:
-    (result,) = complete.radial_checks([_radial_check(suite, args)])
-    return _RADIAL_LINES[suite](args, result, lines)
 
 
 def _verify_discrete(args, lines: list[dict]) -> float:
@@ -427,19 +424,6 @@ def _overlap_lines(args, grid: tuple[float, int], lines: list[dict]) -> float:
     return worst
 
 
-def _verify_overlaps(args, lines: list[dict]) -> float:
-    grids = overlap.overlap_grids([args.family], _label_pairs(args.moduli), args.max_n)
-    return _overlap_lines(args, grids[args.family], lines)
-
-
-_SUITES = {
-    "moments": functools.partial(_verify_radial, "moments"),
-    "unity": functools.partial(_verify_radial, "unity"),
-    "discrete": _verify_discrete,
-    "carleman": _verify_carleman,
-    "overlaps": _verify_overlaps,
-}
-
 # (suite, arguments, tolerance) of every check in ``verify all``, in order
 _BATTERY = (
     [("moments", {"family": "pasvs", "m": m, "kmax": 10}, 1e-8) for m in range(1, 7)]
@@ -464,41 +448,36 @@ _BATTERY = (
 )
 
 
-def _run_verify_all(lines: list[dict]) -> tuple[float, float]:
-    """Acceptance-scale battery; returns the worst error-to-tolerance ratio
-    against a unit tolerance.  Every moments and unity check goes through
-    one ``complete.radial_checks`` call, so each radial weight is integrated
-    once, and the overlaps checks of one grid through one
-    ``overlap.overlap_grids`` call, so each point and oracle vector is
-    evaluated once; the lines keep the battery's order."""
-    # carleman reads its tolerance as the limit, every other suite as tol
-    battery = [
-        (suite, argparse.Namespace(**{"mu": None, "lam": None, **params}, tol=tol, limit=tol), tol)
-        for suite, params, tol in _BATTERY
-    ]
+def _run_battery(entries, lines: list[dict]) -> list[float]:
+    """Run the (suite, args) entries of a battery, append their lines in
+    entry order and return each entry's error.  Every moments and unity
+    entry goes through one ``complete.radial_checks`` call, so each radial
+    weight is integrated once, and the overlaps entries of one (moduli,
+    max_n) grid through one ``overlap.overlap_grids`` call, so each point
+    and oracle vector is evaluated once."""
     radial = iter(
         complete.radial_checks(
-            [_radial_check(suite, args) for suite, args, _ in battery if suite in _RADIAL_LINES]
+            [_radial_check(suite, args) for suite, args in entries if suite in _RADIAL_LINES]
         )
     )
     families = {}
-    for suite, args, _ in battery:
+    for suite, args in entries:
         if suite == "overlaps":
             families.setdefault((args.moduli, args.max_n), []).append(args.family)
     grids = {
         (moduli, max_n): overlap.overlap_grids(fams, _label_pairs(moduli), max_n)
         for (moduli, max_n), fams in families.items()
     }
-    worst_ratio = 0.0
-    for suite, args, tol in battery:
+    errors = []
+    for suite, args in entries:
         if suite in _RADIAL_LINES:
             err = _RADIAL_LINES[suite](args, next(radial), lines)
         elif suite == "overlaps":
             err = _overlap_lines(args, grids[args.moduli, args.max_n][args.family], lines)
         else:
-            err = _SUITES[suite](args, lines)
-        worst_ratio = max(worst_ratio, err / tol)
-    return worst_ratio, 1.0
+            err = (_verify_discrete if suite == "discrete" else _verify_carleman)(args, lines)
+        errors.append(err)
+    return errors
 
 
 def cmd_verify(args) -> int:
@@ -508,9 +487,17 @@ def cmd_verify(args) -> int:
         args.dim = 8 if args.suite == "discrete" else 12
     lines: list[dict] = []
     if args.suite == "all":
-        max_err, tol = _run_verify_all(lines)
+        # carleman reads its tolerance as the limit, every other suite as tol
+        entries = [
+            (suite, argparse.Namespace(**{"mu": None, "lam": None, **params}, tol=tol, limit=tol))
+            for suite, params, tol in _BATTERY
+        ]
+        # the worst error-to-tolerance ratio, against a unit tolerance
+        max_err, tol = 0.0, 1.0
+        for (_, entry), err in zip(entries, _run_battery(entries, lines)):
+            max_err = max(max_err, err / entry.tol)
     else:
-        max_err = _SUITES[args.suite](args, lines)
+        (max_err,) = _run_battery([(args.suite, args)], lines)
         tol = args.limit if args.suite == "carleman" else args.tol
     all_pass = all(line["pass"] for line in lines) and max_err < tol
     for line in lines:
@@ -530,7 +517,7 @@ def cmd_verify(args) -> int:
     )
     env["pass"] = bool(all_pass)
     if args.out:
-        _write_output(json.dumps(env, sort_keys=True, indent=2) + "\n", args.out)
+        _emit_envelope(env, args.out)
     print(f"verify {args.suite}: {'PASS' if all_pass else 'FAIL'}")
     return 0 if all_pass else 1
 
@@ -619,19 +606,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "state":
-            if args.family in ("pasvs", "pasops", "sns") and args.zeta is None:
-                raise UsageError(f"state {args.family} requires --zeta")
-            if args.family in ("csc", "pacsc") and args.z is None:
-                raise UsageError(f"state {args.family} requires --z")
-        if args.command == "norm":
-            if args.family in ("pasvs", "pasops") and args.zeta is None:
-                raise UsageError(f"norm {args.family} requires --zeta")
-            if args.family in ("csc", "pacsc") and args.z is None:
-                raise UsageError(f"norm {args.family} requires --z")
-        if args.command == "verify" and args.suite in ("moments", "unity") and args.family == "pacsc":
-            if args.mu is None or args.lam is None:
-                raise UsageError("pacsc verification requires --mu and --lambda")
         return args.func(args)
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -185,11 +185,15 @@ def _build_truncated(log_mag0, phase_unit, ratio, limit_ratio, eps):
         r = r_next
 
 
+def _check_eps(name: str, eps: float) -> None:
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"{name} requires a finite eps > 0, got eps={eps}")
+
+
 def _check_pasvs_args(param: SqueezeParam, m: int, eps: float) -> None:
     if m < 0:
         raise ValueError("pasvs requires m >= 0")
-    if eps <= 0:
-        raise ValueError("pasvs requires eps > 0")
+    _check_eps("pasvs", eps)
     if abs(param.zeta) >= 1.0 - 1e-12:
         raise ValueError("pasvs: |zeta| too close to 1, truncation cost diverges")
 
@@ -285,6 +289,7 @@ def pasops(param: SqueezeParam, m: int, eps: float = 1e-14) -> FockVector:
     """
     if m < 0:
         raise ValueError("pasops requires m >= 0")
+    _check_eps("pasops", eps)
     return pasvs(param, m + 1, eps)
 
 
@@ -341,6 +346,7 @@ def _sns_states(param: SqueezeParam, ms, eps: float) -> list[FockVector]:
     """
     if any(m < 0 for m in ms):
         raise ValueError("sns requires m >= 0")
+    _check_eps("sns", eps)
     if param.zeta == 0 or not ms:
         return [_unit_vector(m, 2) for m in ms]
     top = max(ms)
@@ -361,8 +367,7 @@ def _sns_states(param: SqueezeParam, ms, eps: float) -> list[FockVector]:
 
 def csc(param: CircleParam, eps: float = 1e-14) -> FockVector:
     """Eigenstate of a^lam on the subspace with photon numbers = mu mod lam."""
-    if eps <= 0:
-        raise ValueError("csc requires eps > 0")
+    _check_eps("csc", eps)
     lam, mu = param.lam, param.mu
     if param.z == 0:
         return _unit_vector(mu, lam)
@@ -384,8 +389,7 @@ def pacsc(param: CircleParam, m: int, eps: float = 1e-14) -> FockVector:
     """Photon-added circle coherent state |z, mu, m> as a Fock vector."""
     if m < 0:
         raise ValueError("pacsc requires m >= 0")
-    if eps <= 0:
-        raise ValueError("pacsc requires eps > 0")
+    _check_eps("pacsc", eps)
     lam, mu = param.lam, param.mu
     if param.z == 0:
         return _unit_vector(m + mu, lam)

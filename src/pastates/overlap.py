@@ -91,11 +91,15 @@ def pasops_norm(zeta, m: int) -> float:
     """Squared norm of (a^dag)^m applied to a squeezed one-photon state.
 
     (m+1)! (1-y)^(-(m-1)/2) P_{m+1}((1-y)^(-1/2)): the squeezed vacuum norm
-    at m+1 times 1-y, since S(zeta)|1> = sqrt(1-y) a^dag S(zeta)|0>.
+    at m+1 times 1-y, since S(zeta)|1> = sqrt(1-y) a^dag S(zeta)|0>; a
+    norm beyond the float range raises ``OverflowError``.
     """
     if m < 0:
         raise ValueError("pasops_norm requires m >= 0")
-    return (1.0 - zeta.y) * pasvs_norm(zeta, m + 1)
+    try:
+        return (1.0 - zeta.y) * pasvs_norm(zeta, m + 1)
+    except OverflowError:
+        raise OverflowError(f"pasops_norm: norm overflows at zeta={zeta.zeta}, m={m}") from None
 
 
 def _csc_pfq_params(lam: int, mu: int) -> list[float]:

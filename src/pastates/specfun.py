@@ -119,48 +119,38 @@ def legendre_p_deriv(order: int, degree: int, x):
 def legendre_q(n: int, x: float, x_minus_1: float | None = None) -> float:
     """Legendre function of the second kind Q_n(x) for x > 1.
 
-    Near x = 1 (precisely, while 2 n acosh(x) is small) Q_n is evaluated as
-    (1/2) P_n(x) ln((x+1)/(x-1)) minus the finite Legendre sum.  That form
-    cancels like exp(2 n acosh x), so for larger arguments a backward
-    (Miller-type) recurrence normalized at the exact Q_0 takes over.
-    ``x_minus_1`` lets the caller supply x - 1 in exact form when x is close
-    to 1, where forming the difference would lose digits.
+    Q_0 = (1/2) ln((x+1)/(x-1)) is evaluated as (1/2) log1p(2/(x-1)), which
+    keeps its digits at both ends.  Near x = 1 (precisely, while
+    2 n acosh(x) <= 11) Q_n is P_n(x) Q_0 minus the finite Legendre sum.
+    That form cancels like exp(2 n acosh x), so for larger arguments
+    Miller's backward recurrence takes over, run in ratio form:
+    r_k = Q_k / Q_(k-1) = k / ((2k+1) x - (k+1) r_(k+1)) from r = 0 above
+    the buffer that kills the admixed P component, so nothing overflows,
+    and Q_n = Q_0 r_1 ... r_n.  ``x_minus_1`` lets the caller supply x - 1
+    in exact form when x is close to 1, where forming the difference would
+    lose digits.
     """
     if n < 0:
         raise ValueError("legendre_q requires n >= 0")
     xm1 = (x - 1.0) if x_minus_1 is None else x_minus_1
     if xm1 <= 0.0:
         raise ValueError("legendre_q requires x > 1")
-    log_term = math.log(x + 1.0) - math.log(xm1)
-    q0 = 0.5 * log_term
+    q0 = 0.5 * math.log1p(2.0 / xm1)
     if n == 0:
         return q0
     theta = math.log1p(xm1 + math.sqrt(xm1 * (x + 1.0)))  # acosh(x), stable
-    if 2.0 * n * theta <= 11.0 or n <= 2:
-        q = 0.5 * legendre_p(n, x) * log_term
+    if 2.0 * n * theta <= 11.0:
+        q = legendre_p(n, x) * q0
         for k in range((n - 1) // 2 + 1):
             q -= (2 * n - 4 * k - 1) / ((n - k) * (2 * k + 1)) * legendre_p(n - 2 * k - 1, x)
         return q
-    # Miller: Q is the dominant solution running downward, so seed high and
-    # rescale by the exact Q_0.  Buffer kills the admixed P component.
-    buffer = int(21.0 / theta) + 10
-    top = n + buffer
-    q_hi = 0.0
-    q_lo = 1e-290
-    vals = {}
-    for k in range(top, 0, -1):
-        # (k+1) Q_{k+1} = (2k+1) x Q_k - k Q_{k-1}, solved for Q_{k-1}
-        q_prev = ((2 * k + 1) * x * q_lo - (k + 1) * q_hi) / k
-        if k - 1 <= n:
-            vals[k - 1] = q_prev
-        if abs(q_prev) > 1e280:
-            scale = 1e-280
-            q_prev *= scale
-            q_lo *= scale
-            for kk in vals:
-                vals[kk] *= scale
-        q_hi, q_lo = q_lo, q_prev
-    return vals[n] * (q0 / vals[0])
+    r = 0.0
+    q = q0
+    for k in range(n + int(21.0 / theta) + 10, 0, -1):
+        r = k / ((2 * k + 1) * x - (k + 1) * r)
+        if k <= n:
+            q *= r
+    return q
 
 
 def _nonpositive_int(v: float) -> bool:

@@ -5,6 +5,7 @@ import stat
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from pastates import cli
@@ -74,10 +75,31 @@ def test_state_circle_family_json(capsys):
     assert ns[0] == 1 and all((n - 1) % 2 == 0 for n in ns)
 
 
-def test_state_requires_label(capsys):
-    code, _, err = run_cli(["state", "pasvs", "--m", "1"], capsys)
+@pytest.mark.parametrize(
+    "command, family, flag",
+    [(command, family, "zeta") for command in ("state", "norm") for family in ("pasvs", "pasops")]
+    + [("state", "sns", "zeta")]
+    + [(command, family, "z") for command in ("state", "norm") for family in ("csc", "pacsc")],
+)
+def test_missing_label_is_a_usage_error(command, family, flag, capsys):
+    code, out, err = run_cli([command, family, "--m", "1"], capsys)
     assert code == 2
-    assert "requires --zeta" in err
+    assert out == ""
+    assert err == f"error: {command} {family} requires --{flag}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["state", "pasvs", "--zeta", "0.5", "--m", "1", "--eps", "nan"], "pasvs"),
+        (["state", "csc", "--z", "0.5", "--eps", "inf"], "csc"),
+    ],
+)
+def test_non_finite_eps_exits_2(argv, name, capsys):
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {name} requires a finite eps > 0, got eps=")
 
 
 def test_state_rejects_bad_modulus(capsys):
@@ -313,27 +335,29 @@ def test_verify_all_makes_one_radial_pass_per_weight(capsys, tmp_path, monkeypat
 
 
 def test_verify_all_radial_lines_match_single_suites(capsys, tmp_path):
-    radial = ("moment ", "unity ")
-    battery = [line for line in run_verify_all(capsys, tmp_path) if line["check"].startswith(radial)]
+    battery = run_verify_all(capsys, tmp_path)
     alone = []
     for i, (suite, params, tol) in enumerate(cli._BATTERY):
-        if suite not in ("moments", "unity"):
-            continue
         # a new name per suite: replacing an existing file can cost a flush
         single = tmp_path / f"single-{i}.json"
-        argv = ["verify", suite, "--tol", str(tol), "--out", str(single)]
+        # carleman reads the battery's tolerance as its limit
+        argv = ["verify", suite, "--tol", str(tol), "--limit", str(tol), "--out", str(single)]
         for key, value in params.items():
-            argv += ["--lambda" if key == "lam" else f"--{key}", str(value)]
-        run_cli(argv, capsys)
+            argv += ["--" + {"lam": "lambda"}.get(key, key).replace("_", "-"), str(value)]
+        assert run_cli(argv, capsys)[0] == 0
         alone += json.loads(single.read_text())["results"]
-    assert len(battery) == len(alone) == 6 * 11 + 6 * 11 + 20 * 9 + 12
+    radial = 6 * 11 + 6 * 11 + 20 * 9 + 12
+    assert len(battery) == len(alone) == radial + 4 + 4 * 5 + 2
     for got, want in zip(battery, alone):
         assert got["check"] == want["check"] and got["pass"]
         if "lhs" in want:
             assert got["rhs"] == want["rhs"]
             assert abs(got["lhs"] - want["lhs"]) <= 1e-12 * abs(want["lhs"])
-        else:
+        elif "identity_deviation" in want:
             assert abs(got["identity_deviation"] - want["identity_deviation"]) <= 1e-12
+        else:
+            # discrete, carleman and overlaps lines are computed the same way alone
+            assert got == want
 
 
 # ------------------------------------------------------------ determinism
@@ -355,6 +379,14 @@ def test_outputs_are_byte_identical(tmp_path, capsys):
             capsys,
         )
     assert ja.read_bytes() == jb.read_bytes()
+
+
+def test_envelope_json_writes_complex_values_and_numpy_integers(capsys):
+    env = cli._envelope("x", {"n": np.int64(3)}, {"value": [0.5 - 2j]}, 0.0, 1.0)
+    assert cli._emit_envelope(env, None) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert got["parameters"] == {"n": 3, "tol": 1.0}
+    assert got["results"] == {"value": [{"re": 0.5, "im": -2.0}]}
 
 
 def test_envelope_records_version_and_tolerance(tmp_path, capsys):
@@ -386,6 +418,12 @@ def test_envelope_records_version_and_tolerance(tmp_path, capsys):
             ["state", "pasvs", "--zeta", "0.5", "--m", "170"],
             ("pasvs_norm", "zeta=", "m=170"),
             id="state-inf-norm",
+        ),
+        # pasops is built from pasvs at m + 1, but keeps its own name and index
+        pytest.param(
+            ["norm", "pasops", "--zeta", "0.5", "--m", "170"],
+            ("pasops_norm", "zeta=", "m=170"),
+            id="norm-pasops",
         ),
         pytest.param(
             ["norm", "pacsc", "--z", "0.8", "--lambda", "2", "--mu", "0", "--m", "200"],

@@ -104,6 +104,24 @@ def test_weight_h_boundary_behavior():
     assert cm.weight_h(2, 1e-60) > 10.0
 
 
+@pytest.mark.parametrize("m", [3, 4])
+def test_weight_h_near_one_matches_mpmath(m):
+    # (1-y)^((m-2)/2) Q_(m-2)((1-y)^(-1/2)) / (2 pi (m-2)!); near y = 1 the
+    # explicit Legendre sum for Q_1 and Q_2 cancels catastrophically
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for omy in np.logspace(-2, -14, 25):
+            omy = float(omy)
+            x = 1 / mpmath.sqrt(omy)
+            ref = (
+                mpmath.mpf(omy) ** (mpmath.mpf(m - 2) / 2)
+                * mpmath.legenq(m - 2, 0, x, type=3).real
+                / (2 * mpmath.pi * math.factorial(m - 2))
+            )
+            got = cm.weight_h(m, 1.0 - omy, one_minus_y=omy)
+            assert abs(got - ref) <= 1e-9 * ref, (m, omy, got, float(ref))
+
+
 def test_weight_h_positivity():
     for m in range(1, 9):
         for y in np.linspace(0.01, 0.99, 25):

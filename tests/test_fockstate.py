@@ -157,6 +157,24 @@ def test_pasvs_columns_reject_what_pasvs_rejects(zeta, index, eps):
     assert str(batch.value) == str(scalar.value)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, 0.0])
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        ("pasvs", lambda eps: fs.pasvs(fs.SqueezeParam(0.5), 1, eps)),
+        ("pasops", lambda eps: fs.pasops(fs.SqueezeParam(0.5), 1, eps)),
+        ("sns", lambda eps: fs.sns(fs.SqueezeParam(0.5), 1, eps)),
+        ("csc", lambda eps: fs.csc(fs.CircleParam(0.5, 2, 0), eps)),
+        ("pacsc", lambda eps: fs.pacsc(fs.CircleParam(0.5, 2, 0), 1, eps)),
+    ],
+)
+def test_constructors_reject_bad_eps(name, build, eps):
+    # a NaN tolerance never stops the truncation; an infinite one stops it
+    # at the first term, short of normalization
+    with pytest.raises(ValueError, match=rf"^{name} requires a finite eps > 0, got eps="):
+        build(eps)
+
+
 # ------------------------------------------------------------ pasops
 
 def test_pasops_zero_squeezing():

@@ -102,6 +102,14 @@ def test_pasvs_norm_overflow_names_function_and_parameters(m):
         ov.pasvs_norm(sq(0.5), m)
 
 
+@pytest.mark.parametrize("m", [150, 170, 200])
+def test_pasops_norm_overflow_names_function_and_parameters(m):
+    # its own name and index, not those of the pasvs_norm(m + 1) it is built from
+    with pytest.raises(OverflowError, match=rf"pasops_norm: .*zeta=\(0\.5\+0j\), m={m}$"):
+        ov.pasops_norm(sq(0.5), m)
+    assert math.isfinite(ov.pasops_norm(sq(0.5), 149))
+
+
 def test_pasvs_norm_keeps_the_largest_finite_value():
     # m = 150 is the last finite norm at |zeta| = 0.5: the printed formula, unchanged
     omy = 0.75

@@ -127,6 +127,26 @@ def test_legendre_q_neumann_integral(n, x):
     assert q == pytest.approx(res.value, rel=2e-11)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 10, 20, 40])
+def test_legendre_q_matches_mpmath(n):
+    # x - 1 from 1e-12 to 1e12 crosses both sides of the switch from the
+    # explicit sum to the recurrence, at 2 n acosh(x) = 11, for every n
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        for xm1 in np.logspace(-12, 12, 49):
+            xm1 = float(xm1)
+            ref = mpmath.legenq(n, 0, 1 + mpmath.mpf(xm1), type=3).real
+            if ref < 1e-300:
+                continue  # below the normal float range
+            got = sf.legendre_q(n, 1.0 + xm1, x_minus_1=xm1)
+            assert abs(got - ref) <= 1e-9 * ref, (n, xm1, got, float(ref))
+
+
+def test_legendre_q_finite_far_from_one():
+    # a value near the bottom of the float range, reached through the recurrence
+    assert sf.legendre_q(3, 3e54) == pytest.approx(7.0546737213403891e-220, rel=1e-13)
+
+
 @pytest.mark.parametrize("x", [1.001, 1.5, 4.0, 10.0])
 def test_legendre_pq_wronskian(x):
     # P_n Q_{n-1} - P_{n-1} Q_n = 1/n
