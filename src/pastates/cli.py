@@ -451,10 +451,10 @@ _BATTERY = (
 def _run_battery(entries, lines: list[dict]) -> list[float]:
     """Run the (suite, args) entries of a battery, append their lines in
     entry order and return each entry's error.  Every moments and unity
-    entry goes through one ``complete.radial_checks`` call, so each radial
-    weight is integrated once, and the overlaps entries of one (moduli,
-    max_n) grid through one ``overlap.overlap_grids`` call, so each point
-    and oracle vector is evaluated once."""
+    entry goes through one ``complete.radial_checks`` call, so each kind of
+    radial weight is integrated in one pass, and the overlaps entries of
+    one (moduli, max_n) grid through one ``overlap.overlap_grids`` call, so
+    each point and oracle vector is evaluated once."""
     radial = iter(
         complete.radial_checks(
             [_radial_check(suite, args) for suite, args in entries if suite in _RADIAL_LINES]

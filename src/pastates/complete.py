@@ -2,9 +2,11 @@
 unity, and the Carleman uniqueness test.
 
 The continuous resolutions reduce, after exact angular integration, to
-radial power moments of the weight functions; all the moments of one weight
-come from one nested double-exponential pass, which evaluates the weight
-once per node, and are verified against log-space factorial references.  The
+radial power moments of two kinds of weight: h_m on (0, 1) for the squeezed
+families and e^(-x) U(m,1,x) on (0, inf) for the circle family.  All the
+moments of one kind, at every index, come from one nested double-exponential
+pass, which evaluates every index at a node from one recurrence, and are
+verified against log-space factorial references.  The
 discrete resolution over the photon-added family is V D V^H, with V the
 photon-added states |zeta, 0..top> on the Fock block and D the Hermitian
 matrix of pair coefficients: closed-form, or resummed numerically as C^T
@@ -112,12 +114,23 @@ class OperatorMatrix:
         return float(np.max(np.abs(off)))
 
 
-def _stable_x_args(y: float, omy: float) -> tuple[float, float]:
-    """(x, x-1) for x = (1-y)^(-1/2) without cancellation at either end."""
-    sq = math.sqrt(omy)
-    x = 1.0 / sq
-    x_minus_1 = y / (sq * (1.0 + sq))
-    return x, x_minus_1
+def _vacuum_weight_table(m_max: int, y: np.ndarray, omy: np.ndarray) -> np.ndarray:
+    """Closed forms of h_1..h_m_max on an array of y in (0, 1), with 1-y
+    given as ``omy``: column m-1 holds h_m.
+
+    h_1 = 1/(2 pi sqrt(1-y)), and h_m = (1-y)^((m-2)/2) Q_(m-2)(x) /
+    (2 pi (m-2)!) for m >= 2, with x = (1-y)^(-1/2) and x-1 formed without
+    cancellation at either end; one Legendre table gives every Q.
+    """
+    sq = np.sqrt(omy)
+    h = np.empty((len(y), m_max))
+    h[:, 0] = 1.0 / (_TWO_PI * sq)
+    if m_max >= 2:
+        n = np.arange(m_max - 1)
+        q = specfun.legendre_q_table(m_max - 2, 1.0 / sq, y / (sq * (1.0 + sq)))
+        factorials = np.array([math.factorial(k) for k in n.tolist()], dtype=float)
+        h[:, 1:] = omy[:, None] ** (0.5 * n) * q / (_TWO_PI * factorials)
+    return h
 
 
 def weight_h(m: int, y: float, form: str = "closed", one_minus_y: float | None = None) -> float:
@@ -137,14 +150,7 @@ def weight_h(m: int, y: float, form: str = "closed", one_minus_y: float | None =
     if not (y > 0.0 and omy > 0.0):
         raise ValueError("weight_h requires 0 < y < 1")
     if form == "closed":
-        if m == 1:
-            return 1.0 / (_TWO_PI * math.sqrt(omy))
-        x, xm1 = _stable_x_args(y, omy)
-        return (
-            omy ** (0.5 * (m - 2))
-            * specfun.legendre_q(m - 2, x, x_minus_1=xm1)
-            / (_TWO_PI * math.exp(specfun.log_factorial(m - 2)))
-        )
+        return float(_vacuum_weight_table(m, np.array([y]), np.array([omy]))[0, m - 1])
     if form == "hypergeometric":
         pref = 1.0 / (_TWO_PI * specfun.double_factorial(2 * m - 3))
         hyp = specfun.gauss_2f1(0.5 * m, 0.5 * (m - 1), m - 0.5, omy)
@@ -205,29 +211,35 @@ def _integrand(wf: WeightFunction) -> tuple[str, int]:
     return ("vacuum", _vacuum_index(wf))
 
 
-def _radial_moments(integrand: tuple[str, int], powers) -> list[QuadResult]:
-    """Integrals of y^p h(y) over the radial domain of ``integrand`` for
-    every p in ``powers``, from one nested pass that evaluates the weight
-    once per node.
+def _radial_pass(kind: str, pairs: list[tuple[int, float]]) -> list[QuadResult]:
+    """Integrals of y^p h_i(y) over the radial domain of ``kind`` for every
+    (index i, power p) in ``pairs``, from one nested pass that evaluates
+    every index at a node from one recurrence.
 
-    For ("laplace", m) h is e^(-x) U(m,1,x) on (0, inf): the circle-family
-    measure after the exact angular reduction and the substitution mapping
-    it to the Laplace variable.  For ("vacuum", m) h is h_m on (0, 1).
+    For "laplace", h_i is e^(-x) U(i,1,x) on (0, inf): the circle-family
+    measure at m = i after the exact angular reduction and the substitution
+    mapping it to the Laplace variable.  For "vacuum", h_i is the weight h_i
+    of the vacuum family on (0, 1).
     """
-    kind, m = integrand
+    indices = [i for i, _ in pairs]
+    powers = [p for _, p in pairs]
+    top = max(indices)
     if kind == "laplace":
 
         def laplace(x: np.ndarray) -> np.ndarray:
-            return np.array([math.exp(-xi) * specfun.kummer_u_int(m, xi) for xi in x.tolist()])
+            return np.exp(-x)[:, None] * specfun.kummer_u_table(top, x)
 
-        return exp_sinh_moments(laplace, powers, tol=_QUAD_TOL, max_level=_QUAD_MAX_LEVEL)
-
-    def radial(y: np.ndarray, da: np.ndarray, db: np.ndarray) -> np.ndarray:
-        return np.array(
-            [weight_h(m, yi, one_minus_y=dbi) for yi, dbi in zip(y.tolist(), db.tolist())]
+        return exp_sinh_moments(
+            laplace, powers, tol=_QUAD_TOL, max_level=_QUAD_MAX_LEVEL, columns=indices
         )
 
-    return tanh_sinh_moments(radial, 0.0, 1.0, powers, tol=_QUAD_TOL, max_level=_QUAD_MAX_LEVEL)
+    def radial(y: np.ndarray, da: np.ndarray, db: np.ndarray) -> np.ndarray:
+        return _vacuum_weight_table(top, y, db)
+
+    columns = [i - 1 for i in indices]
+    return tanh_sinh_moments(
+        radial, 0.0, 1.0, powers, tol=_QUAD_TOL, max_level=_QUAD_MAX_LEVEL, columns=columns
+    )
 
 
 # a reference moment outside the normal float range cannot serve as one:
@@ -308,32 +320,35 @@ _PLANS = {"moments": _moment_plan, "unity": _unity_plan}
 
 
 def radial_checks(checks) -> list:
-    """Run a batch of radial checks with one moment-rule pass per weight.
+    """Run a batch of radial checks with one moment-rule pass per kind of
+    weight.
 
     Each check is ("moments", wf, k_max), answered as ``moment_check`` does,
     or ("unity", wf, basis_dim), answered as ``unity_resolution_matrix``
-    does; the results come back in input order.  Checks that integrate the
-    same weight share one pass over the sorted union of their powers: the
-    one-photon family at m is the vacuum family at m+1, and the circle
-    families at one m share e^(-x) U(m,1,x).  Every check is validated
+    does; the results come back in input order.  The checks of one kind
+    share one pass over the sorted union of their (index, power) pairs:
+    every squeezed-family check integrates h_m at its vacuum-family index
+    (the one-photon family at m is the vacuum family at m+1), and every
+    circle-family check e^(-x) U(m,1,x) at its m.  Every check is validated
     before any pass runs.  A power converges on its own, but a level's tail
-    cut follows every power still active, so ``nodes_used`` counts the
-    nodes of the shared pass.
+    cut follows every pair still active, so ``nodes_used`` counts the nodes
+    of the shared pass.
     """
     plans = []
-    needed: dict[tuple[str, int], set[float]] = {}
+    needed: dict[str, set[tuple[int, float]]] = {}
     for kind, wf, size in checks:
         if kind not in _PLANS:
             raise ValueError(f"unknown radial check: {kind!r}")
-        integrand, (powers, assemble) = _integrand(wf), _PLANS[kind](wf, size)
-        needed.setdefault(integrand, set()).update(powers)
-        plans.append((integrand, powers, assemble))
+        (weight, index), (powers, assemble) = _integrand(wf), _PLANS[kind](wf, size)
+        needed.setdefault(weight, set()).update((index, p) for p in powers)
+        plans.append((weight, index, powers, assemble))
     moments = {}
-    for integrand, powers in needed.items():
-        union = sorted(powers)
-        moments[integrand] = dict(zip(union, _radial_moments(integrand, union)))
+    for weight, pairs in needed.items():
+        union = sorted(pairs)
+        moments[weight] = dict(zip(union, _radial_pass(weight, union)))
     return [
-        assemble([moments[integrand][p] for p in powers]) for integrand, powers, assemble in plans
+        assemble([moments[weight][index, p] for p in powers])
+        for weight, index, powers, assemble in plans
     ]
 
 

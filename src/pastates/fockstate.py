@@ -285,12 +285,16 @@ def pasops(param: SqueezeParam, m: int, eps: float = 1e-14) -> FockVector:
     """Photon-added squeezed one-photon state |1, zeta, m> as a Fock vector.
 
     S(zeta)|1> is proportional to a^dag S(zeta)|0>, so |1, zeta, m> is the
-    photon-added squeezed vacuum state |zeta, m+1>.
+    photon-added squeezed vacuum state |zeta, m+1>.  A norm beyond the float
+    range raises ``OverflowError`` under this name and index.
     """
     if m < 0:
         raise ValueError("pasops requires m >= 0")
     _check_eps("pasops", eps)
-    return pasvs(param, m + 1, eps)
+    try:
+        return pasvs(param, m + 1, eps)
+    except OverflowError:
+        raise OverflowError(f"pasops: norm overflows at zeta={param.zeta}, m={m}") from None
 
 
 def _expansion_matrix(param: SqueezeParam, rows, cols, expand: str) -> np.ndarray:

@@ -15,8 +15,9 @@ first level takes every node of nonzero, finite weight on the two rays t >= 0
 and t < 0 of the transformed variable, a finer level only those inside the
 previous level's cut; each ray is cut after evaluation, at two steps in a row
 past |t| = 2 that are small for every power still active.  Each rule also has
-a moment form, which integrates x^p f(x) for several powers p from one
-evaluation of f per node; the scalar rules are its power-0 case.
+a moment form, which integrates x^p f_c(x) for several (power p, column c)
+pairs from one evaluation per node of an integrand that returns the columns
+f_c side by side; the scalar rules are its one-column, power-0 case.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ import numpy as np
 
 __all__ = ["QuadResult", "tanh_sinh", "exp_sinh", "tanh_sinh_moments", "exp_sinh_moments"]
 
-# f(x) on an array of nodes; the tanh-sinh rule calls f(x, x - a, b - x)
+# f(x) on an array of nodes, as a (nodes,) array or a (nodes x columns)
+# array; the tanh-sinh rule calls f(x, x - a, b - x)
 Integrand = Callable[..., np.ndarray]
 
 _HALF_PI = math.pi / 2.0
@@ -113,12 +115,14 @@ def _reach(t, terms, base_abs, previous):
 # nodes past a ray's cut may overflow in f or in x^p; their terms are dropped,
 # and a moment beyond the float range sums to inf and is reported unconverged
 @np.errstate(all="ignore")
-def _nested_de(f, nodes, t_max, scale, powers, tol, max_level) -> list[QuadResult]:
-    """Refine the mesh h = 2^-level until each power's estimate agrees with
-    the previous level's to ``tol`` (relative, with a rounding floor set by
-    its absolute mass).  A converged power keeps the result of the level at
-    which it converged and no longer shapes the cuts."""
+def _nested_de(f, nodes, t_max, scale, powers, columns, tol, max_level) -> list[QuadResult]:
+    """Refine the mesh h = 2^-level until the estimate of each power, taken
+    over its column of f, agrees with the previous level's to ``tol``
+    (relative, with a rounding floor set by its absolute mass).  A converged
+    power keeps the result of the level at which it converged and no longer
+    shapes the cuts."""
     p = np.asarray(powers, dtype=float)
+    col = np.zeros(len(p), dtype=int) if columns is None else np.asarray(columns, dtype=int)
     # weighted sums over the nodes of every level so far; each node's weight
     # includes the mesh width, so a sum estimates the integral itself, not
     # 2^level times it, and overflows only with the integral
@@ -137,7 +141,8 @@ def _nested_de(f, nodes, t_max, scale, powers, tol, max_level) -> list[QuadResul
         t = _level_t(h, level == 2, reach)
         w, args = nodes(t, h)
         nodes_used += len(t)
-        terms = _terms(args[0][:, None], (w * f(*args))[:, None], p[active])
+        values = np.reshape(f(*args), (len(t), -1))
+        terms = _terms(args[0][:, None], (w[:, None] * values)[:, col[active]], p[active])
         base = total_abs[active]
         cut = _reach(t, terms, base, reach)
         kept = terms[np.abs(t) <= np.where(t >= 0.0, cut[0], cut[1])]
@@ -160,9 +165,11 @@ def _nested_de(f, nodes, t_max, scale, powers, tol, max_level) -> list[QuadResul
     return [QuadResult(v, n or nodes_used, n > 0) for v, n in zip(value.tolist(), used.tolist())]
 
 
-def _check_powers(powers: Sequence[float], allow_fractional: bool) -> None:
+def _check_powers(powers: Sequence[float], columns, allow_fractional: bool) -> None:
     if len(powers) == 0:
         raise ValueError("moment rule requires at least one power")
+    if columns is not None and (len(columns) != len(powers) or min(columns) < 0):
+        raise ValueError("moment rule requires one nonnegative column index per power")
     if min(powers) < 0:
         raise ValueError("moment rule requires nonnegative powers")
     if not allow_fractional and any(p != int(p) for p in powers):
@@ -170,23 +177,32 @@ def _check_powers(powers: Sequence[float], allow_fractional: bool) -> None:
 
 
 def tanh_sinh_moments(
-    f: Integrand, a: float, b: float, powers: Sequence[float], tol=1e-10, max_level=12
+    f: Integrand,
+    a: float,
+    b: float,
+    powers: Sequence[float],
+    tol=1e-10,
+    max_level=12,
+    columns: Sequence[int] | None = None,
 ) -> list[QuadResult]:
     """Integrals of x^p f(x) over (a, b) for every p in ``powers``, with f
     called once per level on that level's node array as f(x, x - a, b - x).
 
-    Each power converges on its own; one that does not is returned with
-    ``converged=False``.  Powers must be nonnegative, and integer if a < 0.
+    With ``columns``, f returns a (nodes x K) array and power i is integrated
+    against its column columns[i]; without, every power is integrated
+    against the one column f returns.  Each power converges on its own; one
+    that does not is returned with ``converged=False``.  Powers must be
+    nonnegative, and integer if a < 0.
     """
     if not b > a:
         raise ValueError("tanh_sinh requires b > a")
-    _check_powers(powers, a >= 0)
+    _check_powers(powers, columns, a >= 0)
     width = b - a
     # |g| beyond this makes cosh(g)**2 overflow, where the weight is exactly
     # 0, or the distance to the nearer endpoint underflow to 0
     t_max = math.asinh(min(350.0, 0.5 * (math.log(width) + 740.0)) / _HALF_PI)
     nodes = partial(_tanh_sinh_nodes, a=a, width=width)
-    return _nested_de(f, nodes, t_max, 0.5 * width, powers, tol, max_level)
+    return _nested_de(f, nodes, t_max, 0.5 * width, powers, columns, tol, max_level)
 
 
 def tanh_sinh(f: Integrand, a: float, b: float, tol=1e-10, max_level=12) -> QuadResult:
@@ -199,16 +215,21 @@ def tanh_sinh(f: Integrand, a: float, b: float, tol=1e-10, max_level=12) -> Quad
 
 
 def exp_sinh_moments(
-    f: Integrand, powers: Sequence[float], tol=1e-10, max_level=12
+    f: Integrand,
+    powers: Sequence[float],
+    tol=1e-10,
+    max_level=12,
+    columns: Sequence[int] | None = None,
 ) -> list[QuadResult]:
     """Integrals of x^p f(x) over (0, inf) for every nonnegative p in
     ``powers``, with f called once per level on that level's node array.
 
-    Each power converges on its own; one that does not is returned with
-    ``converged=False``.
+    ``columns`` pairs each power with a column of f as in
+    ``tanh_sinh_moments``.  Each power converges on its own; one that does
+    not is returned with ``converged=False``.
     """
-    _check_powers(powers, True)
-    return _nested_de(f, _exp_sinh_nodes, _T_MAX_EXP, 1.0, powers, tol, max_level)
+    _check_powers(powers, columns, True)
+    return _nested_de(f, _exp_sinh_nodes, _T_MAX_EXP, 1.0, powers, columns, tol, max_level)
 
 
 def exp_sinh(f: Integrand, tol=1e-10, max_level=12) -> QuadResult:

@@ -4,7 +4,9 @@ Self-contained double-precision evaluation of everything the state
 constructors and completeness checks need: log-scale factorials, Legendre
 functions of both kinds (argument >= 1), Gauss and generalized hypergeometric
 series, Laguerre polynomials, Kummer's U at second parameter 1, and the
-hyperbolic functions of higher order.
+hyperbolic functions of higher order.  The second-kind Legendre functions
+and Kummer's U are array kernels that give every index at a node from one
+recurrence; their scalar entry points are views of them.
 
 All functions are pure and deterministic and return values only.
 """
@@ -13,7 +15,11 @@ from __future__ import annotations
 
 import cmath
 import math
+from itertools import accumulate
+from operator import mul
 from typing import Sequence
+
+import numpy as np
 
 __all__ = [
     "log_factorial",
@@ -22,10 +28,12 @@ __all__ = [
     "legendre_p",
     "legendre_p_deriv",
     "legendre_q",
+    "legendre_q_table",
     "gauss_2f1",
     "generalized_pfq",
     "laguerre",
     "kummer_u_int",
+    "kummer_u_table",
     "hyperbolic_order",
 ]
 
@@ -35,6 +43,8 @@ _TERM_EPS = 1e-17
 _SMALL_RUN = 3
 _EPS = 2.220446049250313e-16
 _EULER_GAMMA = 0.57721566490153286
+# terms of the E1 power series, enough for every x <= 0.5
+_EXP1_TERMS = 16
 
 
 def log_factorial(n: int) -> float:
@@ -116,41 +126,72 @@ def legendre_p_deriv(order: int, degree: int, x):
     return d[order]
 
 
-def legendre_q(n: int, x: float, x_minus_1: float | None = None) -> float:
-    """Legendre function of the second kind Q_n(x) for x > 1.
-
-    Q_0 = (1/2) ln((x+1)/(x-1)) is evaluated as (1/2) log1p(2/(x-1)), which
-    keeps its digits at both ends.  Near x = 1 (precisely, while
-    2 n acosh(x) <= 11) Q_n is P_n(x) Q_0 minus the finite Legendre sum.
-    That form cancels like exp(2 n acosh x), so for larger arguments
-    Miller's backward recurrence takes over, run in ratio form:
-    r_k = Q_k / Q_(k-1) = k / ((2k+1) x - (k+1) r_(k+1)) from r = 0 above
-    the buffer that kills the admixed P component, so nothing overflows,
-    and Q_n = Q_0 r_1 ... r_n.  ``x_minus_1`` lets the caller supply x - 1
-    in exact form when x is close to 1, where forming the difference would
-    lose digits.
-    """
-    if n < 0:
-        raise ValueError("legendre_q requires n >= 0")
-    xm1 = (x - 1.0) if x_minus_1 is None else x_minus_1
-    if xm1 <= 0.0:
-        raise ValueError("legendre_q requires x > 1")
-    q0 = 0.5 * math.log1p(2.0 / xm1)
-    if n == 0:
-        return q0
-    theta = math.log1p(xm1 + math.sqrt(xm1 * (x + 1.0)))  # acosh(x), stable
-    if 2.0 * n * theta <= 11.0:
-        q = legendre_p(n, x) * q0
-        for k in range((n - 1) // 2 + 1):
-            q -= (2 * n - 4 * k - 1) / ((n - k) * (2 * k + 1)) * legendre_p(n - 2 * k - 1, x)
-        return q
+def _legendre_q_row(n_max: int, x: float, theta: float, q0: float) -> list[float]:
+    """Q_1..Q_n_max at one x = cosh(theta) by Miller's backward recurrence in
+    ratio form, r_k = Q_k / Q_(k-1) = k / ((2k+1) x - (k+1) r_(k+1)), from
+    r = 0 at a start above n_max by a buffer that damps the admixed P
+    component below exp(-42), so nothing overflows; Q_k = Q_0 r_1 ... r_k."""
     r = 0.0
-    q = q0
-    for k in range(n + int(21.0 / theta) + 10, 0, -1):
+    for k in range(n_max + int(21.0 / theta) + 10, n_max, -1):
         r = k / ((2 * k + 1) * x - (k + 1) * r)
-        if k <= n:
-            q *= r
-    return q
+    ratios = []
+    for k in range(n_max, 0, -1):
+        r = k / ((2 * k + 1) * x - (k + 1) * r)
+        ratios.append(r)
+    return list(accumulate(reversed(ratios), mul, initial=q0))[1:]
+
+
+def legendre_q_table(n_max: int, x, x_minus_1=None) -> np.ndarray:
+    """Legendre functions of the second kind Q_0..Q_n_max on an array of x > 1.
+
+    Row i holds Q_n(x_i) for n = 0..n_max.  Q_0 = (1/2) ln((x+1)/(x-1)) is
+    evaluated as (1/2) log1p(2/(x-1)), which keeps its digits at both ends.
+    Near x = 1 (precisely, while 2 n_max acosh(x) <= 3) the rest comes from
+    the forward recurrence (k+1) Q_(k+1) = (2k+1) x Q_k - k Q_(k-1) from
+    Q_1 = x Q_0 - 1, on all such nodes at once.  Q is the minimal solution,
+    so that recurrence loses digits like exp(2 n acosh x); every other node
+    gets one Miller sweep for all its degrees.  ``x_minus_1`` lets the
+    caller supply x - 1 in exact form when x is close to 1, where forming
+    the difference would lose digits.
+    """
+    if not (n_max >= 0 and float(n_max).is_integer()):
+        raise ValueError(f"legendre_q_table requires integer n >= 0, got n={n_max}")
+    n_max = int(n_max)
+    x = np.asarray(x, dtype=float)
+    xm1 = x - 1.0 if x_minus_1 is None else np.asarray(x_minus_1, dtype=float)
+    if x.ndim != 1 or xm1.shape != x.shape:
+        raise ValueError("legendre_q_table requires x and x - 1 as 1-D arrays of one length")
+    valid = xm1 > 0.0
+    if not valid.all():
+        raise ValueError(f"legendre_q_table requires x > 1, got x={x[~valid][0]}")
+    out = np.empty((len(x), n_max + 1))
+    out[:, 0] = 0.5 * np.log1p(2.0 / xm1)
+    if n_max == 0:
+        return out
+    theta = np.log1p(xm1 + np.sqrt(xm1 * (x + 1.0)))  # acosh(x), stable
+    near = 2.0 * n_max * theta <= 3.0
+    if near.any():
+        xf, q_prev = x[near], out[near, 0]
+        q = xf * q_prev - 1.0
+        columns = [q_prev, q]
+        for k in range(1, n_max):
+            q_prev, q = q, ((2 * k + 1) * xf * q - k * q_prev) / (k + 1)
+            columns.append(q)
+        out[near] = np.column_stack(columns)
+    if not near.all():
+        far = ~near
+        out[far, 1:] = [
+            _legendre_q_row(n_max, *node)
+            for node in zip(x[far].tolist(), theta[far].tolist(), out[far, 0].tolist())
+        ]
+    return out
+
+
+def legendre_q(n: int, x: float, x_minus_1: float | None = None) -> float:
+    """Legendre function of the second kind Q_n(x) for x > 1: entry n of
+    ``legendre_q_table(n, [x], [x_minus_1])``."""
+    xm1 = None if x_minus_1 is None else [x_minus_1]
+    return float(legendre_q_table(n, [x], xm1)[0, n])
 
 
 def _nonpositive_int(v: float) -> bool:
@@ -259,88 +300,88 @@ def laguerre(m: int, x):
     return l
 
 
-def _exp1_series(x: float) -> float:
+def _exp1(x: np.ndarray) -> np.ndarray:
     """E1(x) = -gamma - ln x - sum_{k>=1} (-x)^k / (k k!), for 0 < x <= 0.5.
 
-    The sum stops on its own terms against ``mass``, the sum of the
-    magnitudes of the summands, which bounds the rounding error of the
-    cancelling sum.
+    Every node sums the same _EXP1_TERMS terms: at x = 0.5 the first one
+    left out, k = 17, is 2e-21 of E1.
     """
-    log_x = math.log(x)
-    total = 0.0
-    mass = _EULER_GAMMA + abs(log_x)
-    term = 1.0
-    k = 0
+    k = np.arange(1.0, _EXP1_TERMS + 1.0)
+    terms = np.cumprod(-x[:, None] / k, axis=1) / k
+    return -_EULER_GAMMA - np.log(x) - terms.sum(axis=1)
+
+
+def _kummer_u_row(m_max: int, x: float) -> list[float]:
+    """U(1..m_max, 1, x) at one x by Miller's backward recurrence in ratio
+    form, r_a = U(a)/U(a-1) = 1 / (2a-1+x - a^2 r_(a+1)) from r_(n+1) = 0,
+    so nothing overflows, and U(m) = r_1 ... r_m.
+
+    Setting r_(n+1) to 0 perturbs r_a by a relative amount that shrinks by
+    the factor a^2 r_a r_(a+1) per step down (r_n stands in for r_(n+1) at
+    the first step); that product, carried to a = m_max, is the truncation
+    estimate, and it bounds the perturbation of every lower ratio too.  The
+    start n comes from the asymptotic ratio exp(-4 sqrt(a x)) of the minimal
+    to a dominant solution and is raised until the estimate is below half
+    the machine epsilon.
+    """
+    n = int((math.sqrt(m_max) + 9.0 / math.sqrt(x)) ** 2) + 2
     while True:
-        k += 1
-        term *= -x / k
-        total += term / k
-        mass += abs(term) / k
-        if abs(term) < _TERM_EPS * mass:
-            return -_EULER_GAMMA - log_x - total
-
-
-def _kummer_u_forward(m: int, x: float) -> float:
-    """U(m,1,x) by forward recurrence from U(0) = 1, U(1) = e^x E1(x).
-
-    U is the minimal solution, so errors grow along a dominant solution;
-    the caller keeps m x small enough that the growth stays harmless.
-    """
-    u_prev, u = 1.0, math.exp(x) * _exp1_series(x)
-    for a in range(1, m):
-        c = 2 * a - 1 + x
-        a2 = a * a
-        u_prev, u = u, (c * u - u_prev) / a2
-    return u
-
-
-def _kummer_u_miller(m: int, x: float) -> float:
-    """U(m,1,x) by Miller's backward recurrence, normalized by U(0) = 1.
-
-    Run in ratio form, r_a = U(a)/U(a-1) = 1 / (2a-1+x - a^2 r_(a+1)) from
-    r_(n+1) = 0, so nothing overflows, and U(m) = r_1 ... r_m.  Setting
-    r_(n+1) to 0 perturbs r_a by a relative amount that shrinks by the
-    factor a^2 r_a r_(a+1) per step down; that product, carried to a = m,
-    is the truncation estimate.  The start n comes from the asymptotic
-    ratio exp(-4 sqrt(a x)) of the minimal to a dominant solution and is
-    raised until the estimate is below half the machine epsilon.
-    """
-    n = int((math.sqrt(m) + 9.0 / math.sqrt(x)) ** 2) + 2
-    while True:
-        r_next = 0.0
-        trunc = 1.0
-        for a in range(n, m - 1, -1):
-            r = 1.0 / (2 * a - 1 + x - a * a * r_next)
-            trunc *= a * a * r * (r_next or r)
-            r_next = r
-        u = r_next
-        for a in range(m - 1, 0, -1):
-            r_next = 1.0 / (2 * a - 1 + x - a * a * r_next)
-            u *= r_next
+        r = 1.0 / (2 * n - 1 + x)
+        trunc = n * n * r * r
+        for a in range(n - 1, m_max - 1, -1):
+            s = a * a * r
+            r = 1.0 / (2 * a - 1 + x - s)
+            trunc *= s * r
         if trunc <= 0.5 * _EPS:
-            return u
+            break
         n += n // 2 + 4
+    ratios = [r]
+    for a in range(m_max - 1, 0, -1):
+        r = 1.0 / (2 * a - 1 + x - a * a * r)
+        ratios.append(r)
+    return list(accumulate(reversed(ratios), mul))
+
+
+def kummer_u_table(m_max: int, x) -> np.ndarray:
+    """Kummer U(0..m_max, 1, x) on an array of finite x > 0.
+
+    Row i holds U(m, 1, x_i) for m = 0..m_max.  U(0,1,x) = 1 exactly, and
+    DLMF 13.3.7 at b = 1, U(a+1) = ((2a-1+x) U(a) - U(a-1)) / a^2, gives the
+    rest.  U is the minimal solution, so the recurrence runs forward from
+    e^x E1(x), on all such nodes at once, only while x <= 0.5 and
+    m_max x <= 3 (error growth about exp(4 sqrt(m x)) times the rounding);
+    every other node gets one Miller sweep for all its orders.
+    """
+    if not (m_max >= 0 and float(m_max).is_integer()):
+        raise ValueError(f"kummer_u_table requires integer m >= 0, got m={m_max}")
+    m_max = int(m_max)
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"kummer_u_table requires a 1-D array of x, got shape {x.shape}")
+    valid = (x > 0.0) & (x < math.inf)
+    if not valid.all():
+        raise ValueError(f"kummer_u_table requires finite x > 0, got x={x[~valid][0]}")
+    out = np.ones((len(x), m_max + 1))
+    if m_max == 0:
+        return out
+    forward = (x <= 0.5) & (m_max * x <= 3.0)
+    if forward.any():
+        xf = x[forward]
+        u_prev, u = out[forward, 0], np.exp(xf) * _exp1(xf)
+        columns = [u_prev, u]
+        for a in range(1, m_max):
+            u_prev, u = u, ((2 * a - 1 + xf) * u - u_prev) / (a * a)
+            columns.append(u)
+        out[forward] = np.column_stack(columns)
+    if not forward.all():
+        out[~forward, 1:] = [_kummer_u_row(m_max, xi) for xi in x[~forward].tolist()]
+    return out
 
 
 def kummer_u_int(m: int, x: float) -> float:
-    """Kummer U(m, 1, x) for integer m >= 0 and finite x > 0.
-
-    U(0,1,x) = 1 exactly, and DLMF 13.3.7 at b = 1,
-    U(a+1) = ((2a-1+x) U(a) - U(a-1)) / a^2, gives the rest.  U is the
-    minimal solution, so the recurrence runs forward from e^x E1(x) only
-    while x <= 0.5 and m x <= 3 (error growth about exp(4 sqrt(m x)) times
-    the rounding), and backward by Miller's algorithm otherwise.
-    """
-    if not (m >= 0 and float(m).is_integer()):
-        raise ValueError(f"kummer_u_int requires integer m >= 0, got m={m}")
-    m = int(m)
-    if not 0.0 < x < math.inf:
-        raise ValueError(f"kummer_u_int requires finite x > 0, got x={x}")
-    if m == 0:
-        return 1.0
-    if x <= 0.5 and m * x <= 3.0:
-        return _kummer_u_forward(m, x)
-    return _kummer_u_miller(m, x)
+    """Kummer U(m, 1, x) for integer m >= 0 and finite x > 0: entry m of
+    ``kummer_u_table(m, [x])``."""
+    return float(kummer_u_table(m, [x])[0, int(m)])
 
 
 def hyperbolic_order(i: int, n: int, x: float) -> float:

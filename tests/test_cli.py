@@ -318,20 +318,40 @@ def run_verify_all(capsys, tmp_path) -> list[dict]:
     return json.loads(out.read_text())["results"]
 
 
-def test_verify_all_makes_one_radial_pass_per_weight(capsys, tmp_path, monkeypatch):
-    integrands = []
-    real = cli.complete._radial_moments
+def test_verify_all_makes_one_radial_pass_per_kind(capsys, tmp_path, monkeypatch):
+    passes = []
+    for rule in ("exp_sinh_moments", "tanh_sinh_moments"):
+        real = getattr(cli.complete, rule)
 
-    def counted(integrand, powers):
-        integrands.append(integrand)
-        return real(integrand, powers)
+        def counted(*args, _real=real, _rule=rule, **kwargs):
+            results = _real(*args, **kwargs)
+            # the pair that converges last reports every node of the pass
+            nodes = max(r.nodes_used for r in results)
+            passes.append((_rule, sorted(set(kwargs["columns"])), nodes))
+            return results
 
-    monkeypatch.setattr(cli.complete, "_radial_moments", counted)
+        monkeypatch.setattr(cli.complete, rule, counted)
+    tables = {"legendre_q_table": [], "kummer_u_table": []}
+    for name, calls in tables.items():
+        real = getattr(cli.complete.specfun, name)
+
+        def recorded(top, x, *args, _real=real, _calls=calls):
+            _calls.append((top, len(x)))
+            return _real(top, x, *args)
+
+        monkeypatch.setattr(cli.complete.specfun, name, recorded)
     run_verify_all(capsys, tmp_path)
-    # h_m for vacuum indices 1..6 and e^-x U(m,1,x) for m = 0..4
-    assert sorted(integrands) == sorted(
-        [("vacuum", m) for m in range(1, 7)] + [("laplace", m) for m in range(5)]
-    )
+    # one pass for h_m at vacuum indices 1..6 and one for e^-x U(m,1,x) at
+    # m = 0..4, each with a column per index
+    assert [(rule, columns) for rule, columns, _ in passes] == [
+        ("tanh_sinh_moments", [0, 1, 2, 3, 4, 5]),
+        ("exp_sinh_moments", [0, 1, 2, 3, 4]),
+    ]
+    # one Legendre table, Q_0..Q_4, per node of the vacuum pass, and one U
+    # recurrence per node of the laplace pass, for every m at once
+    for (_, _, nodes), calls in zip(passes, tables.values()):
+        assert {top for top, _ in calls} == {4}
+        assert sum(n for _, n in calls) == nodes
 
 
 def test_verify_all_radial_lines_match_single_suites(capsys, tmp_path):
@@ -424,6 +444,11 @@ def test_envelope_records_version_and_tolerance(tmp_path, capsys):
             ["norm", "pasops", "--zeta", "0.5", "--m", "170"],
             ("pasops_norm", "zeta=", "m=170"),
             id="norm-pasops",
+        ),
+        pytest.param(
+            ["state", "pasops", "--zeta", "0.5", "--m", "170"],
+            ("pasops:", "zeta=", "m=170"),
+            id="state-pasops",
         ),
         pytest.param(
             ["norm", "pacsc", "--z", "0.8", "--lambda", "2", "--mu", "0", "--m", "200"],

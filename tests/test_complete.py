@@ -128,6 +128,15 @@ def test_weight_h_positivity():
             assert cm.weight_h(m, float(y)) > 0.0
 
 
+def test_weight_h_is_a_row_of_the_vacuum_table():
+    # the closed form at one y is that y's row of the table the radial
+    # pass evaluates, whatever other nodes the table holds
+    ys = np.concatenate([np.logspace(-12, -0.01, 30), 1.0 - np.logspace(-12, -0.5, 30)])
+    for m in range(1, 9):
+        table = cm._vacuum_weight_table(m, ys, 1.0 - ys)
+        assert [cm.weight_h(m, y) for y in ys.tolist()] == table[:, m - 1].tolist()
+
+
 # ------------------------------------------------------------ weight_h1m
 
 def test_weight_h1m_index_identity():
@@ -264,34 +273,39 @@ def test_pacsc_moment_reduces_to_laplace_identity():
         assert r.lhs == pytest.approx(want, rel=1e-9)
 
 
-def test_moment_check_makes_one_pass_over_the_weight(monkeypatch):
-    calls = []
-    real = cm.weight_h
-
-    def counted(m, y, *args, **kwargs):
-        calls.append(y)
-        return real(m, y, *args, **kwargs)
-
-    monkeypatch.setattr(cm, "weight_h", counted)
-    reports = cm.moment_check(cm.WeightFunction("pasvs", 3), 10)
-    assert all(r.converged for r in reports)
-    assert len(calls) <= max(r.nodes_used for r in reports)
-
-
-def test_pacsc_moment_check_evaluates_kummer_once_per_node(monkeypatch):
+def recording_tables(monkeypatch, name) -> list:
+    """(top index, nodes) of every call of the specfun table ``name``; a
+    Legendre table's nodes are its x - 1, which stay distinct near x = 1."""
     from pastates import specfun
 
     calls = []
-    real = specfun.kummer_u_int
+    real = getattr(specfun, name)
 
-    def counted(m, x):
-        calls.append(x)
-        return real(m, x)
+    def recorded(top, x, *args):
+        calls.append((top, np.array(args[0] if args else x)))
+        return real(top, x, *args)
 
-    monkeypatch.setattr(specfun, "kummer_u_int", counted)
+    monkeypatch.setattr(specfun, name, recorded)
+    return calls
+
+
+def test_moment_check_makes_one_pass_over_the_weight(monkeypatch):
+    # h_3 is built from Q_1: one Legendre table per level, one row per node
+    calls = recording_tables(monkeypatch, "legendre_q_table")
+    reports = cm.moment_check(cm.WeightFunction("pasvs", 3), 10)
+    assert all(r.converged for r in reports)
+    assert {top for top, _ in calls} == {1}
+    nodes = np.concatenate([x for _, x in calls])
+    assert len(nodes) == len(set(nodes.tolist())) == max(r.nodes_used for r in reports)
+
+
+def test_pacsc_moment_check_evaluates_kummer_once_per_node(monkeypatch):
+    calls = recording_tables(monkeypatch, "kummer_u_table")
     reports = cm.moment_check(cm.WeightFunction("pacsc", 2, mu=1, lam=2), 8)
     assert all(r.converged for r in reports)
-    assert len(calls) == len(set(calls)) == max(r.nodes_used for r in reports)
+    assert {top for top, _ in calls} == {2}
+    nodes = np.concatenate([x for _, x in calls])
+    assert len(nodes) == len(set(nodes.tolist())) == max(r.nodes_used for r in reports)
 
 
 def test_no_kummer_memo_left_in_the_package():
@@ -340,17 +354,13 @@ def test_unity_matrix_radial_failure_is_arithmetic_error(monkeypatch):
 
 
 def test_unity_matrix_integrates_only_diagonal_powers(monkeypatch):
-    asked = []
-    real = cm._radial_moments
-
-    def recorded(wf, powers):
-        asked.append(list(powers))
-        return real(wf, powers)
-
-    monkeypatch.setattr(cm, "_radial_moments", recorded)
+    asked = recording_passes(monkeypatch)
     cm.unity_resolution_matrix(cm.WeightFunction("pasops", 1), 4)
     cm.unity_resolution_matrix(cm.WeightFunction("pacsc", 2, mu=2, lam=3), 3)
-    assert asked == [[0.0, 1.0, 2.0, 3.0], [2.0, 5.0, 8.0]]
+    assert asked == [
+        ("vacuum", [(2, 0.0), (2, 1.0), (2, 2.0), (2, 3.0)]),
+        ("laplace", [(2, 2.0), (2, 5.0), (2, 8.0)]),
+    ]
 
 
 def test_unity_matrix_subspace_labels():
@@ -378,15 +388,23 @@ BATCH = [
 ]
 
 
-def recording_radial_moments(monkeypatch) -> list:
+def recording_passes(monkeypatch) -> list:
+    """(kind, [(index, power), ...]) of every moment-rule pass, in call
+    order: the exp-sinh rule integrates the "laplace" kind, whose column m
+    is e^-x U(m,1,x), and the tanh-sinh rule the "vacuum" kind, whose
+    column m-1 is h_m."""
     asked = []
-    real = cm._radial_moments
+    rules = (("exp_sinh_moments", "laplace", 0), ("tanh_sinh_moments", "vacuum", 1))
+    for rule, kind, shift in rules:
+        real = getattr(cm, rule)
 
-    def recorded(integrand, powers):
-        asked.append((integrand, list(powers)))
-        return real(integrand, powers)
+        def recorded(*args, _real=real, _kind=kind, _shift=shift, **kwargs):
+            powers = args[1] if _kind == "laplace" else args[3]
+            indices = [c + _shift for c in kwargs["columns"]]
+            asked.append((_kind, list(zip(indices, powers))))
+            return _real(*args, **kwargs)
 
-    monkeypatch.setattr(cm, "_radial_moments", recorded)
+        monkeypatch.setattr(cm, rule, recorded)
     return asked
 
 
@@ -399,7 +417,8 @@ def test_single_checks_are_batches_of_one():
             reports = cm.moment_check(wf, size)
             assert reports == batched
             orders = [r.k * wf.lam + wf.mu if wf.lam else r.k for r in reports]
-            direct = cm._radial_moments(cm._integrand(wf), [float(n) for n in orders])
+            kind, index = cm._integrand(wf)
+            direct = cm._radial_pass(kind, [(index, float(n)) for n in orders])
             assert [(r.lhs, r.nodes_used, r.converged) for r in reports] == [
                 (d.value, d.nodes_used, d.converged) for d in direct
             ]
@@ -409,18 +428,29 @@ def test_single_checks_are_batches_of_one():
             assert (mat.basis_offset, mat.basis_stride) == (batched.basis_offset, batched.basis_stride)
 
 
-def test_radial_checks_make_one_pass_per_weight(monkeypatch):
-    asked = recording_radial_moments(monkeypatch)
-    results = cm.radial_checks(BATCH)
-    # pasvs m=2 and pasops m=1 share h_2; both circle checks share e^-x U(1,1,x)
+def test_radial_checks_make_one_pass_per_kind(monkeypatch):
+    asked = recording_passes(monkeypatch)
+    results = cm.radial_checks(
+        BATCH
+        + [
+            ("moments", cm.WeightFunction("pasvs", 4), 2),
+            ("unity", cm.WeightFunction("pacsc", 3, mu=0, lam=1), 2),
+        ]
+    )
+    # pasvs m=2 and pasops m=1 share h_2, and pasvs m=4 joins them as a
+    # second column of the same pass; both circle checks at m=1 share
+    # e^-x U(1,1,x), and the one at m=3 adds a column
     assert asked == [
-        (("vacuum", 2), [float(p) for p in range(8)]),
-        (("laplace", 1), [float(p) for p in (0, 2, 4, 5, 6, 8, 10, 11, 12, 14)]),
+        ("vacuum", [(2, float(p)) for p in range(8)] + [(4, 0.0), (4, 1.0), (4, 2.0)]),
+        (
+            "laplace",
+            [(1, float(p)) for p in (0, 2, 4, 5, 6, 8, 10, 11, 12, 14)] + [(3, 0.0), (3, 1.0)],
+        ),
     ]
     assert [type(r).__name__ for r in results] == [
-        "list", "OperatorMatrix", "list", "OperatorMatrix", "list"
+        "list", "OperatorMatrix", "list", "OperatorMatrix", "list", "list", "OperatorMatrix"
     ]
-    assert [len(r) for r in results if isinstance(r, list)] == [7, 5, 7]
+    assert [len(r) for r in results if isinstance(r, list)] == [7, 5, 7, 3]
 
 
 def test_radial_batch_agrees_with_single_checks():
@@ -438,7 +468,7 @@ def test_radial_batch_agrees_with_single_checks():
 
 
 def test_radial_checks_validate_every_check_before_any_pass(monkeypatch):
-    asked = recording_radial_moments(monkeypatch)
+    asked = recording_passes(monkeypatch)
     bad = [
         ("moments", cm.WeightFunction("pacsc", 1, mu=0, lam=1), 200),
         ("unity", cm.WeightFunction("pasvs", 1), 65),
@@ -452,7 +482,7 @@ def test_radial_checks_validate_every_check_before_any_pass(monkeypatch):
 
 
 def test_moment_check_rejects_reference_beyond_float_range(monkeypatch):
-    asked = recording_radial_moments(monkeypatch)
+    asked = recording_passes(monkeypatch)
     # ((k lam + mu)!)^2 / (k lam + mu + m)! first overflows at order 171 + m
     wf = cm.WeightFunction("pacsc", 1, mu=0, lam=1)
     with pytest.raises(ValueError, match=r"k_max=172 \(m=1\) .* order 172 at k=172"):

@@ -130,7 +130,7 @@ def test_legendre_q_neumann_integral(n, x):
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 5, 10, 20, 40])
 def test_legendre_q_matches_mpmath(n):
     # x - 1 from 1e-12 to 1e12 crosses both sides of the switch from the
-    # explicit sum to the recurrence, at 2 n acosh(x) = 11, for every n
+    # forward to the backward recurrence, at 2 n acosh(x) = 3, for every n
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         for xm1 in np.logspace(-12, 12, 49):
@@ -139,7 +139,84 @@ def test_legendre_q_matches_mpmath(n):
             if ref < 1e-300:
                 continue  # below the normal float range
             got = sf.legendre_q(n, 1.0 + xm1, x_minus_1=xm1)
-            assert abs(got - ref) <= 1e-9 * ref, (n, xm1, got, float(ref))
+            assert abs(got - ref) <= 1e-12 * ref, (n, xm1, got, float(ref))
+
+
+def test_legendre_q_table_matches_mpmath():
+    # Q_40 and Q_39 from mpmath, every lower degree by the backward
+    # recurrence in 40-digit arithmetic, which is stable for the minimal
+    # solution; x - 1 spans the grid on which the switch point was placed
+    mpmath = pytest.importorskip("mpmath")
+    xm1 = np.logspace(-12, 12, 241)
+    got = sf.legendre_q_table(40, 1.0 + xm1, xm1)
+    assert got.shape == (241, 41)
+    worst = 0.0
+    with mpmath.workdps(40):
+        for i, d in enumerate(xm1.tolist()):
+            x = 1 + mpmath.mpf(d)
+            ref = [None] * 41
+            ref[40] = mpmath.legenq(40, 0, x, type=3).real
+            ref[39] = mpmath.legenq(39, 0, x, type=3).real
+            for k in range(39, 0, -1):
+                ref[k - 1] = ((2 * k + 1) * x * ref[k] - (k + 1) * ref[k + 1]) / k
+            assert abs(ref[0] - mpmath.acoth(x)) <= mpmath.mpf(10) ** -30 * ref[0]
+            for n in range(41):
+                if ref[n] >= 1e-300:  # inside the normal float range
+                    worst = max(worst, float(abs(got[i, n] - ref[n]) / ref[n]))
+    assert worst <= 1e-12
+
+
+def test_kummer_u_table_matches_mpmath():
+    # U(8) and U(7) from mpmath, every lower order by the backward recurrence
+    # U(a-1) = (2a-1+x) U(a) - a^2 U(a+1) in 40-digit arithmetic, which is
+    # stable for the minimal solution; x brackets 0.5 and 8 x = 3, where
+    # the forward recurrence hands over to Miller's algorithm, and at
+    # x = 350 the first Miller start falls short of its truncation estimate
+    mpmath = pytest.importorskip("mpmath")
+    xs = np.concatenate(
+        [np.logspace(-300, 3, 25), [0.37, 0.375, 0.38, 0.49, 0.5, 0.51, 2.0, 350.0]]
+    )
+    got = sf.kummer_u_table(8, xs)
+    assert got.shape == (len(xs), 9)
+    with mpmath.workdps(40):
+        for i, x in enumerate(map(mpmath.mpf, xs.tolist())):
+            ref = [None] * 9
+            ref[8] = mpmath.hyperu(8, 1, x)
+            ref[7] = mpmath.hyperu(7, 1, x)
+            for a in range(7, 0, -1):
+                ref[a - 1] = (2 * a - 1 + x) * ref[a] - a * a * ref[a + 1]
+            assert abs(ref[0] - 1) <= 1e-25
+            for m in range(9):
+                assert abs(got[i, m] - ref[m]) <= 1e-13 * ref[m], (m, x, got[i, m], float(ref[m]))
+
+
+def test_scalar_kernels_are_rows_of_the_tables():
+    # a node's row does not depend on the other nodes of its array
+    xs = np.concatenate([np.logspace(-300, 3, 40), [0.375, 0.5, 0.75]])
+    for m in range(9):
+        table = sf.kummer_u_table(m, xs)
+        assert [sf.kummer_u_int(m, x) for x in xs.tolist()] == table[:, m].tolist()
+    xm1 = np.logspace(-12, 12, 61)
+    for n in (0, 1, 4, 40):
+        table = sf.legendre_q_table(n, 1.0 + xm1, xm1)
+        assert [
+            sf.legendre_q(n, 1.0 + d, x_minus_1=d) for d in xm1.tolist()
+        ] == table[:, n].tolist()
+
+
+def test_tables_reject_bad_arguments():
+    with pytest.raises(ValueError, match="integer m >= 0, got m=-1"):
+        sf.kummer_u_table(-1, [1.0])
+    with pytest.raises(ValueError, match=r"finite x > 0, got x=0\.0"):
+        sf.kummer_u_table(2, [1.0, 0.0])
+    with pytest.raises(ValueError, match="integer n >= 0, got n=2.5"):
+        sf.legendre_q_table(2.5, [2.0])
+    with pytest.raises(ValueError, match=r"x > 1, got x=1\.0"):
+        sf.legendre_q_table(2, [2.0, 1.0])
+    with pytest.raises(ValueError, match=r"1-D array of x, got shape \(\)"):
+        sf.kummer_u_table(2, 1.0)
+    with pytest.raises(ValueError, match="1-D arrays of one length"):
+        sf.legendre_q_table(2, [2.0, 3.0], [1.0])
 
 
 def test_legendre_q_finite_far_from_one():
