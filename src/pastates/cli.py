@@ -256,6 +256,9 @@ def cmd_norm(args) -> int:
 def cmd_weights(args) -> int:
     if args.grid < 2:
         raise UsageError("weights requires --grid >= 2")
+    for flag, value in (("--y-min", args.y_min), ("--y-max", args.y_max)):
+        if value is not None and not math.isfinite(value):
+            raise UsageError(f"weights requires a finite {flag}, got {value}")
     ms = parse_int_list(args.m)
     if args.family == "pacsc":
         y_max = args.y_max if args.y_max is not None else 4.0
@@ -264,24 +267,19 @@ def cmd_weights(args) -> int:
         y_max = args.y_max if args.y_max is not None else 0.9999
         y_min = args.y_min if args.y_min is not None else 0.0001
     ys = [y_min + i * (y_max - y_min) / (args.grid - 1) for i in range(args.grid)]
+    table = complete._weight_table(args.family, ms, np.array(ys), args.mu, args.lam)
     header = ["y"] + [f"h_{m}" for m in ms]
-    rows = []
-    positive = True
-    for y in ys:
-        row = [y]
-        for m in ms:
-            if args.family == "pasvs":
-                v = complete.weight_h(m, y)
-            elif args.family == "pasops":
-                v = complete.weight_h1m(m, y)
-            else:
-                v = complete.weight_hmum(args.lam, args.mu, m, y)
-            positive = positive and v > 0.0 and math.isfinite(v)
-            row.append(v)
-        rows.append(row)
+    rows = [[y] + values for y, values in zip(ys, table.tolist())]
+    bad = np.argwhere(~((table > 0.0) & np.isfinite(table)))
+    positive = len(bad) == 0
     if args.format == "csv":
         _write_output(_csv_table(header, rows), args.out)
-        return 0 if positive else 1
+        if positive:
+            return 0
+        i, j = bad[0]
+        where = f"{header[j + 1]} at y={_fmt(ys[i])}"
+        print(f"error: {where} is {_fmt(table[i, j])}, not positive and finite", file=sys.stderr)
+        return 1
     env = _envelope(
         "weights",
         {"family": args.family, "m": args.m, "grid": args.grid, "y_min": y_min, "y_max": y_max},

@@ -3,14 +3,15 @@ unity, and the Carleman uniqueness test.
 
 The continuous resolutions reduce, after exact angular integration, to
 radial power moments of two kinds of weight: h_m on (0, 1) for the squeezed
-families and e^(-x) U(m,1,x) on (0, inf) for the circle family.  All the
-moments of one kind, at every index, come from one nested double-exponential
-pass, which evaluates every index at a node from one recurrence, and are
-verified against log-space factorial references.  The
-discrete resolution over the photon-added family is V D V^H, with V the
-photon-added states |zeta, 0..top> on the Fock block and D the Hermitian
-matrix of pair coefficients: closed-form, or resummed numerically as C^T
-conj(C) from the squeezed-number-state expansion matrix C.
+families and e^(-x) U(m,1,x) on (0, inf) for the circle family.  Each kind
+is one table that gives every index at a node from one recurrence, and the
+measure densities (``weight_hmum``, the CLI's ``weights``) are read off it.
+One nested double-exponential pass over each table gives every moment of its
+kind, verified against log-space factorial references.  The discrete
+resolution over the photon-added family is V D V^H, with V the photon-added
+states |zeta, 0..top> on the Fock block and D the Hermitian matrix of pair
+coefficients: closed-form, or resummed numerically as C^T conj(C) from the
+squeezed-number-state expansion matrix C.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -181,34 +183,42 @@ def weight_h1m(m: int, y: float, one_minus_y: float | None = None) -> float:
 
 
 def weight_hmum(lam: int, mu: int, m: int, y: float) -> float:
-    """Radial weight of the photon-added circle-state measure, y > 0."""
-    if lam < 1 or not 0 <= mu < lam:
-        raise ValueError("weight_hmum requires lam >= 1 and 0 <= mu < lam")
-    if m < 0:
-        raise ValueError("weight_hmum requires m >= 0")
-    if y <= 0.0:
-        raise ValueError("weight_hmum requires y > 0")
-    x = lam * y ** (1.0 / lam)
-    return (
-        y ** ((mu + 1.0 - lam) / lam)
-        * math.exp(-x)
-        * specfun.kummer_u_int(m, x)
-        / (math.pi * float(lam) ** (lam - mu))
-    )
-
-
-def _vacuum_index(wf: WeightFunction) -> int:
-    """Vacuum-family index of a squeezed family: |1, zeta, m> = |zeta, m+1>."""
-    return wf.m + 1 if wf.family == "pasops" else wf.m
+    """Radial weight of the photon-added circle-state measure: one node of ``_weight_table``."""
+    return float(_weight_table("pacsc", [m], np.array([y], dtype=float), mu, lam)[0, 0])
 
 
 def _integrand(wf: WeightFunction) -> tuple[str, int]:
     """The radial weight a family's checks integrate: ("vacuum", index) for
-    the squeezed families, ("laplace", m) for the circle family, whose
-    lam and mu only choose which powers are integrated."""
+    the squeezed families at the vacuum-family index (m, or m+1 for the
+    one-photon family: |1, zeta, m> = |zeta, m+1>), ("laplace", m) for the
+    circle family, whose lam and mu only choose which powers are integrated."""
     if wf.family == "pacsc":
         return ("laplace", wf.m)
-    return ("vacuum", _vacuum_index(wf))
+    return ("vacuum", wf.m + 1 if wf.family == "pasops" else wf.m)
+
+
+def _laplace_weight_table(m_max: int, x: np.ndarray) -> np.ndarray:
+    """e^(-x) U(0..m_max, 1, x) on an array of finite x > 0: column m holds
+    the circle-family weight at m in the Laplace variable."""
+    return np.exp(-x)[:, None] * specfun.kummer_u_table(m_max, x)
+
+
+def _weight_table(family: str, ms, y: np.ndarray, mu: int | None = None, lam: int | None = None):
+    """The measure densities of ``family`` at the indices ``ms`` on an array
+    of y, read off one call of the radial-pass tables: h_m at the
+    vacuum-family index on 0 < y < 1, or y^((mu+1-lam)/lam) e^(-x) U(m,1,x)
+    / (pi lam^(lam-mu)) with x = lam y^(1/lam) on finite y > 0."""
+    columns = [_integrand(WeightFunction(family, m, mu, lam))[1] for m in ms]
+    circle = family == "pacsc"
+    bad = ~((y > 0.0) & (y < (math.inf if circle else 1.0)))
+    if bad.any():
+        domain = "finite y > 0" if circle else "0 < y < 1"
+        raise ValueError(f"{family} weight requires {domain}, got y={y[bad][0]}")
+    if not circle:
+        return _vacuum_weight_table(max(columns), y, 1.0 - y)[:, [i - 1 for i in columns]]
+    table = _laplace_weight_table(max(columns), lam * y ** (1.0 / lam))[:, columns]
+    scale = y ** ((mu + 1.0 - lam) / lam) / (math.pi * float(lam) ** (lam - mu))
+    return scale[:, None] * table
 
 
 def _radial_pass(kind: str, pairs: list[tuple[int, float]]) -> list[QuadResult]:
@@ -225,10 +235,7 @@ def _radial_pass(kind: str, pairs: list[tuple[int, float]]) -> list[QuadResult]:
     powers = [p for _, p in pairs]
     top = max(indices)
     if kind == "laplace":
-
-        def laplace(x: np.ndarray) -> np.ndarray:
-            return np.exp(-x)[:, None] * specfun.kummer_u_table(top, x)
-
+        laplace = partial(_laplace_weight_table, top)
         return exp_sinh_moments(
             laplace, powers, tol=_QUAD_TOL, max_level=_QUAD_MAX_LEVEL, columns=indices
         )
@@ -249,23 +256,27 @@ _LOG_RHS_MIN = math.log(sys.float_info.min)
 _LOG_RHS_MAX = math.log(sys.float_info.max)
 
 
+def _log_squeezed_moment(m: int, k: int) -> float:
+    """ln of [(2k)!!]^2 / (pi (m+2k)!), the k-th moment of h_m."""
+    return (
+        2.0 * specfun.log_double_factorial(2 * k)
+        - math.log(math.pi)
+        - specfun.log_factorial(m + 2 * k)
+    )
+
+
 def _moment_plan(wf: WeightFunction, k_max: int):
     """Powers and assembly of ``moment_check(wf, k_max)``."""
     if k_max < 0:
         raise ValueError("moment_check requires k_max >= 0")
     ks = range(k_max + 1)
     orders = [k * wf.lam + wf.mu for k in ks] if wf.family == "pacsc" else list(ks)
-    m_eff = _vacuum_index(wf)
     rhs = []
     for k, n in zip(ks, orders):
         if wf.family == "pacsc":
             log_rhs = 2.0 * specfun.log_factorial(n) - specfun.log_factorial(n + wf.m)
         else:
-            log_rhs = (
-                2.0 * specfun.log_double_factorial(2 * k)
-                - math.log(math.pi)
-                - specfun.log_factorial(m_eff + 2 * k)
-            )
+            log_rhs = _log_squeezed_moment(_integrand(wf)[1], k)
         if not _LOG_RHS_MIN < log_rhs < _LOG_RHS_MAX:
             raise ValueError(
                 f"moment_check: k_max={k_max} (m={wf.m}) needs the reference moment of "
@@ -298,7 +309,7 @@ def _unity_plan(wf: WeightFunction, basis_dim: int):
     if wf.family == "pacsc":
         stride, offset = wf.lam, wf.m + wf.mu
     else:
-        stride, offset = 2, _vacuum_index(wf)
+        stride, offset = 2, _integrand(wf)[1]
     powers, moments = _moment_plan(wf, basis_dim - 1)
 
     def assemble(results: list[QuadResult]) -> OperatorMatrix:
@@ -510,11 +521,6 @@ def carleman_sequence(m: int, k_list) -> list[tuple[int, float]]:
     for k in k_list:
         if k < 2:
             raise ValueError("carleman_sequence requires k >= 2")
-        log_moment = (
-            2.0 * specfun.log_double_factorial(2 * k)
-            - math.log(math.pi)
-            - specfun.log_factorial(m + 2 * k)
-        )
-        log_ak = -log_moment / (2.0 * k)
+        log_ak = -_log_squeezed_moment(m, k) / (2.0 * k)
         out.append((k, log_ak / math.log(k)))
     return out

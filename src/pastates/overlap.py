@@ -29,7 +29,6 @@ __all__ = [
     "pacsc_norm",
     "pasvs_overlap",
     "pasops_overlap",
-    "overlap_grid",
     "overlap_grids",
 ]
 
@@ -422,9 +421,9 @@ def overlap_grids(families, label_pairs, max_n: int) -> dict:
         if family not in _GRID_SHIFT:
             raise ValueError(f"unknown overlap family: {family!r}")
     if not label_pairs:
-        raise ValueError("overlap_grid requires at least one label pair")
+        raise ValueError("overlap_grids requires at least one label pair")
     if max_n < 0:
-        raise ValueError("overlap_grid requires max_n >= 0")
+        raise ValueError("overlap_grids requires max_n >= 0")
     if any(abs(xi.zeta.conjugate() * zeta.zeta) > 0.9 for xi, zeta in label_pairs):
         raise ValueError(f"{families[0]}_overlap requires |conj(xi) zeta| <= 0.9")
     grid = [(n, m) for n in range(max_n + 1) for m in range(n % 2, n + 1, 2)]
@@ -441,8 +440,3 @@ def overlap_grids(families, label_pairs, max_n: int) -> dict:
         worst = float(own.max())
         out[family] = _nan_fails(worst), own.size
     return out
-
-
-def overlap_grid(family: str, label_pairs, max_n: int) -> tuple[float, int]:
-    """``overlap_grids`` for one family: (worst deviation, point count)."""
-    return overlap_grids((family,), label_pairs, max_n)[family]

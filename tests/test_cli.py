@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from pastates import cli
+from pastates import cli, complete, specfun
 
 
 def run_cli(argv, capsys):
@@ -191,6 +191,126 @@ def test_weights_h1_increasing_from_small_y(capsys):
 def test_weights_grid_guard(capsys):
     code, _, err = run_cli(["weights", "pasvs", "--grid", "1"], capsys)
     assert code == 2
+
+
+def weights_table(family, capsys, *flags):
+    code, out, err = run_cli(["weights", family, *flags], capsys)
+    lines = out.strip().splitlines()
+    return code, lines[0].split(","), [list(map(float, line.split(","))) for line in lines[1:]]
+
+
+SCALAR_WEIGHTS = {
+    "pasvs": complete.weight_h,
+    "pasops": complete.weight_h1m,
+    "pacsc": lambda m, y: complete.weight_hmum(2, 0, m, y),
+}
+
+
+@pytest.mark.parametrize("family", ["pasvs", "pasops", "pacsc"])
+def test_weights_default_table_matches_scalar_views(family, capsys):
+    code, header, rows = weights_table(family, capsys)
+    assert code == 0
+    assert header == ["y", "h_1", "h_2", "h_3", "h_4", "h_5"]
+    assert len(rows) == 101
+    for y, *values in rows:
+        for m, v in enumerate(values, start=1):
+            assert v == pytest.approx(SCALAR_WEIGHTS[family](m, y), rel=1e-13, abs=0)
+
+
+def mpmath_weight(family, m, y, mu=0, lam=2):
+    """The density that ``weights`` tabulates, from mpmath's Legendre Q and
+    Kummer U at 40 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        y = mpmath.mpf(y)
+        if family == "pacsc":
+            x = lam * y ** (mpmath.mpf(1) / lam)
+            u = mpmath.hyperu(m, 1, x)
+            ref = y ** (mpmath.mpf(mu + 1 - lam) / lam) * mpmath.exp(-x) * u
+            return float(ref / (mpmath.pi * mpmath.mpf(lam) ** (lam - mu)))
+        index = m + 1 if family == "pasops" else m
+        if index == 1:
+            return float(1 / (2 * mpmath.pi * mpmath.sqrt(1 - y)))
+        q = mpmath.legenq(index - 2, 0, 1 / mpmath.sqrt(1 - y), type=3).real
+        ref = (1 - y) ** (mpmath.mpf(index - 2) / 2) * q
+        return float(ref / (2 * mpmath.pi * mpmath.factorial(index - 2)))
+
+
+@pytest.mark.parametrize(
+    "family,flags",
+    [
+        ("pasvs", ["--y-min", "1e-6", "--y-max", "0.999999"]),
+        ("pasops", ["--y-min", "1e-6", "--y-max", "0.999999"]),
+        ("pacsc", ["--y-min", "1e-4", "--y-max", "30"]),
+        ("pacsc", ["--mu", "1", "--lambda", "3", "--m", "0,2,7"]),
+    ],
+)
+def test_weights_match_mpmath(family, flags, capsys):
+    code, header, rows = weights_table(family, capsys, "--grid", "7", *flags)
+    assert code == 0
+    mu, lam = (1, 3) if "--mu" in flags else (0, 2)
+    for y, *values in rows:
+        for name, v in zip(header[1:], values):
+            ref = mpmath_weight(family, int(name[2:]), y, mu, lam)
+            assert v == pytest.approx(ref, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize(
+    "family,kernel",
+    [("pasvs", "legendre_q_table"), ("pasops", "legendre_q_table"), ("pacsc", "kummer_u_table")],
+)
+def test_weights_makes_one_table_call(family, kernel, capsys, monkeypatch):
+    calls = []
+    for name in ("legendre_q_table", "kummer_u_table"):
+        real = getattr(specfun, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(specfun, name, counted)
+    code, _, rows = weights_table(family, capsys)
+    assert code == 0 and len(rows) == 101
+    assert calls == [kernel]
+
+
+@pytest.mark.parametrize(
+    "argv,needle",
+    [
+        (["pasvs", "--y-max", "1.5"], "0 < y < 1, got y="),
+        (["pasops", "--y-min", "0"], "0 < y < 1, got y=0"),
+        (["pacsc", "--y-min", "-1"], "finite y > 0, got y=-1"),
+        (["pacsc", "--y-max", "inf"], "--y-max"),
+        (["pasvs", "--y-max", "nan"], "--y-max"),
+        (["pacsc", "--y-min=-inf"], "--y-min"),
+        (["pasvs", "--m", "0"], "pasvs measure requires m >= 1"),
+        (["pasops", "--m", "-1"], "pasops measure requires m >= 0"),
+        (["pacsc", "--mu", "2", "--lambda", "2"], "pacsc requires lam >= 1 and 0 <= mu < lam"),
+    ],
+)
+def test_weights_usage_errors_name_y_or_flag(argv, needle, capsys):
+    code, out, err = run_cli(["weights", *argv], capsys)
+    assert code == 2
+    assert out == ""
+    assert needle in err and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_weights_csv_nonpositive_value_names_y_and_column(capsys):
+    # e^(-2000) underflows: the table is written, and the first value that
+    # is not positive and finite is named on stderr
+    argv = ["weights", "pacsc", "--m", "1", "--y-max", "1e6", "--grid", "3"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out.splitlines()[-1] == "1000000,0"
+    assert err == "error: h_1 at y=500000.005 is 0, not positive and finite\n"
+
+
+def test_weights_json_nonpositive_value_fails_envelope(capsys):
+    argv = ["weights", "pacsc", "--m", "1", "--y-max", "1e6", "--grid", "3", "--format", "json"]
+    code, out, err = run_cli(argv, capsys)
+    env = json.loads(out)
+    assert code == 1 and err == ""
+    assert env["pass"] is False and env["max_error"] == math.inf
 
 
 # ------------------------------------------------------------ verify

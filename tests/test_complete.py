@@ -199,6 +199,18 @@ def test_weight_hmum_positivity_and_domain():
                     assert cm.weight_hmum(lam, mu, m, y) > 0.0
 
 
+def test_weight_hmum_errors_name_y_and_measure():
+    # weight_hmum is the one-node view of the CLI's table: WeightFunction
+    # validates the indices, the table the domain of y
+    for y in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="pacsc weight requires finite y > 0"):
+            cm.weight_hmum(2, 0, 1, y)
+    with pytest.raises(ValueError, match="pacsc requires lam >= 1 and 0 <= mu < lam"):
+        cm.weight_hmum(2, 2, 1, 0.5)
+    with pytest.raises(ValueError, match="pacsc measure requires m >= 0"):
+        cm.weight_hmum(2, 0, -1, 0.5)
+
+
 # ------------------------------------------------------------ moments
 
 def test_moment_check_reference_values():

@@ -350,7 +350,7 @@ def test_pasops_overlap_evaluates_one_legendre_form(monkeypatch):
 @pytest.mark.parametrize("family", ["pasvs", "pasops"])
 def test_overlap_grid_builds_each_oracle_vector_once(family, oracle_builds):
     pairs = [(sq(polar(0.2, 0.5)), sq(0.4)), (sq(0.4), sq(polar(0.2, 0.5))), (sq(0.4), sq(0.4))]
-    worst, count = ov.overlap_grid(family, pairs, 3)
+    worst, count = ov.overlap_grids((family,), pairs, 3)[family]
     assert count == 6 * len(pairs)
     assert worst < 1e-9
     # one array per label: vacuum-family indices 0..3, or 0..4 for pasops
@@ -362,7 +362,7 @@ def test_overlap_grids_share_one_evaluation(oracle_builds, monkeypatch):
     from pastates import specfun
 
     pairs = [(sq(polar(0.2, 0.5)), sq(0.4)), (sq(0.4), sq(polar(0.6, -2.9)))]
-    alone = {family: ov.overlap_grid(family, pairs, 4) for family in ("pasvs", "pasops")}
+    alone = {f: ov.overlap_grids((f,), pairs, 4)[f] for f in ("pasvs", "pasops")}
     points = []
     real = specfun.legendre_p_deriv
 
@@ -402,7 +402,7 @@ def test_overlap_grid_matches_pointwise_overlaps():
                 scalar = [*ov._pasvs_forms(xi, big_n, ze, big_m), oracle]
                 for got, want in zip(forms[:, i, p], scalar):
                     assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
-        assert ov.overlap_grid(family, pairs, 4)[1] == 9 * len(pairs)
+        assert ov.overlap_grids((family,), pairs, 4)[family][1] == 9 * len(pairs)
 
 
 def corrupt_oracle_vector(monkeypatch, label, index, corrupt):
@@ -428,14 +428,14 @@ def test_overlap_grid_fails_on_nan_oracle(monkeypatch):
         return column
 
     corrupt_oracle_vector(monkeypatch, 0.4, 1, nan_first)
-    assert ov.overlap_grid("pasvs", GRID_PAIRS, 1) == (math.inf, 4)
+    assert ov.overlap_grids(("pasvs",), GRID_PAIRS, 1)["pasvs"] == (math.inf, 4)
 
 
 def test_overlap_grid_fails_on_nan_legendre_form(monkeypatch):
     from pastates import specfun
 
     monkeypatch.setattr(specfun, "legendre_p_deriv", lambda order, degree, x: math.nan)
-    assert ov.overlap_grid("pasvs", GRID_PAIRS, 1) == (math.inf, 4)
+    assert ov.overlap_grids(("pasvs",), GRID_PAIRS, 1)["pasvs"] == (math.inf, 4)
 
 
 @pytest.mark.parametrize("form,field", [(1, "form_spread"), (3, "oracle_error")])
@@ -449,22 +449,22 @@ def test_scalar_overlap_fails_on_nan_legendre_form(monkeypatch, form, field):
 
 def test_overlap_grid_fails_on_scaled_oracle_vector(monkeypatch):
     corrupt_oracle_vector(monkeypatch, 0.4, 1, lambda column: column * (1.0 + 1e-8))
-    worst, count = ov.overlap_grid("pasvs", GRID_PAIRS, 1)
+    worst, count = ov.overlap_grids(("pasvs",), GRID_PAIRS, 1)["pasvs"]
     assert worst > 1e-9 and count == 4
 
 
 def test_overlap_grid_rejects_empty_grids():
     with pytest.raises(ValueError, match="at least one label pair"):
-        ov.overlap_grid("pasvs", [], 2)
+        ov.overlap_grids(("pasvs",), [], 2)
     with pytest.raises(ValueError, match="max_n >= 0"):
-        ov.overlap_grid("pasops", GRID_PAIRS, -1)
+        ov.overlap_grids(("pasops",), GRID_PAIRS, -1)
 
 
 def test_overlap_grid_rejects_unknown_family_and_wide_pairs():
     with pytest.raises(ValueError, match="unknown overlap family"):
-        ov.overlap_grid("pacsc", [(sq(0.2), sq(0.2))], 2)
+        ov.overlap_grids(("pacsc",), [(sq(0.2), sq(0.2))], 2)
     with pytest.raises(ValueError, match=r"pasops_overlap requires \|conj"):
-        ov.overlap_grid("pasops", [(sq(0.2), sq(0.2)), (sq(0.96), sq(0.96))], 2)
+        ov.overlap_grids(("pasops",), [(sq(0.2), sq(0.2)), (sq(0.96), sq(0.96))], 2)
 
 
 # ------------------------------------------------------------ circle norms
