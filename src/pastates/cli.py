@@ -266,7 +266,14 @@ def cmd_weights(args) -> int:
     else:
         y_max = args.y_max if args.y_max is not None else 0.9999
         y_min = args.y_min if args.y_min is not None else 0.0001
-    ys = [y_min + i * (y_max - y_min) / (args.grid - 1) for i in range(args.grid)]
+    # the last point is y_max itself, not the rounded end of the steps
+    steps = range(args.grid - 1)
+    ys = [y_min + i * (y_max - y_min) / (args.grid - 1) for i in steps] + [y_max]
+    if not all(map(math.isfinite, ys)):
+        raise UsageError(
+            f"weights requires a grid from --y-min to --y-max within the float range, "
+            f"got --y-min={_fmt(y_min)} --y-max={_fmt(y_max)}"
+        )
     table = complete._weight_table(args.family, ms, np.array(ys), args.mu, args.lam)
     header = ["y"] + [f"h_{m}" for m in ms]
     rows = [[y] + values for y, values in zip(ys, table.tolist())]

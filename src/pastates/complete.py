@@ -216,8 +216,12 @@ def _weight_table(family: str, ms, y: np.ndarray, mu: int | None = None, lam: in
         raise ValueError(f"{family} weight requires {domain}, got y={y[bad][0]}")
     if not circle:
         return _vacuum_weight_table(max(columns), y, 1.0 - y)[:, [i - 1 for i in columns]]
+    try:
+        constant = math.pi * float(lam) ** (lam - mu)
+    except OverflowError:
+        raise OverflowError(f"weight_hmum: pi lam^(lam-mu) overflows at lam={lam}, mu={mu}") from None
     table = _laplace_weight_table(max(columns), lam * y ** (1.0 / lam))[:, columns]
-    scale = y ** ((mu + 1.0 - lam) / lam) / (math.pi * float(lam) ** (lam - mu))
+    scale = y ** ((mu + 1.0 - lam) / lam) / constant
     return scale[:, None] * table
 
 

@@ -157,7 +157,8 @@ def _build_truncated(log_mag0, phase_unit, ratio, limit_ratio, eps):
     its k -> inf limit, so max(ratio(k+1), limit_ratio) dominates every
     later step whichever way the ratios approach the limit.  Each ratio is
     evaluated once: ratio(k+1) bounds the tail at step k and is the step
-    ratio at k+1.
+    ratio at k+1.  ``pasvs`` makes the same cut in numpy passes; the short
+    circle-state vectors are cut here, one step per coefficient.
     """
     coeffs = []
     log_mag = log_mag0
@@ -207,18 +208,57 @@ def _pasvs_log_amplitude0(param: SqueezeParam, m: int, norm: float) -> float:
 def _pasvs_step_ratio(az: float, m, sqrt=math.sqrt):
     """The amplitude ratio k -> |<m+2k+2|zeta, m> / <m+2k|zeta, m>| of
     |zeta, m>; with sqrt=np.sqrt, m and k may be numpy arrays."""
-    return lambda k: sqrt((2 * k + m + 1) * (2 * k + m + 2)) * az / (2.0 * (k + 1))
+
+    def ratio(k):
+        twice = 2 * k
+        j = twice + (m + 1)
+        return sqrt(j * (j + 1)) * az / (twice + 2.0)
+
+    return ratio
+
+
+def _pasvs_rows(az: float, top: int, eps: float) -> int:
+    """First guess at the rows a cut of |zeta, 0..top> needs: |c_k|^2 falls
+    like |zeta|^(2k) k^top, and the guess is capped at the _MAX_TERMS + 1
+    rows beyond which no cut converges."""
+    geometric = math.log(eps) / (2.0 * math.log(az))
+    guess = geometric + top * math.log(max(geometric, 2.0)) / (-2.0 * math.log(az))
+    return min(max(16, int(guess) + 1), _MAX_TERMS + 1)
 
 
 def pasvs(param: SqueezeParam, m: int, eps: float = 1e-14) -> FockVector:
-    """Photon-added squeezed vacuum state |zeta, m> as a Fock vector."""
+    """Photon-added squeezed vacuum state |zeta, m> as a Fock vector, cut
+    as ``_build_truncated`` cuts it, in numpy passes over one array."""
     _check_pasvs_args(param, m, eps)
     if param.zeta == 0:
         return _unit_vector(m, 2)
     az = abs(param.zeta)
     log_mag0 = _pasvs_log_amplitude0(param, m, overlap.pasvs_norm(param, m))
-    coeffs, tail = _build_truncated(log_mag0, param.zeta / az, _pasvs_step_ratio(az, m), az, eps)
-    return _check_normalized(FockVector(m, 2, coeffs, tail), "pasvs")
+    ratio = _pasvs_step_ratio(az, m, np.sqrt)
+    rows = _pasvs_rows(az, m, eps)
+    while True:
+        r = ratio(np.arange(rows + 1))
+        with np.errstate(all="ignore"):
+            # log amplitudes at k = 0..rows, summed in the order of _build_truncated
+            log_mag = np.empty(rows + 1)
+            log_mag[0] = log_mag0
+            np.log(r[:rows], out=log_mag[1:])
+            np.cumsum(log_mag, out=log_mag)
+            rho = np.maximum(r[1:], az)
+            # rho >= 1 bounds no tail: its tail is +inf or NaN, never below
+            # eps.  A ratio that underflows to 0 makes every later log
+            # amplitude -inf, so the tail there is exactly 0 and cuts.
+            tail = np.exp(2.0 * log_mag[1:]) / np.maximum(1.0 - rho * rho, 0.0)
+        cut = int(np.argmax(tail < eps))
+        if tail[cut] < eps:
+            break
+        if rows > _MAX_TERMS:
+            raise ValueError("state truncation did not converge")
+        rows = min(2 * rows, _MAX_TERMS + 1)
+    phase = np.full(cut + 1, param.zeta / az)
+    phase[0] = 1.0
+    coeffs = np.exp(log_mag[: cut + 1]) * np.cumprod(phase)
+    return _check_normalized(FockVector(m, 2, coeffs, float(tail[cut])), "pasvs")
 
 
 def _pasvs_columns(param: SqueezeParam, top: int, eps: float):
@@ -240,12 +280,9 @@ def _pasvs_columns(param: SqueezeParam, top: int, eps: float):
         return np.eye(top + 1, dtype=complex), np.ones(top + 1, dtype=int), np.zeros(top + 1), norms
     az = abs(param.zeta)
     log0 = np.array([_pasvs_log_amplitude0(param, i, norms[i]) for i in cols])
-    # |c_k|^2 falls like |zeta|^(2k) k^top in the longest column: a first
-    # guess at its cut, doubled until every column is cut within the scalar
-    # constructor's _MAX_TERMS steps
-    geometric = math.log(eps) / (2.0 * math.log(az))
-    guess = geometric + top * math.log(max(geometric, 2.0)) / (-2.0 * math.log(az))
-    rows = min(max(16, int(guess) + 1), _MAX_TERMS + 1)
+    # a first guess at the longest column's cut, doubled until every column
+    # is cut within _MAX_TERMS steps
+    rows = _pasvs_rows(az, top, eps)
     while True:
         ratio = _pasvs_step_ratio(az, cols, np.sqrt)(np.arange(rows + 1)[:, None])
         with np.errstate(all="ignore"):

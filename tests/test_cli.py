@@ -286,6 +286,9 @@ def test_weights_makes_one_table_call(family, kernel, capsys, monkeypatch):
         (["pasvs", "--m", "0"], "pasvs measure requires m >= 1"),
         (["pasops", "--m", "-1"], "pasops measure requires m >= 0"),
         (["pacsc", "--mu", "2", "--lambda", "2"], "pacsc requires lam >= 1 and 0 <= mu < lam"),
+        # both ends are finite, but the span or the grid's steps are not
+        (["pacsc", "--y-min=-1e308", "--y-max", "1e308"], "--y-min=-1e+308 --y-max=1e+308"),
+        (["pacsc", "--y-max", "1e308", "--grid", "5"], "--y-min=0.01 --y-max=1e+308"),
     ],
 )
 def test_weights_usage_errors_name_y_or_flag(argv, needle, capsys):
@@ -293,6 +296,20 @@ def test_weights_usage_errors_name_y_or_flag(argv, needle, capsys):
     assert code == 2
     assert out == ""
     assert needle in err and err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, last",
+    [
+        (["pasvs", "--y-min", "0.9", "--y-max", "0.1", "--grid", "3"], "0.10000000000000001"),
+        (["pasvs", "--grid", "11"], "0.99990000000000001"),
+        (["pasops", "--grid", "100"], "0.99990000000000001"),
+    ],
+)
+def test_weights_grid_ends_at_y_max(argv, last, capsys):
+    code, out, _ = run_cli(["weights", *argv], capsys)
+    assert code == 0
+    assert out.splitlines()[-1].split(",")[0] == last
 
 
 def test_weights_csv_nonpositive_value_names_y_and_column(capsys):
@@ -576,6 +593,11 @@ def test_envelope_records_version_and_tolerance(tmp_path, capsys):
             id="norm-pacsc",
         ),
         pytest.param(["norm", "csc", "--z", "1000", "--lambda", "2"], ("z=",), id="norm-csc"),
+        pytest.param(
+            ["weights", "pacsc", "--lambda", "200", "--m", "1", "--grid", "3"],
+            ("weight_hmum", "lam=200", "mu=0"),
+            id="weights-pacsc",
+        ),
         # |z|^2 overflows in CircleParam.y before any kernel runs
         pytest.param(
             ["norm", "csc", "--z", "1e155", "--lambda", "2"], ("CircleParam", "z="), id="norm-csc-y2"

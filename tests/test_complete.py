@@ -211,6 +211,13 @@ def test_weight_hmum_errors_name_y_and_measure():
         cm.weight_hmum(2, 0, -1, 0.5)
 
 
+@pytest.mark.parametrize("lam, mu", [(200, 0), (200, 57), (144, 0)])
+def test_weight_hmum_constant_overflow_names_function_lam_and_mu(lam, mu):
+    # pi lam^(lam-mu) is beyond the float range although the density is not
+    with pytest.raises(OverflowError, match=rf"^weight_hmum: .* at lam={lam}, mu={mu}$"):
+        cm.weight_hmum(lam, mu, 1, 0.5)
+
+
 # ------------------------------------------------------------ moments
 
 def test_moment_check_reference_values():

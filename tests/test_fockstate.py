@@ -1,5 +1,6 @@
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -117,19 +118,68 @@ def test_truncation_honesty():
         assert abs(coarse.coeffs[k] - fine.coeffs[k]) < 1e-13
 
 
+def scalar_pasvs(param, m, eps):
+    """The coefficients and tail bound of |zeta, m> from the one-step-per-
+    coefficient reference cut ``_build_truncated``."""
+    if param.zeta == 0:
+        return np.array([1.0 + 0.0j]), 0.0
+    az = abs(param.zeta)
+    log_mag0 = fs._pasvs_log_amplitude0(param, m, ov.pasvs_norm(param, m))
+    return fs._build_truncated(log_mag0, param.zeta / az, fs._pasvs_step_ratio(az, m), az, eps)
+
+
+@pytest.mark.parametrize("eps", [1e-14, TIGHT])
+@pytest.mark.parametrize("modulus", [1e-200, 0.3, 0.9, 0.95, 0.99])
+def test_pasvs_matches_scalar_reference_cut(modulus, eps):
+    param = fs.SqueezeParam(modulus * unit_phase(2.3))
+    checked = 0
+    for m in (0, 1, 2, 3, 4, 7, 8, 15, 16, 31, 40, 64, 99, 127, 160):
+        try:
+            want, want_tail = scalar_pasvs(param, m, eps)
+        except OverflowError:
+            # the norm is beyond the float range at this index and above
+            break
+        v = fs.pasvs(param, m, eps)
+        assert v.offset == m and len(v.coeffs) == len(want)
+        assert abs(v.tail_bound - want_tail) <= 1e-12 * want_tail
+        assert np.max(np.abs(v.coeffs - want)) <= 1e-14
+        checked += 1
+    assert checked >= 9
+
+
+def test_pasvs_cut_at_an_underflowing_ratio_has_zero_tail():
+    # the first step ratio sqrt(2) |zeta| / 2 rounds to 0 at the smallest
+    # subnormal modulus
+    param = fs.SqueezeParam(5e-324)
+    v = fs.pasvs(param, 0)
+    want, want_tail = scalar_pasvs(param, 0, 1e-14)
+    assert want_tail == 0.0 and v.tail_bound == 0.0
+    assert list(v.coeffs) == list(want) == [1.0 + 0.0j]
+
+
+def test_pasvs_gives_up_at_the_term_cap_quickly(recwarn):
+    # about 1.6e10 coefficients before the tail drops below eps: far past
+    # the term cap, which must stop the cut before any large allocation
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="^state truncation did not converge$"):
+        fs.pasvs(fs.SqueezeParam(1 - 1e-9), 0)
+    assert time.perf_counter() - start < 0.1
+    assert not recwarn.list
+
+
 @pytest.mark.parametrize("eps", [1e-14, TIGHT])
 @pytest.mark.parametrize("zeta", [0, 0.3, 0.6 * unit_phase(2.9), 0.9, 0.95])
 def test_pasvs_columns_match_scalar_constructor(zeta, eps):
     param = fs.SqueezeParam(zeta)
     dense, lengths, tails, norms = fs._pasvs_columns(param, 40, eps)
     for i in range(41):
-        v = fs.pasvs(param, i, eps)
-        assert v.offset == i and lengths[i] == len(v.coeffs)
-        assert abs(tails[i] - v.tail_bound) <= 1e-12 * v.tail_bound
+        want, want_tail = scalar_pasvs(param, i, eps)
+        assert lengths[i] == len(want)
+        assert abs(tails[i] - want_tail) <= 1e-12 * want_tail
         assert norms[i] == ov.pasvs_norm(param, i)
         # column i holds |zeta, i> on the photon numbers i, i + 2, ... only
         support = np.arange(i, i + 2 * lengths[i], 2)
-        assert np.max(np.abs(dense[support, i] - v.coeffs)) <= 1e-14
+        assert np.max(np.abs(dense[support, i] - want)) <= 1e-14
         assert not np.delete(dense[:, i], support).any()
 
 
