@@ -185,7 +185,7 @@ def cmd_overlap(args) -> int:
             value, build = overlap.sv_overlap(xi, zeta), fockstate.pasvs
         else:
             value, build = overlap.sops_overlap(xi, zeta), fockstate.pasops
-        eps = overlap._SERIES_EPS
+        eps = overlap.SERIES_EPS
         oracle = fockstate.inner(build(xi, 0, eps=eps), build(zeta, 0, eps=eps))
         err = abs(value - oracle)
         env = _envelope(
@@ -224,10 +224,10 @@ def cmd_norm(args) -> int:
     if args.family in ("pasvs", "pasops"):
         if args.family == "pasvs":
             value = overlap.pasvs_norm(param, args.m)
-            vec = fockstate.pasvs(param, args.m, eps=overlap._SERIES_EPS)
+            vec = fockstate.pasvs(param, args.m, eps=overlap.SERIES_EPS)
         else:
             value = overlap.pasops_norm(param, args.m)
-            vec = fockstate.pasops(param, args.m, eps=overlap._SERIES_EPS)
+            vec = fockstate.pasops(param, args.m, eps=overlap.SERIES_EPS)
         err = abs(vec.norm_sq() + vec.tail_bound - 1.0)
         results = {"value": value, "normalization_defect": err}
         params = {"family": args.family, "zeta": args.zeta, "m": args.m}

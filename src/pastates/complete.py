@@ -488,7 +488,7 @@ def discrete_completeness_matrix(
     top = min(m_cutoff, basis_dim - 1)
     # |zeta, 0..top> on the first basis_dim Fock states
     vectors = np.zeros((basis_dim, top + 1), dtype=complex)
-    block = fockstate._pasvs_columns(param, top, 1e-26)[0][:basis_dim]
+    block = fockstate._pasvs_columns(param, top, overlap.SERIES_EPS)[0][:basis_dim]
     vectors[: len(block)] = block
     entries = vectors @ _pair_matrix(param, top, coefficients) @ vectors.conj().T
     return OperatorMatrix(0, 1, basis_dim, entries)
@@ -506,7 +506,7 @@ def sns_completeness_matrix(
     if basis_dim < 1 or basis_dim > 64:
         raise ValueError("sns_completeness_matrix requires 1 <= basis_dim <= 64")
     entries = np.zeros((basis_dim, basis_dim), dtype=complex)
-    for state in fockstate._sns_states(param, range(m_cutoff + 1), 1e-26):
+    for state in fockstate._sns_states(param, range(m_cutoff + 1), overlap.SERIES_EPS):
         v = state.dense(basis_dim)
         entries += np.outer(v, v.conj())
     return OperatorMatrix(0, 1, basis_dim, entries)

@@ -85,11 +85,14 @@ class CircleParam:
 
     @property
     def y(self) -> float:
+        """|z|^2 / lam^lam, formed in log space, where neither power overflows."""
+        if self.z == 0:
+            return 0.0
         try:
-            return abs(self.z) ** 2 / float(self.lam) ** self.lam
+            return math.exp(2.0 * math.log(abs(self.z)) - self.lam * math.log(self.lam))
         except OverflowError:
             raise OverflowError(
-                f"CircleParam: |z|^2 or lam^lam in y overflows at z={self.z}, lam={self.lam}"
+                f"CircleParam: y = |z|^2 / lam^lam overflows at z={self.z}, lam={self.lam}"
             ) from None
 
 
@@ -149,7 +152,12 @@ def _check_normalized(v: FockVector, label: str) -> FockVector:
     return v
 
 
-def _build_truncated(log_mag0, phase_unit, ratio, limit_ratio, eps):
+def _cap_error(label: str, eps: float) -> ValueError:
+    message = f"state truncation did not converge within {_MAX_TERMS} terms"
+    return ValueError(f"{label} eps={eps}: {message}")
+
+
+def _build_truncated(log_mag0, phase_unit, ratio, limit_ratio, eps, label):
     """Coefficients c_k = exp(L_k) * phase_unit^k, cut when the geometric
     tail bound drops below eps.
 
@@ -158,7 +166,8 @@ def _build_truncated(log_mag0, phase_unit, ratio, limit_ratio, eps):
     later step whichever way the ratios approach the limit.  Each ratio is
     evaluated once: ratio(k+1) bounds the tail at step k and is the step
     ratio at k+1.  ``pasvs`` makes the same cut in numpy passes; the short
-    circle-state vectors are cut here, one step per coefficient.
+    circle-state vectors are cut here, one step per coefficient.  Errors
+    name the state by label(), formed only when one is raised.
     """
     coeffs = []
     log_mag = log_mag0
@@ -166,6 +175,8 @@ def _build_truncated(log_mag0, phase_unit, ratio, limit_ratio, eps):
     k = 0
     r = ratio(0)
     while True:
+        if not math.isfinite(r):
+            raise ArithmeticError(f"{label()}: amplitude ratio is not finite at k={k}")
         coeffs.append(math.exp(log_mag) * phase)
         if r == 0.0:
             # ratio underflowed: every further coefficient is below the
@@ -180,7 +191,7 @@ def _build_truncated(log_mag0, phase_unit, ratio, limit_ratio, eps):
                 return np.array(coeffs), tail
         k += 1
         if k > _MAX_TERMS:
-            raise ValueError("state truncation did not converge")
+            raise _cap_error(label(), eps)
         log_mag = log_next
         phase *= phase_unit
         r = r_next
@@ -191,12 +202,10 @@ def _check_eps(name: str, eps: float) -> None:
         raise ValueError(f"{name} requires a finite eps > 0, got eps={eps}")
 
 
-def _check_pasvs_args(param: SqueezeParam, m: int, eps: float) -> None:
+def _check_pasvs_args(m: int, eps: float) -> None:
     if m < 0:
         raise ValueError("pasvs requires m >= 0")
     _check_eps("pasvs", eps)
-    if abs(param.zeta) >= 1.0 - 1e-12:
-        raise ValueError("pasvs: |zeta| too close to 1, truncation cost diverges")
 
 
 def _pasvs_log_amplitude0(param: SqueezeParam, m: int, norm: float) -> float:
@@ -229,7 +238,7 @@ def _pasvs_rows(az: float, top: int, eps: float) -> int:
 def pasvs(param: SqueezeParam, m: int, eps: float = 1e-14) -> FockVector:
     """Photon-added squeezed vacuum state |zeta, m> as a Fock vector, cut
     as ``_build_truncated`` cuts it, in numpy passes over one array."""
-    _check_pasvs_args(param, m, eps)
+    _check_pasvs_args(m, eps)
     if param.zeta == 0:
         return _unit_vector(m, 2)
     az = abs(param.zeta)
@@ -253,7 +262,7 @@ def pasvs(param: SqueezeParam, m: int, eps: float = 1e-14) -> FockVector:
         if tail[cut] < eps:
             break
         if rows > _MAX_TERMS:
-            raise ValueError("state truncation did not converge")
+            raise _cap_error(f"pasvs zeta={param.zeta} m={m}", eps)
         rows = min(2 * rows, _MAX_TERMS + 1)
     phase = np.full(cut + 1, param.zeta / az)
     phase[0] = 1.0
@@ -273,7 +282,7 @@ def _pasvs_columns(param: SqueezeParam, top: int, eps: float):
     rho = max(ratio(k+1), |zeta|) < 1 and the geometric tail is below eps),
     and the same normalization check on every column.
     """
-    _check_pasvs_args(param, top, eps)
+    _check_pasvs_args(top, eps)
     cols = np.arange(top + 1)
     norms = np.array([overlap.pasvs_norm(param, i) for i in cols])
     if param.zeta == 0:
@@ -295,7 +304,7 @@ def _pasvs_columns(param: SqueezeParam, top: int, eps: float):
         if stop.any(axis=0).all():
             break
         if rows > _MAX_TERMS:
-            raise ValueError("state truncation did not converge")
+            raise _cap_error(f"pasvs zeta={param.zeta} m={top}", eps)
         rows = min(2 * rows, _MAX_TERMS + 1)
     cut = np.argmax(stop, axis=0)
     lengths = cut + 1
@@ -407,23 +416,9 @@ def _sns_states(param: SqueezeParam, ms, eps: float) -> list[FockVector]:
 
 
 def csc(param: CircleParam, eps: float = 1e-14) -> FockVector:
-    """Eigenstate of a^lam on the subspace with photon numbers = mu mod lam."""
+    """Eigenstate |z, mu> of a^lam on the photon numbers = mu mod lam: |z, mu, 0>."""
     _check_eps("csc", eps)
-    lam, mu = param.lam, param.mu
-    if param.z == 0:
-        return _unit_vector(mu, lam)
-    az = abs(param.z)
-    norm = overlap.csc_norm(param)
-    log_mag0 = -0.5 * math.log(norm)
-
-    def ratio(k: int) -> float:
-        prod = 1.0
-        for j in range(1, lam + 1):
-            prod *= k * lam + mu + j
-        return az / math.sqrt(prod)
-
-    coeffs, tail = _build_truncated(log_mag0, param.z / az, ratio, 0.0, eps)
-    return _check_normalized(FockVector(mu, lam, coeffs, tail), "csc")
+    return _circle_state("csc", param, 0, eps)
 
 
 def pacsc(param: CircleParam, m: int, eps: float = 1e-14) -> FockVector:
@@ -431,28 +426,30 @@ def pacsc(param: CircleParam, m: int, eps: float = 1e-14) -> FockVector:
     if m < 0:
         raise ValueError("pacsc requires m >= 0")
     _check_eps("pacsc", eps)
+    return _circle_state("pacsc", param, m, eps)
+
+
+def _circle_state(name: str, param: CircleParam, m: int, eps: float) -> FockVector:
+    """|z, mu, m> on |m + mu + k lam>, with amplitudes proportional to
+    z^k sqrt((k lam + mu + m)!) / (k lam + mu)!; the first is F_m^(-1/2)."""
     lam, mu = param.lam, param.mu
     if param.z == 0:
         return _unit_vector(m + mu, lam)
     az = abs(param.z)
-    norm_mu = overlap.csc_norm(param)
-    norm_mum = overlap.pacsc_norm(param, m)
-    log_mag0 = (
-        -0.5 * (math.log(norm_mum) + math.log(norm_mu))
-        + 0.5 * (specfun.log_factorial(mu) + specfun.log_factorial(m + mu))
-        - specfun.log_factorial(mu)
-    )
 
     def ratio(k: int) -> float:
-        num = 1.0
-        den = 1.0
-        for j in range(1, lam + 1):
-            num *= k * lam + m + mu + j
-            den *= k * lam + mu + j
-        return az * math.sqrt(num) / den
+        # one factor per j: the products over all j overflow from lam = 135 at |z| = 1
+        r = az
+        for n in range(k * lam + mu + 1, (k + 1) * lam + mu + 1):
+            r *= math.sqrt(n + m) / n
+        return r
 
-    coeffs, tail = _build_truncated(log_mag0, param.z / az, ratio, 0.0, eps)
-    return _check_normalized(FockVector(m + mu, lam, coeffs, tail), "pacsc")
+    def label():
+        return f"{name} z={param.z} lam={lam} mu={mu}" + (f" m={m}" if name == "pacsc" else "")
+
+    log_mag0 = -0.5 * math.log(overlap._circle_series(param, m))
+    coeffs, tail = _build_truncated(log_mag0, param.z / az, ratio, 0.0, eps, label)
+    return _check_normalized(FockVector(m + mu, lam, coeffs, tail), name)
 
 
 def apply_raising(v: FockVector) -> FockVector:

@@ -101,11 +101,17 @@ def pasops_norm(zeta, m: int) -> float:
         raise OverflowError(f"pasops_norm: norm overflows at zeta={zeta.zeta}, m={m}") from None
 
 
-def _csc_pfq_params(lam: int, mu: int) -> list[float]:
-    """Lower-parameter list of the 0F_{lam-1} normalization series."""
-    return [1.0 + j / lam for j in range(1, mu + 1)] + [
-        j / lam for j in range(mu + 1, lam)
-    ]
+def _circle_series(param, m: int) -> float:
+    """F_m = lamF_{2lam-1}((m+mu+j)/lam, j = 1..lam; 1, b, b; y) of |z, mu, m>,
+    b = (mu+j)/lam for j = 1..lam, j != lam - mu.  Equal parameters cancel by
+    their integer numerators over lam, so F_0 is 0F_{lam-1}(; b; y)."""
+    lam, mu = param.lam, param.mu
+    upper = range(m + mu + 1, m + mu + lam + 1)
+    b = [n for n in range(mu + 1, mu + lam + 1) if n != lam]
+    # upper numerators in (mu, mu + lam] cancel lam (the 1) or one copy of b
+    a_list = [n / lam for n in upper if not mu < n <= mu + lam]
+    b_list = [n / lam for n in [lam] + b if n not in upper] + [n / lam for n in b]
+    return specfun.generalized_pfq(a_list, b_list, param.y)
 
 
 def csc_norm(param, form: str = "pfq") -> float:
@@ -117,7 +123,7 @@ def csc_norm(param, form: str = "pfq") -> float:
     """
     lam, mu = param.lam, param.mu
     if form == "pfq":
-        return specfun.generalized_pfq([], _csc_pfq_params(lam, mu), param.y)
+        return _circle_series(param, 0)
     if form == "circle":
         if param.z == 0:
             return 1.0
@@ -133,31 +139,20 @@ def csc_norm(param, form: str = "pfq") -> float:
 def pacsc_norm(param, m: int, form: str = "pfq") -> float:
     """Normalization of the photon-added circle states; two routes.
 
-    form="pfq": (m+mu)!/mu! * lamF_{2lam-1}(...; y) divided by the base
-    normalization.  form="laguerre": the rotated-Laguerre sum over the lam
+    form="pfq": (m+mu)!/mu! * F_m / F_0 with the circle series F_m of
+    ``_circle_series``.  form="laguerre": the rotated-Laguerre sum over the lam
     circle components; its imaginary part must vanish and is checked.  A
     norm beyond the float range raises ``OverflowError``.
     """
     if m < 0:
         raise ValueError("pacsc_norm requires m >= 0")
-    lam, mu = param.lam, param.mu
+    log_rising = specfun.log_factorial(m + param.mu) - specfun.log_factorial(param.mu)
     if param.z == 0:
-        return _pacsc_in_float_range(
-            lambda: math.exp(specfun.log_factorial(m + mu) - specfun.log_factorial(mu)), param, m
-        )
+        return _pacsc_in_float_range(lambda: math.exp(log_rising), param, m)
     n_mu = csc_norm(param, "pfq")
     if form == "pfq":
-        a_list = [(m + mu + j) / lam for j in range(1, lam + 1)]
-        b_core = _csc_pfq_params(lam, mu)
-        b_list = [1.0] + b_core + b_core
-        series = specfun.generalized_pfq(a_list, b_list, param.y)
-        return _pacsc_in_float_range(
-            lambda: math.exp(specfun.log_factorial(m + mu) - specfun.log_factorial(mu))
-            / n_mu
-            * series,
-            param,
-            m,
-        )
+        f_m = _circle_series(param, m)
+        return _pacsc_in_float_range(lambda: math.exp(log_rising) / n_mu * f_m, param, m)
     if form == "laguerre":
         value = _pacsc_in_float_range(lambda: _pacsc_laguerre_norm(param, m, n_mu), param, m)
         if abs(value.imag) > 1e-10 * max(1.0, abs(value.real)):
@@ -241,7 +236,7 @@ def _pasvs_forms(xi, n: int, zeta, m: int) -> tuple[complex, complex, complex]:
 # Oracle vectors are truncated far below working precision: the inner
 # product of two vectors cut at different lengths loses ~sqrt(eps_u * eps_v)
 # of cross terms, so eps must sit well under the comparison tolerances.
-_SERIES_EPS = 1e-26
+SERIES_EPS = 1e-26
 
 
 def _overlap(family: str, xi, n: int, zeta, m: int, form) -> OverlapResult:
@@ -268,9 +263,9 @@ def _overlap(family: str, xi, n: int, zeta, m: int, form) -> OverlapResult:
     if swap:
         xi, n, zeta, m = zeta, m, xi, n
     f1, f2, f3 = _pasvs_forms(xi, n, zeta, m)
-    u = fockstate.pasvs(xi, n, eps=_SERIES_EPS)
+    u = fockstate.pasvs(xi, n, eps=SERIES_EPS)
     # on the diagonal one oracle vector serves both sides
-    v = u if (xi.zeta, n) == (zeta.zeta, m) else fockstate.pasvs(zeta, m, eps=_SERIES_EPS)
+    v = u if (xi.zeta, n) == (zeta.zeta, m) else fockstate.pasvs(zeta, m, eps=SERIES_EPS)
     series = fockstate.inner(u, v)
     value = {1: f1, 2: f2, 3: f3, "series": series}[form]
     # np.max keeps a NaN, where Python's max would drop it
@@ -352,7 +347,7 @@ def _grid_forms(label_pairs, points):
     norms, dense = {}, {}
     for param in {p.zeta: p for pair in label_pairs for p in pair}.values():
         dense[param.zeta], _, _, norms[param.zeta] = fockstate._pasvs_columns(
-            param, top, _SERIES_EPS
+            param, top, SERIES_EPS
         )
     gram = np.empty((top + 1, top + 1, len(label_pairs)), dtype=complex)
     for p, (xi, zeta) in enumerate(label_pairs):

@@ -598,7 +598,7 @@ def test_envelope_records_version_and_tolerance(tmp_path, capsys):
             ("weight_hmum", "lam=200", "mu=0"),
             id="weights-pacsc",
         ),
-        # |z|^2 overflows in CircleParam.y before any kernel runs
+        # y = |z|^2 / lam^lam overflows in CircleParam.y before any kernel runs
         pytest.param(
             ["norm", "csc", "--z", "1e155", "--lambda", "2"], ("CircleParam", "z="), id="norm-csc-y2"
         ),
@@ -625,6 +625,19 @@ def test_failed_normalization_check_exits_1(capsys, monkeypatch):
     code, _, err = run_cli(["state", "pasvs", "--zeta", "0.5", "--m", "2"], capsys)
     assert code == 1
     assert "normalization check failed" in err
+
+
+@pytest.mark.parametrize("command", ["norm", "state"])
+def test_circle_label_with_lam_lam_beyond_the_float_range_exits_0(command, capsys):
+    # y = 1 / 200^200 underflows to 0, though 200^200 itself overflows
+    code, out, err = run_cli([command, "csc", "--z", "1", "--lambda", "200"], capsys)
+    assert code == 0 and err == "" and out
+
+
+def test_pasvs_beyond_the_term_cap_names_its_label(capsys):
+    code, out, err = run_cli(["state", "pasvs", "--zeta", "0.99999", "--m", "0"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: pasvs zeta=(0.99999+0j) m=0 eps=1e-14: state truncation")
 
 
 @pytest.mark.parametrize("z", ["nan", "inf"])

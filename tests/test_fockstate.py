@@ -125,7 +125,8 @@ def scalar_pasvs(param, m, eps):
         return np.array([1.0 + 0.0j]), 0.0
     az = abs(param.zeta)
     log_mag0 = fs._pasvs_log_amplitude0(param, m, ov.pasvs_norm(param, m))
-    return fs._build_truncated(log_mag0, param.zeta / az, fs._pasvs_step_ratio(az, m), az, eps)
+    ratio = fs._pasvs_step_ratio(az, m)
+    return fs._build_truncated(log_mag0, param.zeta / az, ratio, az, eps, lambda: "pasvs")
 
 
 @pytest.mark.parametrize("eps", [1e-14, TIGHT])
@@ -161,7 +162,8 @@ def test_pasvs_gives_up_at_the_term_cap_quickly(recwarn):
     # about 1.6e10 coefficients before the tail drops below eps: far past
     # the term cap, which must stop the cut before any large allocation
     start = time.perf_counter()
-    with pytest.raises(ValueError, match="^state truncation did not converge$"):
+    want = r"^pasvs zeta=\(0\.999999999\+0j\) m=0 eps=1e-14: state truncation did not converge"
+    with pytest.raises(ValueError, match=want):
         fs.pasvs(fs.SqueezeParam(1 - 1e-9), 0)
     assert time.perf_counter() - start < 0.1
     assert not recwarn.list
@@ -418,6 +420,60 @@ def test_pacsc_support():
     assert all((n - 1) % 2 == 0 for n in v.photon_numbers())
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    modulus=st.floats(min_value=0.0, max_value=5.0),
+    angle=st.floats(min_value=-math.pi, max_value=math.pi),
+    lam=st.integers(min_value=1, max_value=4),
+    mu=st.integers(min_value=0, max_value=3),
+)
+def test_csc_is_the_photon_added_circle_state_at_m_0(modulus, angle, lam, mu):
+    param = fs.CircleParam(modulus * unit_phase(angle), lam, mu % lam)
+    v, w = fs.csc(param), fs.pacsc(param, 0)
+    assert (v.offset, v.stride, v.tail_bound) == (w.offset, w.stride, w.tail_bound)
+    np.testing.assert_array_equal(v.coeffs, w.coeffs)
+
+
+@pytest.mark.parametrize("build", [lambda p: fs.csc(p), lambda p: fs.pacsc(p, 3)])
+def test_circle_states_sum_one_series(build, monkeypatch):
+    from pastates import specfun
+
+    calls = []
+    real = specfun.generalized_pfq
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(specfun, "generalized_pfq", counted)
+    build(fs.CircleParam(0.9 * unit_phase(0.4), 3, 1))
+    assert len(calls) == 1
+
+
+# at lam = 135 the products of the lam step factors overflow, and at m = 300
+# the norm relative to |z, mu> does; the state needs neither
+@pytest.mark.parametrize("z,lam,m", [(1.0, 135, 1), (0.8, 2, 300)])
+def test_pacsc_is_normalized_quickly_past_the_float_range_of_its_products(z, lam, m):
+    start = time.perf_counter()
+    v = fs.pacsc(fs.CircleParam(z, lam, 0), m)
+    assert time.perf_counter() - start < 0.2
+    assert v.offset == m and v.stride == lam
+    assert abs(v.norm_sq() + v.tail_bound - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_build_truncated_stops_at_a_non_finite_ratio(bad):
+    seen = []
+
+    def ratio(k):
+        seen.append(k)
+        return 0.5 if k == 0 else bad
+
+    with pytest.raises(ArithmeticError, match=r"^pacsc z=1 m=2: amplitude ratio is not finite at k=1$"):
+        fs._build_truncated(0.0, 1.0 + 0.0j, ratio, 0.0, 1e-14, lambda: "pacsc z=1 m=2")
+    assert seen == [0, 1]
+
+
 # ------------------------------------------------------------ ladders / inner
 
 def test_lowering_annihilates_vacuum():
@@ -511,7 +567,7 @@ def test_build_truncated_evaluates_each_ratio_once():
         seen.append(k)
         return math.sqrt((2 * k + 3) * (2 * k + 4)) * az / (2.0 * (k + 1))
 
-    coeffs, tail = fs._build_truncated(0.0, 1.0 + 0.0j, ratio, az, 1e-20)
+    coeffs, tail = fs._build_truncated(0.0, 1.0 + 0.0j, ratio, az, 1e-20, lambda: "test")
     assert 0.0 < tail < 1e-20
     assert seen == list(range(len(coeffs) + 1))
 

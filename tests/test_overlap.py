@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from pastates import fockstate as fs
 from pastates import overlap as ov
+from pastates import specfun
 from pastates.specfun import laguerre, legendre_p, legendre_p_deriv, log_factorial
 
 
@@ -397,7 +398,7 @@ def test_overlap_grid_matches_pointwise_overlaps():
         for i, (big_n, big_m) in enumerate(points):
             for p, (xi, ze) in enumerate(pairs):
                 oracle = fs.inner(
-                    fs.pasvs(xi, big_n, eps=ov._SERIES_EPS), fs.pasvs(ze, big_m, eps=ov._SERIES_EPS)
+                    fs.pasvs(xi, big_n, eps=ov.SERIES_EPS), fs.pasvs(ze, big_m, eps=ov.SERIES_EPS)
                 )
                 scalar = [*ov._pasvs_forms(xi, big_n, ze, big_m), oracle]
                 for got, want in zip(forms[:, i, p], scalar):
@@ -499,6 +500,13 @@ def test_csc_norm_series_oracle():
         math.factorial(1) / math.factorial(3 * k + 1) * abs(p.z) ** (2 * k) for k in range(40)
     )
     assert ov.csc_norm(p) == pytest.approx(brute, rel=1e-12)
+
+
+@pytest.mark.parametrize("lam,mu,z", [(1, 0, 0.8), (2, 1, 1.5), (3, 2, 5.0), (4, 2, polar(3.0, 1.2))])
+def test_csc_norm_is_the_0f_series_of_b(lam, mu, z):
+    p = circle(z, lam, mu)
+    b = [(mu + j) / lam for j in range(1, lam + 1) if mu + j != lam]
+    assert ov.csc_norm(p, "pfq") == specfun.generalized_pfq([], b, p.y)
 
 
 def test_csc_norm_rejects_unknown_form():
