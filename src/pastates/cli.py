@@ -181,12 +181,15 @@ def cmd_overlap(args) -> int:
     xi = fockstate.SqueezeParam(parse_complex(args.xi))
     zeta = fockstate.SqueezeParam(parse_complex(args.zeta))
     if args.family in ("sv", "sops"):
-        if args.family == "sv":
-            value, build = overlap.sv_overlap(xi, zeta), fockstate.pasvs
-        else:
-            value, build = overlap.sops_overlap(xi, zeta), fockstate.pasops
-        eps = overlap.SERIES_EPS
-        oracle = fockstate.inner(build(xi, 0, eps=eps), build(zeta, 0, eps=eps))
+        # |xi> and S(xi)|1> are the vacuum-family states |xi, 0> and |xi, 1>
+        shift = 0 if args.family == "sv" else 1
+        value = (overlap.sv_overlap if shift == 0 else overlap.sops_overlap)(xi, zeta)
+        oracle = overlap._series(
+            args.family,
+            shift,
+            (xi, shift, overlap.pasvs_norm(xi, shift)),
+            (zeta, shift, overlap.pasvs_norm(zeta, shift)),
+        )
         err = abs(value - oracle)
         env = _envelope(
             "overlap",

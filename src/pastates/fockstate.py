@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -235,39 +236,103 @@ def _pasvs_rows(az: float, top: int, eps: float) -> int:
     return min(max(16, int(guess) + 1), _MAX_TERMS + 1)
 
 
-def pasvs(param: SqueezeParam, m: int, eps: float = 1e-14) -> FockVector:
-    """Photon-added squeezed vacuum state |zeta, m> as a Fock vector, cut
-    as ``_build_truncated`` cuts it, in numpy passes over one array."""
-    _check_pasvs_args(m, eps)
-    if param.zeta == 0:
-        return _unit_vector(m, 2)
-    az = abs(param.zeta)
-    log_mag0 = _pasvs_log_amplitude0(param, m, overlap.pasvs_norm(param, m))
-    ratio = _pasvs_step_ratio(az, m, np.sqrt)
-    rows = _pasvs_rows(az, m, eps)
+def _pasvs_cut(name: str, shift: int, labels, eps: float) -> list:
+    """The coefficients and tail bound of |zeta, m> for every (param, m,
+    norm) in ``labels`` (norm: its closed-form normalization
+    ``overlap.pasvs_norm``), cut as ``_build_truncated`` cuts it.
+
+    The rows k = 0..rows of every label's segment are laid end to end in
+    one 1-D array, and each elementwise pass of the cut runs once over all
+    of them: the step ratio of ``_pasvs_step_ratio``, the log amplitudes
+    (summed within each segment, in the order of _build_truncated) and the
+    geometric tail bound.  A segment that does not cut is run again twice
+    as long.  Every vector's coefficient sum plus tail is checked against
+    1.  Errors name a vector as the ``name`` state at index m - shift.
+    """
+    live = [(i, abs(param.zeta), m) for i, (param, m, _) in enumerate(labels) if param.zeta != 0]
+    # zeta = 0 gives the unit vector |m>, with no tail
+    unit = (np.array([1.0 + 0.0j]), 0.0) if len(live) < len(labels) else None
+    out = [unit] * len(labels)
+    if not live:
+        return out
+    rows = [_pasvs_rows(az, m, eps) for _, az, m in live]
     while True:
-        r = ratio(np.arange(rows + 1))
+        # j = 2k + m + 1 at each segment's k = 0..rows; j * (j + 1) and
+        # 2k + 2 = j + 1 - m are exact in float
+        parts = [
+            np.arange(m + 1, m + 2 * r + 3, 2, dtype=float) for (_, _, m), r in zip(live, rows)
+        ]
+        if len(live) == 1:
+            j = parts[0]
+            az, one_minus_m = live[0][1], 1.0 - live[0][2]
+            bounds = [(0, len(j))]
+        else:
+            j = np.concatenate(parts)
+            sizes = [len(part) for part in parts]
+            az = np.repeat([az for _, az, _ in live], sizes)
+            one_minus_m = np.repeat([1.0 - m for _, _, m in live], sizes)
+            ends = list(accumulate(sizes))
+            bounds = list(zip([0] + ends, ends))
+        ratio = np.sqrt(j * (j + 1)) * az / (j + one_minus_m)
         with np.errstate(all="ignore"):
-            # log amplitudes at k = 0..rows, summed in the order of _build_truncated
-            log_mag = np.empty(rows + 1)
-            log_mag[0] = log_mag0
-            np.log(r[:rows], out=log_mag[1:])
-            np.cumsum(log_mag, out=log_mag)
-            rho = np.maximum(r[1:], az)
+            log_mag = np.empty(len(j))
+            np.log(ratio[:-1], out=log_mag[1:])
+            for (i, _, m), (start, end) in zip(live, bounds):
+                param, _, norm = labels[i]
+                log_mag[start] = _pasvs_log_amplitude0(param, m, norm)
+                np.add.accumulate(log_mag[start:end], out=log_mag[start:end])
+            rho = np.maximum(ratio[1:], az if len(live) == 1 else az[:-1])
             # rho >= 1 bounds no tail: its tail is +inf or NaN, never below
             # eps.  A ratio that underflows to 0 makes every later log
-            # amplitude -inf, so the tail there is exactly 0 and cuts.
+            # amplitude -inf, so the tail there is exactly 0 and cuts.  A
+            # segment's last entry pairs it with the next and is not read.
             tail = np.exp(2.0 * log_mag[1:]) / np.maximum(1.0 - rho * rho, 0.0)
-        cut = int(np.argmax(tail < eps))
-        if tail[cut] < eps:
+        below = tail < eps
+        cuts = [start + below[start : end - 1].argmax() for start, end in bounds]
+        short = [n for n, cut in enumerate(cuts) if not below[cut]]
+        if not short:
             break
-        if rows > _MAX_TERMS:
-            raise _cap_error(f"pasvs zeta={param.zeta} m={m}", eps)
-        rows = min(2 * rows, _MAX_TERMS + 1)
-    phase = np.full(cut + 1, param.zeta / az)
-    phase[0] = 1.0
-    coeffs = np.exp(log_mag[: cut + 1]) * np.cumprod(phase)
-    return _check_normalized(FockVector(m, 2, coeffs, float(tail[cut])), "pasvs")
+        for n in short:
+            if rows[n] > _MAX_TERMS:
+                raise _cap_error(_segment_label(name, shift, labels[live[n][0]]), eps)
+            rows[n] = min(2 * rows[n], _MAX_TERMS + 1)
+    for (i, az_i, _), cut, (start, _) in zip(live, cuts, bounds):
+        mag = np.exp(log_mag[start : cut + 1])
+        tail_i = float(tail[cut])
+        defect = abs(float(mag @ mag) + tail_i - 1.0)
+        if not defect <= _NORM_TOL:
+            raise ArithmeticError(
+                f"{_segment_label(name, shift, labels[i])}: closed-form normalization check "
+                f"failed (defect {defect:.3e})"
+            )
+        phase = np.empty(len(mag), dtype=complex)
+        phase.fill(labels[i][0].zeta / az_i)
+        phase[0] = 1.0
+        out[i] = mag * phase.cumprod(), tail_i
+    return out
+
+
+def _segment_label(name: str, shift: int, label) -> str:
+    """How errors name the vector of a (param, m, norm) label."""
+    param, m, _ = label
+    return f"{name} zeta={param.zeta} m={m - shift}"
+
+
+def _vacuum_family_vector(
+    name: str, shift: int, param: SqueezeParam, m: int, eps: float
+) -> FockVector:
+    """|zeta, m> as a Fock vector, cut by ``_pasvs_cut`` as one segment,
+    whose errors name it as the ``name`` state at index m - shift."""
+    if param.zeta == 0:
+        return _unit_vector(m, 2)
+    ((coeffs, tail),) = _pasvs_cut(name, shift, [(param, m, overlap.pasvs_norm(param, m))], eps)
+    return FockVector(m, 2, coeffs, tail)
+
+
+def pasvs(param: SqueezeParam, m: int, eps: float = 1e-14) -> FockVector:
+    """Photon-added squeezed vacuum state |zeta, m> as a Fock vector."""
+    _check_pasvs_args(m, eps)
+    return _vacuum_family_vector("pasvs", 0, param, m, eps)
 
 
 def _pasvs_columns(param: SqueezeParam, top: int, eps: float):
@@ -331,14 +396,15 @@ def pasops(param: SqueezeParam, m: int, eps: float = 1e-14) -> FockVector:
     """Photon-added squeezed one-photon state |1, zeta, m> as a Fock vector.
 
     S(zeta)|1> is proportional to a^dag S(zeta)|0>, so |1, zeta, m> is the
-    photon-added squeezed vacuum state |zeta, m+1>.  A norm beyond the float
-    range raises ``OverflowError`` under this name and index.
+    photon-added squeezed vacuum state |zeta, m+1>, cut as ``pasvs`` cuts
+    it.  A norm beyond the float range, a failed normalization check and a
+    cut beyond the term cap raise their errors under this name and index.
     """
     if m < 0:
         raise ValueError("pasops requires m >= 0")
     _check_eps("pasops", eps)
     try:
-        return pasvs(param, m + 1, eps)
+        return _vacuum_family_vector("pasops", 1, param, m + 1, eps)
     except OverflowError:
         raise OverflowError(f"pasops: norm overflows at zeta={param.zeta}, m={m}") from None
 
@@ -445,9 +511,9 @@ def _circle_state(name: str, param: CircleParam, m: int, eps: float) -> FockVect
         return r
 
     def label():
-        return f"{name} z={param.z} lam={lam} mu={mu}" + (f" m={m}" if name == "pacsc" else "")
+        return overlap._circle_label(name, param, m if name == "pacsc" else None)
 
-    log_mag0 = -0.5 * math.log(overlap._circle_series(param, m))
+    log_mag0 = -0.5 * math.log(overlap._circle_series(param, m, label))
     coeffs, tail = _build_truncated(log_mag0, param.z / az, ratio, 0.0, eps, label)
     return _check_normalized(FockVector(m + mu, lam, coeffs, tail), name)
 

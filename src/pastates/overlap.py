@@ -47,10 +47,10 @@ class OverlapResult:
     oracle_error: float
 
 
-def _nan_fails(err: float) -> float:
-    """A NaN deviation reads as inf, so that no check passes on it (Python's
-    max and < both drop a NaN)."""
-    return math.inf if math.isnan(err) else err
+def _nan_fails(*errs: float) -> float:
+    """The largest deviation in errs, or inf if one is NaN, so that no
+    check passes on it (Python's max and < both drop a NaN)."""
+    return math.inf if any(map(math.isnan, errs)) else max(errs)
 
 
 def sv_overlap(xi, zeta) -> complex:
@@ -101,17 +101,28 @@ def pasops_norm(zeta, m: int) -> float:
         raise OverflowError(f"pasops_norm: norm overflows at zeta={zeta.zeta}, m={m}") from None
 
 
-def _circle_series(param, m: int) -> float:
+def _circle_series(param, m: int, label) -> float:
     """F_m = lamF_{2lam-1}((m+mu+j)/lam, j = 1..lam; 1, b, b; y) of |z, mu, m>,
     b = (mu+j)/lam for j = 1..lam, j != lam - mu.  Equal parameters cancel by
-    their integer numerators over lam, so F_0 is 0F_{lam-1}(; b; y)."""
+    their integer numerators over lam, so F_0 is 0F_{lam-1}(; b; y).  A
+    series beyond the float range raises ``OverflowError`` under label(),
+    the caller's name for the state and its parameters."""
     lam, mu = param.lam, param.mu
     upper = range(m + mu + 1, m + mu + lam + 1)
     b = [n for n in range(mu + 1, mu + lam + 1) if n != lam]
     # upper numerators in (mu, mu + lam] cancel lam (the 1) or one copy of b
     a_list = [n / lam for n in upper if not mu < n <= mu + lam]
     b_list = [n / lam for n in [lam] + b if n not in upper] + [n / lam for n in b]
-    return specfun.generalized_pfq(a_list, b_list, param.y)
+    try:
+        return specfun.generalized_pfq(a_list, b_list, param.y)
+    except OverflowError:
+        raise OverflowError(f"{label()}: norm series overflows at y={param.y}") from None
+
+
+def _circle_label(name: str, param, m=None) -> str:
+    """The name and parameters of a circle state, or of its norm, in errors."""
+    text = f"{name} z={param.z} lam={param.lam} mu={param.mu}"
+    return text if m is None else f"{text} m={m}"
 
 
 def csc_norm(param, form: str = "pfq") -> float:
@@ -123,7 +134,7 @@ def csc_norm(param, form: str = "pfq") -> float:
     """
     lam, mu = param.lam, param.mu
     if form == "pfq":
-        return _circle_series(param, 0)
+        return _circle_series(param, 0, lambda: _circle_label("csc_norm", param))
     if form == "circle":
         if param.z == 0:
             return 1.0
@@ -149,9 +160,13 @@ def pacsc_norm(param, m: int, form: str = "pfq") -> float:
     log_rising = specfun.log_factorial(m + param.mu) - specfun.log_factorial(param.mu)
     if param.z == 0:
         return _pacsc_in_float_range(lambda: math.exp(log_rising), param, m)
-    n_mu = csc_norm(param, "pfq")
+
+    def label():
+        return _circle_label("pacsc_norm", param, m)
+
+    n_mu = _circle_series(param, 0, label)
     if form == "pfq":
-        f_m = _circle_series(param, m)
+        f_m = _circle_series(param, m, label)
         return _pacsc_in_float_range(lambda: math.exp(log_rising) / n_mu * f_m, param, m)
     if form == "laguerre":
         value = _pacsc_in_float_range(lambda: _pacsc_laguerre_norm(param, m, n_mu), param, m)
@@ -166,8 +181,8 @@ def pacsc_norm(param, m: int, form: str = "pfq") -> float:
 def _pacsc_in_float_range(compute, param, m: int):
     """compute(), or an OverflowError that names ``pacsc_norm`` and its
     parameters where a float operation in it overflows or its value is not
-    finite.  The kernels called before it, csc_norm and generalized_pfq,
-    raise their own named errors."""
+    finite.  The circle series called before it raise their own named
+    errors."""
     try:
         value = compute()
     except OverflowError:
@@ -196,13 +211,16 @@ def _pacsc_laguerre_norm(param, m: int, n_mu: float) -> complex:
     )
 
 
-def _pasvs_forms(xi, n: int, zeta, m: int) -> tuple[complex, complex, complex]:
+def _pasvs_forms(
+    xi, n: int, norm_xi: float, zeta, m: int, norm_zeta: float
+) -> tuple[complex, complex, complex]:
     """The three closed forms of the photon-added squeezed vacuum overlap
     for n >= m with n - m even: hypergeometric, Euler-transformed
-    terminating hypergeometric, and associated-Legendre."""
+    terminating hypergeometric, and associated-Legendre (norm_xi,
+    norm_zeta: the ``pasvs_norm`` of both states)."""
     w = xi.zeta.conjugate() * zeta.zeta
     q = (n - m) // 2
-    pref = (pasvs_norm(zeta, m) * pasvs_norm(xi, n)) ** -0.5
+    pref = (norm_zeta * norm_xi) ** -0.5
     svo = sv_overlap(xi, zeta)
     quarter = ((1.0 - zeta.y) * (1.0 - xi.y)) ** 0.25
     front = math.exp(specfun.log_factorial(n) - specfun.log_factorial(q))
@@ -238,6 +256,33 @@ def _pasvs_forms(xi, n: int, zeta, m: int) -> tuple[complex, complex, complex]:
 # of cross terms, so eps must sit well under the comparison tolerances.
 SERIES_EPS = 1e-26
 
+# index shift of each family on the vacuum-family indices: the one-photon
+# overlap at (n, m) is the vacuum overlap at (n+1, m+1)
+_SHIFT = {"pasvs": 0, "pasops": 1}
+
+
+def _series(family: str, shift: int, left, right) -> complex:
+    """The series oracle <xi, n|zeta, m> of the photon-added squeezed vacuum
+    vectors left = (xi, n, norm) and right = (zeta, m, norm), n - m even
+    (norm: ``pasvs_norm``), cut at SERIES_EPS.
+
+    Both vectors are cut by one ``fockstate._pasvs_cut`` pass (one segment
+    when they are the same vector) and summed over the photon numbers both
+    occupy, as ``fockstate.inner`` sums them.  Errors name a vector as the
+    ``family`` state at index i - shift.
+    """
+    from . import fockstate
+
+    (xi, n, _), (zeta, m, _) = left, right
+    labels = [left] if (xi.zeta, n) == (zeta.zeta, m) else [left, right]
+    cut = fockstate._pasvs_cut(family, shift, labels, SERIES_EPS)
+    u, v = cut[0][0], cut[-1][0]
+    # u[k + d] and v[k] sit on the same photon number
+    d = (m - n) // 2
+    u, v = u[max(d, 0) :], v[max(-d, 0) :]
+    size = min(len(u), len(v))
+    return complex(np.vdot(u[:size], v[:size]))
+
 
 def _overlap(family: str, xi, n: int, zeta, m: int, form) -> OverlapResult:
     """Overlap of ``family`` states with its three closed forms cross-checked
@@ -245,9 +290,8 @@ def _overlap(family: str, xi, n: int, zeta, m: int, form) -> OverlapResult:
 
     The one-photon state |1, zeta, m> is the vacuum-family state |zeta, m+1>,
     so both families are evaluated as photon-added squeezed vacuum states.
+    Each state's norm is evaluated once, for the forms and the oracle.
     """
-    from . import fockstate
-
     if n < 0 or m < 0:
         raise ValueError(f"{family}_overlap requires n >= 0 and m >= 0")
     if (n - m) % 2 != 0:
@@ -256,23 +300,21 @@ def _overlap(family: str, xi, n: int, zeta, m: int, form) -> OverlapResult:
         raise ValueError(f"{family}_overlap requires |conj(xi) zeta| <= 0.9")
     if form not in (1, 2, 3, "series"):
         raise ValueError(f"unknown {family}_overlap form: {form!r}")
-    if family == "pasops":
-        n, m = n + 1, m + 1
+    shift = _SHIFT[family]
+    n, m = n + shift, m + shift
     # the closed forms need n >= m; the swapped overlap is the conjugate
     swap = n < m
     if swap:
         xi, n, zeta, m = zeta, m, xi, n
-    f1, f2, f3 = _pasvs_forms(xi, n, zeta, m)
-    u = fockstate.pasvs(xi, n, eps=SERIES_EPS)
-    # on the diagonal one oracle vector serves both sides
-    v = u if (xi.zeta, n) == (zeta.zeta, m) else fockstate.pasvs(zeta, m, eps=SERIES_EPS)
-    series = fockstate.inner(u, v)
+    norm_xi = pasvs_norm(xi, n)
+    norm_zeta = norm_xi if (xi.zeta, n) == (zeta.zeta, m) else pasvs_norm(zeta, m)
+    f1, f2, f3 = _pasvs_forms(xi, n, norm_xi, zeta, m, norm_zeta)
+    series = _series(family, shift, (xi, n, norm_xi), (zeta, m, norm_zeta))
     value = {1: f1, 2: f2, 3: f3, "series": series}[form]
-    # np.max keeps a NaN, where Python's max would drop it
-    spread = float(np.max([abs(f1 - f2), abs(f1 - f3), abs(f2 - f3)]))
-    error = abs(value - series)
+    spread = _nan_fails(abs(f1 - f2), abs(f1 - f3), abs(f2 - f3))
+    error = _nan_fails(abs(value - series))
     value = value.conjugate() if swap else value
-    return OverlapResult(value, _nan_fails(spread), _nan_fails(error))
+    return OverlapResult(value, spread, error)
 
 
 def pasvs_overlap(xi, n: int, zeta, m: int, form=1) -> OverlapResult:
@@ -391,11 +433,6 @@ def _grid_forms(label_pairs, points):
     return np.stack([f1, f2, f3, gram[big_n, big_m]])
 
 
-# index shift of each family on the vacuum-family grid: the one-photon
-# overlap at (n, m) is the vacuum overlap at (n+1, m+1)
-_GRID_SHIFT = {"pasvs": 0, "pasops": 1}
-
-
 def overlap_grids(families, label_pairs, max_n: int) -> dict:
     """Worst form spread or form-1 oracle error of each ``families`` overlap
     ("pasvs" or "pasops") over every n <= max_n, m <= n with n - m even,
@@ -413,7 +450,7 @@ def overlap_grids(families, label_pairs, max_n: int) -> dict:
     if not families:
         raise ValueError("overlap_grids requires at least one family")
     for family in families:
-        if family not in _GRID_SHIFT:
+        if family not in _SHIFT:
             raise ValueError(f"unknown overlap family: {family!r}")
     if not label_pairs:
         raise ValueError("overlap_grids requires at least one label pair")
@@ -423,7 +460,7 @@ def overlap_grids(families, label_pairs, max_n: int) -> dict:
         raise ValueError(f"{families[0]}_overlap requires |conj(xi) zeta| <= 0.9")
     grid = [(n, m) for n in range(max_n + 1) for m in range(n % 2, n + 1, 2)]
     members = {
-        family: {(n + _GRID_SHIFT[family], m + _GRID_SHIFT[family]) for n, m in grid}
+        family: {(n + _SHIFT[family], m + _SHIFT[family]) for n, m in grid}
         for family in families
     }
     points = sorted(set().union(*members.values()))

@@ -41,6 +41,10 @@ __all__ = [
 # a row (a single small term can be a sign-alternation zero).
 _TERM_EPS = 1e-17
 _SMALL_RUN = 3
+_MAX_2F1_TERMS = 2000
+# a Gauss series expected to stop within this many terms is summed term by
+# term: below it, the fixed cost of the array passes exceeds the loop's
+_LOOP_TERMS = 56
 _EPS = 2.220446049250313e-16
 _EULER_GAMMA = 0.57721566490153286
 # terms of the E1 power series, enough for every x <= 0.5
@@ -100,10 +104,13 @@ def legendre_p(n: int, x):
 
 
 def legendre_p_deriv(order: int, degree: int, x):
-    """order-th derivative of P_degree at x (order >= 0).
+    """order-th derivative of P_degree at x (order >= 0), for scalar or
+    array x.
 
-    Differentiates the three-term recurrence order times and runs the
-    resulting table; polynomial arithmetic, so complex x is fine.
+    d^q P_n = (2q-1)!! C^(q+1/2)_(n-q) (DLMF 18.9.19 with 18.7.9), and the
+    Gegenbauer polynomial comes from its three-term recurrence
+    (k+1) C_(k+1) = (2k+2q+1) x C_k - (k+2q) C_(k-1) in n - q steps;
+    polynomial arithmetic, so complex x is fine.
     """
     if order < 0:
         raise ValueError("legendre_p_deriv requires order >= 0")
@@ -111,19 +118,10 @@ def legendre_p_deriv(order: int, degree: int, x):
         return 0.0
     if order == 0:
         return legendre_p(degree, x)
-    # d[j] = j-th derivative of P_k at x, updated in k
-    zero = 0.0 if not isinstance(x, complex) else 0.0 + 0.0j
-    d_prev = [1.0] + [zero] * order          # P_0
-    d = [x, 1.0] + [zero] * (order - 1)      # P_1
-    if degree == 1:
-        return d[order]
-    for k in range(1, degree):
-        d_next = [zero] * (order + 1)
-        for j in range(order + 1):
-            lower = d[j - 1] if j >= 1 else zero
-            d_next[j] = ((2 * k + 1) * (x * d[j] + j * lower) - k * d_prev[j]) / (k + 1)
-        d_prev, d = d, d_next
-    return d[order]
+    c_prev, c = 0.0, 1.0
+    for k in range(degree - order):
+        c_prev, c = c, ((2 * (k + order) + 1) * x * c - (k + 2 * order) * c_prev) / (k + 1)
+    return double_factorial(2 * order - 1) * c
 
 
 def _legendre_q_row(n_max: int, x: float, theta: float, q0: float) -> list[float]:
@@ -202,10 +200,12 @@ def gauss_2f1(a: float, b: float, c: float, z: complex) -> complex:
     """Gauss hypergeometric series 2F1(a, b; c; z), |z| <= 0.95.
 
     Terminates exactly when a or b is a nonpositive integer; otherwise a
-    straight power series with the three-small-terms stopping rule.
+    straight power series with the three-small-terms stopping rule.  A
+    series expected to run past _LOOP_TERMS terms is summed as one array
+    (``_gauss_2f1_array``); a terminating or shorter one term by term.
     """
     z = complex(z)
-    if abs(z) > 0.95:
+    if not abs(z) <= 0.95:
         raise ValueError("gauss_2f1: |z| > 0.95 is outside the series domain")
     terminates_at = None
     if _nonpositive_int(a):
@@ -215,12 +215,21 @@ def gauss_2f1(a: float, b: float, c: float, z: complex) -> complex:
         terminates_at = tb if terminates_at is None else min(terminates_at, tb)
     if _nonpositive_int(c) and (terminates_at is None or terminates_at > int(-c)):
         raise ValueError("gauss_2f1: c is a nonpositive integer (pole)")
+    if terminates_at is None and z != 0:
+        # the terms fall like |z|^k k^(a+b-c-1); to _TERM_EPS, with 10 % to
+        # spare, no series of the overlap forms (a + b - c - 1 <= 13.5,
+        # |z| <= 0.9) stops later than this first guess
+        log_z = math.log(abs(z))
+        geometric = math.log(_TERM_EPS) / log_z
+        power = max(a + b - c - 1.0, 0.0) * math.log(max(geometric, 2.0)) / -log_z
+        size = int(1.1 * (geometric + power)) + _SMALL_RUN
+        if size > _LOOP_TERMS:
+            return _gauss_2f1_array(a, b, c, z, min(size, _MAX_2F1_TERMS))
     term = 1.0 + 0.0j
     total = term
     small = 0
     k = 0
-    max_terms = 2000
-    while k < max_terms:
+    while k < _MAX_2F1_TERMS:
         if terminates_at is not None and k >= terminates_at:
             return total
         term = term * (a + k) * (b + k) / ((c + k) * (k + 1)) * z
@@ -232,7 +241,32 @@ def gauss_2f1(a: float, b: float, c: float, z: complex) -> complex:
                 return total
         else:
             small = 0
-    raise ValueError("gauss_2f1: series did not converge within 2000 terms")
+    raise ValueError(f"gauss_2f1: series did not converge within {_MAX_2F1_TERMS} terms")
+
+
+def _gauss_2f1_array(a: float, b: float, c: float, z: complex, size: int) -> complex:
+    """The non-terminating series of ``gauss_2f1`` from its first ``size``
+    terms as one array: the terms as the cumulative product of the term
+    ratios, the partial sums as their cumulative sum, and the first partial
+    sum after which _SMALL_RUN terms in a row fall below _TERM_EPS of it.
+    A series that has not stopped is run again twice as long, up to
+    _MAX_2F1_TERMS terms."""
+    while True:
+        k = np.arange(size, dtype=float)
+        ratios = np.empty(size + 1, dtype=complex)
+        ratios[0] = 1.0
+        np.multiply((a + k) * (b + k) / ((c + k) * (k + 1.0)), z, out=ratios[1:])
+        terms = np.cumprod(ratios)
+        partial = np.cumsum(terms)
+        small = np.abs(terms[1:]) < _TERM_EPS * np.abs(partial[1:])
+        # run[i]: terms i+1, i+2 and i+3 are all small (_SMALL_RUN = 3)
+        run = small[2:] & small[1:-1] & small[:-2]
+        stop = int(run.argmax())
+        if run[stop]:
+            return complex(partial[stop + 3])
+        if size >= _MAX_2F1_TERMS:
+            raise ValueError(f"gauss_2f1: series did not converge within {_MAX_2F1_TERMS} terms")
+        size = min(2 * size, _MAX_2F1_TERMS)
 
 
 def generalized_pfq(a_list: Sequence[float], b_list: Sequence[float], z: float) -> float:

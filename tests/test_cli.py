@@ -122,6 +122,30 @@ def test_overlap_envelope(capsys):
     assert set(env["results"]) == {"value", "form_spread", "oracle_error"}
 
 
+@pytest.mark.parametrize("family, shift", [("sv", 0), ("sops", 1)])
+def test_unlabelled_overlap_oracle_is_one_cut_pass(family, shift, capsys, monkeypatch, oracle_builds):
+    from pastates import fockstate
+
+    passes = []
+    real = fockstate._pasvs_cut
+
+    def counted(name, index_shift, labels, eps):
+        passes.append((name, index_shift, [(param.zeta, m) for param, m, _ in labels]))
+        return real(name, index_shift, labels, eps)
+
+    monkeypatch.setattr(fockstate, "_pasvs_cut", counted)
+    code, out, _ = run_cli(["overlap", family, "--xi", "0.9@1", "--zeta", "0.9@-2"], capsys)
+    assert code == 0
+    env = json.loads(out)
+    assert env["pass"] is True
+    assert env["results"]["oracle_error"] <= 1e-15
+    # the vacuum-family vectors |xi, shift> and |zeta, shift>, cut together
+    assert [(name, index_shift, [m for _, m in labels]) for name, index_shift, labels in passes] == [
+        (family, shift, [shift, shift])
+    ]
+    assert not oracle_builds
+
+
 def test_overlap_parity_zero(capsys):
     code, out, _ = run_cli(["overlap", "pasvs", "--xi", "0.2", "--n", "1", "--zeta", "0.3", "--m", "0"], capsys)
     assert code == 0
@@ -632,6 +656,26 @@ def test_circle_label_with_lam_lam_beyond_the_float_range_exits_0(command, capsy
     # y = 1 / 200^200 underflows to 0, though 200^200 itself overflows
     code, out, err = run_cli([command, "csc", "--z", "1", "--lambda", "200"], capsys)
     assert code == 0 and err == "" and out
+
+
+def test_pasops_beyond_the_term_cap_names_its_own_index(capsys):
+    code, out, err = run_cli(["state", "pasops", "--zeta", "0.99999", "--m", "0"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: pasops zeta=(0.99999+0j) m=0 eps=1e-14: state truncation")
+
+
+@pytest.mark.parametrize("command", ["state", "norm"])
+@pytest.mark.parametrize("family, extra", [("csc", []), ("pacsc", ["--m", "3"])])
+def test_circle_series_overflow_names_the_state_and_y(command, family, extra, capsys):
+    code, out, err = run_cli(
+        [command, family, "--z", "1000", "--lambda", "2", "--mu", "1", *extra], capsys
+    )
+    assert code == 1 and out == ""
+    name = family if command == "state" else f"{family}_norm"
+    label = f"{name} z=(1000+0j) lam=2 mu=1" + (" m=3" if extra else "")
+    # y = |z|^2 / lam^lam is the argument of the series that overflows
+    assert err == f"error: OverflowError: {label}: norm series overflows at y=249999.99999999983\n"
+    assert "generalized_pfq" not in err
 
 
 def test_pasvs_beyond_the_term_cap_names_its_label(capsys):

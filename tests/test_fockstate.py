@@ -158,6 +158,67 @@ def test_pasvs_cut_at_an_underflowing_ratio_has_zero_tail():
     assert list(v.coeffs) == list(want) == [1.0 + 0.0j]
 
 
+def array_pass_pasvs(param, m, eps):
+    """The coefficients and tail bound of |zeta, m> from a copy of the
+    one-vector numpy cut that ``pasvs`` made before its segment kernel, with
+    no normalization check; (None, None) where it hits the term cap."""
+    if param.zeta == 0:
+        return np.array([1.0 + 0.0j]), 0.0
+    az = abs(param.zeta)
+    log_mag0 = fs._pasvs_log_amplitude0(param, m, ov.pasvs_norm(param, m))
+    ratio = fs._pasvs_step_ratio(az, m, np.sqrt)
+    rows = fs._pasvs_rows(az, m, eps)
+    while True:
+        r = ratio(np.arange(rows + 1))
+        with np.errstate(all="ignore"):
+            log_mag = np.empty(rows + 1)
+            log_mag[0] = log_mag0
+            np.log(r[:rows], out=log_mag[1:])
+            np.cumsum(log_mag, out=log_mag)
+            rho = np.maximum(r[1:], az)
+            tail = np.exp(2.0 * log_mag[1:]) / np.maximum(1.0 - rho * rho, 0.0)
+        cut = int(np.argmax(tail < eps))
+        if tail[cut] < eps:
+            break
+        if rows > fs._MAX_TERMS:
+            return None, None
+        rows = min(2 * rows, fs._MAX_TERMS + 1)
+    phase = np.full(cut + 1, param.zeta / az)
+    phase[0] = 1.0
+    return np.exp(log_mag[: cut + 1]) * np.cumprod(phase), float(tail[cut])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    modulus=st.one_of(st.just(0.0), st.floats(1e-6, 0.99)),
+    angle=st.floats(-math.pi, math.pi),
+    m=st.integers(0, 60),
+    log_eps=st.floats(-30.0, -3.0),
+)
+def test_pasvs_is_bit_identical_to_the_one_vector_array_cut(modulus, angle, m, log_eps):
+    param, eps = fs.SqueezeParam(modulus * unit_phase(angle)), 10.0**log_eps
+    want, want_tail = array_pass_pasvs(param, m, eps)
+    if want is None:
+        with pytest.raises(ValueError, match="state truncation did not converge"):
+            fs.pasvs(param, m, eps)
+        return
+    if not abs(np.sum(np.abs(want) ** 2) + want_tail - 1.0) <= 1e-9:
+        # a tail bound above the normalization tolerance fails the check
+        with pytest.raises(ArithmeticError, match=r"^pasvs zeta=.* m=\d+: closed-form normalization"):
+            fs.pasvs(param, m, eps)
+        return
+    v = fs.pasvs(param, m, eps)
+    assert (v.offset, v.stride) == (m, 2)
+    assert v.tail_bound == want_tail
+    assert np.array_equal(v.coeffs, want)
+
+
+def test_pasops_beyond_the_term_cap_names_its_own_index():
+    want = r"^pasops zeta=\(0\.999999999\+0j\) m=0 eps=1e-14: state truncation did not converge"
+    with pytest.raises(ValueError, match=want):
+        fs.pasops(fs.SqueezeParam(1 - 1e-9), 0)
+
+
 def test_pasvs_gives_up_at_the_term_cap_quickly(recwarn):
     # about 1.6e10 coefficients before the tail drops below eps: far past
     # the term cap, which must stop the cut before any large allocation

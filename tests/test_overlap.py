@@ -299,37 +299,96 @@ def test_pasops_overlap_forms_agree():
     assert worst < 1e-9
 
 
-def counting_constructors(monkeypatch) -> list:
-    """Record (family, label, index) of every pasvs/pasops constructor call."""
-    calls = []
-    for family in ("pasvs", "pasops"):
-        real = getattr(fs, family)
+def counting_cuts(monkeypatch) -> list:
+    """Record the (label, index) segments of every ``fockstate._pasvs_cut``
+    pass."""
+    passes = []
+    real = fs._pasvs_cut
 
-        def counted(param, m, *args, _family=family, _real=real, **kwargs):
-            calls.append((_family, param.zeta, m))
-            return _real(param, m, *args, **kwargs)
+    def counted(name, shift, labels, eps):
+        passes.append([(param.zeta, m) for param, m, _ in labels])
+        return real(name, shift, labels, eps)
 
-        monkeypatch.setattr(fs, family, counted)
-    return calls
+    monkeypatch.setattr(fs, "_pasvs_cut", counted)
+    return passes
 
 
-def test_pasops_overlap_builds_one_oracle_pair(monkeypatch):
-    # the oracle pair is the vacuum-family pair at the shifted indices
-    calls = counting_constructors(monkeypatch)
+def test_pasops_overlap_cuts_one_oracle_pair(monkeypatch, oracle_builds):
+    # one two-segment pass: the vacuum-family pair at the shifted indices
+    passes = counting_cuts(monkeypatch)
     res = ov.pasops_overlap(sq(0.4), 4, sq(0.3j), 2)
-    assert sorted(calls, key=lambda c: c[2]) == [("pasvs", 0.3j, 3), ("pasvs", 0.4, 5)]
+    assert passes == [[(0.4, 5), (0.3j, 3)]]
+    assert not oracle_builds
     assert res.form_spread < 1e-9 and res.oracle_error < 1e-9
 
 
-def test_scalar_overlap_builds_one_oracle_vector_on_the_diagonal(monkeypatch):
-    calls = counting_constructors(monkeypatch)
+def test_scalar_overlap_cuts_one_oracle_segment_on_the_diagonal(monkeypatch, oracle_builds):
+    passes = counting_cuts(monkeypatch)
     for res in (ov.pasvs_overlap(sq(0.4j), 2, sq(0.4j), 2), ov.pasops_overlap(sq(0.3), 1, sq(0.3), 1)):
         assert abs(res.value - 1.0) < 1e-12 and res.oracle_error < 1e-12
-    assert calls == [("pasvs", 0.4j, 2), ("pasvs", 0.3, 2)]
+    assert passes == [[(0.4j, 2)], [(0.3, 2)]]
     # the same label at another index, and another label at the same index
     ov.pasvs_overlap(sq(0.4j), 2, sq(0.4j), 0)
     ov.pasvs_overlap(sq(0.4j), 2, sq(0.4), 2)
-    assert len(calls) == 6
+    assert [len(segments) for segments in passes] == [1, 1, 2, 2]
+    assert not oracle_builds
+
+
+def test_scalar_overlap_evaluates_each_norm_once(monkeypatch):
+    calls = []
+    real = ov.pasvs_norm
+
+    def counted(zeta, m):
+        calls.append((zeta.zeta, m))
+        return real(zeta, m)
+
+    monkeypatch.setattr(ov, "pasvs_norm", counted)
+    ov.pasops_overlap(sq(0.4), 4, sq(0.3j), 2)
+    assert sorted(calls, key=lambda c: c[1]) == [(0.3j, 3), (0.4, 5)]
+    calls.clear()
+    ov.pasvs_overlap(sq(0.4j), 2, sq(0.4j), 2)
+    assert calls == [(0.4j, 2)]
+
+
+def oracle_labels():
+    """(xi, zeta) label pairs with |conj(xi) zeta| <= 0.9, zero labels and
+    repeated labels included."""
+    modulus = st.one_of(st.just(0.0), st.floats(0.01, 0.99))
+    label = st.builds(polar, modulus, st.floats(-math.pi, math.pi))
+    return st.tuples(label, label).filter(lambda p: abs(p[0].conjugate() * p[1]) <= 0.9)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    labels=oracle_labels(),
+    n=st.integers(0, 14),
+    shift=st.integers(-7, 7),
+    same=st.booleans(),
+    family=st.sampled_from(["pasvs", "pasops"]),
+)
+def test_series_oracle_matches_inner_product_of_constructor_vectors(labels, n, shift, same, family):
+    # same label and shift 0: the diagonal, one segment
+    xi, zeta = sq(labels[0]), sq(labels[0] if same else labels[1])
+    m = max(n + 2 * shift, n % 2)
+    left = (xi, n, ov.pasvs_norm(xi, n))
+    right = (zeta, m, ov.pasvs_norm(zeta, m))
+    got = ov._series(family, ov._SHIFT[family], left, right)
+    want = fs.inner(fs.pasvs(xi, n, ov.SERIES_EPS), fs.pasvs(zeta, m, ov.SERIES_EPS))
+    assert abs(got - want) <= 1e-15
+
+
+def test_scalar_overlap_oracle_checks_each_normalization(monkeypatch):
+    # a closed-form norm off by 1e-6 must fail the oracle's normalization
+    # check, named by the segment it fails on
+    real = ov.pasvs_norm
+    monkeypatch.setattr(ov, "pasvs_norm", lambda zeta, m: real(zeta, m) * (1.0 + 1e-6))
+    with pytest.raises(ArithmeticError, match=r"^pasops zeta=\(0\.4\+0j\) m=4: closed-form normalization"):
+        ov.pasops_overlap(sq(0.4), 4, sq(0.3j), 2)
+    monkeypatch.setattr(
+        ov, "pasvs_norm", lambda zeta, m: real(zeta, m) * (1.0 + 1e-6 * (zeta.zeta == 0.3j))
+    )
+    with pytest.raises(ArithmeticError, match=r"^pasvs zeta=0\.3j m=2: closed-form normalization"):
+        ov.pasvs_overlap(sq(0.4), 4, sq(0.3j), 2)
 
 
 def test_pasops_overlap_evaluates_one_legendre_form(monkeypatch):
@@ -400,7 +459,8 @@ def test_overlap_grid_matches_pointwise_overlaps():
                 oracle = fs.inner(
                     fs.pasvs(xi, big_n, eps=ov.SERIES_EPS), fs.pasvs(ze, big_m, eps=ov.SERIES_EPS)
                 )
-                scalar = [*ov._pasvs_forms(xi, big_n, ze, big_m), oracle]
+                norms = ov.pasvs_norm(xi, big_n), ov.pasvs_norm(ze, big_m)
+                scalar = [*ov._pasvs_forms(xi, big_n, norms[0], ze, big_m, norms[1]), oracle]
                 for got, want in zip(forms[:, i, p], scalar):
                     assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
         assert ov.overlap_grids((family,), pairs, 4)[family][1] == 9 * len(pairs)

@@ -98,6 +98,45 @@ def test_legendre_p_deriv_matches_finite_difference():
             assert sf.legendre_p_deriv(1, n, x) == pytest.approx(fd, rel=1e-8)
 
 
+def legendre_p_deriv_differentiated(order, degree, x):
+    """Reference d^order P_degree(x): the three-term Legendre recurrence
+    differentiated order times, one table row per degree."""
+    if order > degree:
+        return 0.0
+    if order == 0:
+        return sf.legendre_p(degree, x)
+    d_prev = [1.0] + [0.0] * order
+    d = [x, 1.0] + [0.0] * (order - 1)
+    for k in range(1, degree):
+        d_next = [0.0] * (order + 1)
+        for j in range(order + 1):
+            lower = d[j - 1] if j >= 1 else 0.0
+            d_next[j] = ((2 * k + 1) * (x * d[j] + j * lower) - k * d_prev[j]) / (k + 1)
+        d_prev, d = d, d_next
+    return d[order]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    degree=st.integers(0, 20),
+    data=st.data(),
+    modulus=st.floats(0.0, 0.9),
+    angle=st.floats(-math.pi, math.pi),
+)
+def test_legendre_p_deriv_matches_the_differentiated_recurrence(degree, data, modulus, angle):
+    # x = (1 - w)^(-1/2) at |w| <= 0.9, where the overlaps' form 3 evaluates it,
+    # and the real x = (1 - y)^(-1/2) >= 1 of the discrete resolution
+    order = data.draw(st.integers(0, degree + 1))
+    w = modulus * complex(math.cos(angle), math.sin(angle))
+    xs = [(1.0 - w) ** -0.5, (1.0 - modulus) ** -0.5]
+    for x in xs:
+        want = legendre_p_deriv_differentiated(order, degree, x)
+        assert abs(sf.legendre_p_deriv(order, degree, x) - want) <= 1e-13 * abs(want)
+    got = sf.legendre_p_deriv(order, degree, np.array(xs))
+    want = legendre_p_deriv_differentiated(order, degree, np.array(xs))
+    assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want))
+
+
 # ------------------------------------------------------------ Legendre Q
 
 def test_legendre_q_closed_values():
@@ -273,9 +312,59 @@ def test_gauss_2f1_terminating_exact_rational(a, b, c, z):
     assert got.imag == 0.0
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    big_n=st.integers(0, 14),
+    data=st.data(),
+    modulus=st.floats(0.0, 0.9),
+    angle=st.floats(-math.pi, math.pi),
+)
+def test_gauss_2f1_overlap_series_matches_mpmath(big_n, data, modulus, angle):
+    # form 1 of the overlaps: 2F1((N+1)/2, (N+2)/2; q+1; w), q <= N/2.  The
+    # direct series loses what its terms cancel, so its error is bounded
+    # against the sum of the term moduli, 2F1(a, b; c; |w|), which is the
+    # value itself at real positive w
+    mpmath = pytest.importorskip("mpmath")
+    q = data.draw(st.integers(0, big_n // 2))
+    a, b, c = 0.5 * (big_n + 1), 0.5 * (big_n + 2), q + 1.0
+    z = modulus * complex(math.cos(angle), math.sin(angle))
+    with mpmath.workdps(40):
+        want = complex(mpmath.hyp2f1(a, b, c, mpmath.mpc(z)))
+        scale = float(mpmath.hyp2f1(a, b, c, abs(z)))
+    for w, ref, bound in ((z, want, scale), (abs(z), scale, scale)):
+        assert abs(sf.gauss_2f1(a, b, c, w) - ref) <= 1e-13 * bound
+
+
+@pytest.mark.parametrize("a, b, c, z", [(10.0, 10.0, 20.0, 0.6j), (3.0, 1.5, 1.0, 0.2)])
+def test_gauss_2f1_matches_mpmath_past_its_first_guess(a, b, c, z, monkeypatch):
+    # the first stops at term 96, past its first guess at the length, 87
+    # terms, and is run again; the second, 31 terms, is summed term by term
+    mpmath = pytest.importorskip("mpmath")
+    sizes = []
+    real = sf._gauss_2f1_array
+
+    def counted(a, b, c, z, size):
+        sizes.append(size)
+        return real(a, b, c, z, size)
+
+    monkeypatch.setattr(sf, "_gauss_2f1_array", counted)
+    with mpmath.workdps(40):
+        want = complex(mpmath.hyp2f1(a, b, c, z))
+    assert abs(sf.gauss_2f1(a, b, c, z) - want) <= 1e-13 * abs(want)
+    assert sizes == ([87] if c == 20.0 else [])
+
+
+def test_gauss_2f1_gives_up_after_2000_terms():
+    # its terms still exceed 1e-17 of the sum at k = 2000
+    with pytest.raises(ValueError, match="did not converge within 2000 terms"):
+        sf.gauss_2f1(20.0, 20.0, 1.0, 0.95)
+
+
 def test_gauss_2f1_domain_guard():
     with pytest.raises(ValueError):
         sf.gauss_2f1(1.0, 1.0, 2.0, 0.97)
+    with pytest.raises(ValueError, match="outside the series domain"):
+        sf.gauss_2f1(1.0, 1.0, 2.0, complex("nan"))
 
 
 def test_gauss_2f1_pole_guard():
