@@ -215,24 +215,12 @@ def _pasvs_log_amplitude0(param: SqueezeParam, m: int, norm: float) -> float:
     return -0.5 * math.log(norm) + 0.25 * math.log1p(-param.y) + 0.5 * specfun.log_factorial(m)
 
 
-def _pasvs_step_ratio(az: float, m, sqrt=math.sqrt):
-    """The amplitude ratio k -> |<m+2k+2|zeta, m> / <m+2k|zeta, m>| of
-    |zeta, m>; with sqrt=np.sqrt, m and k may be numpy arrays."""
-
-    def ratio(k):
-        twice = 2 * k
-        j = twice + (m + 1)
-        return sqrt(j * (j + 1)) * az / (twice + 2.0)
-
-    return ratio
-
-
-def _pasvs_rows(az: float, top: int, eps: float) -> int:
-    """First guess at the rows a cut of |zeta, 0..top> needs: |c_k|^2 falls
-    like |zeta|^(2k) k^top, and the guess is capped at the _MAX_TERMS + 1
-    rows beyond which no cut converges."""
+def _pasvs_rows(az: float, m: int, eps: float) -> int:
+    """First guess at the rows a cut of |zeta, m> needs: |c_k|^2 falls like
+    |zeta|^(2k) k^m, and the guess is capped at the _MAX_TERMS + 1 rows
+    beyond which no cut converges."""
     geometric = math.log(eps) / (2.0 * math.log(az))
-    guess = geometric + top * math.log(max(geometric, 2.0)) / (-2.0 * math.log(az))
+    guess = geometric + m * math.log(max(geometric, 2.0)) / (-2.0 * math.log(az))
     return min(max(16, int(guess) + 1), _MAX_TERMS + 1)
 
 
@@ -243,11 +231,13 @@ def _pasvs_cut(name: str, shift: int, labels, eps: float) -> list:
 
     The rows k = 0..rows of every label's segment are laid end to end in
     one 1-D array, and each elementwise pass of the cut runs once over all
-    of them: the step ratio of ``_pasvs_step_ratio``, the log amplitudes
-    (summed within each segment, in the order of _build_truncated) and the
-    geometric tail bound.  A segment that does not cut is run again twice
-    as long.  Every vector's coefficient sum plus tail is checked against
-    1.  Errors name a vector as the ``name`` state at index m - shift.
+    of them: the step ratio sqrt(j (j + 1)) |zeta| / (2k + 2) with
+    j = 2k + m + 1, the log amplitudes (summed within each segment, in the
+    order of _build_truncated) and the geometric tail bound.  A segment
+    that does not cut is run again twice as long.  Every vector's
+    coefficient sum plus tail is checked against 1.  Errors name a vector
+    as the ``name`` state at index m - shift; of the segments that reach
+    the term cap in one pass, the last is named.
     """
     live = [(i, abs(param.zeta), m) for i, (param, m, _) in enumerate(labels) if param.zeta != 0]
     # zeta = 0 gives the unit vector |m>, with no tail
@@ -292,9 +282,10 @@ def _pasvs_cut(name: str, shift: int, labels, eps: float) -> list:
         short = [n for n, cut in enumerate(cuts) if not below[cut]]
         if not short:
             break
+        capped = [n for n in short if rows[n] > _MAX_TERMS]
+        if capped:
+            raise _cap_error(_segment_label(name, shift, labels[live[capped[-1]][0]]), eps)
         for n in short:
-            if rows[n] > _MAX_TERMS:
-                raise _cap_error(_segment_label(name, shift, labels[live[n][0]]), eps)
             rows[n] = min(2 * rows[n], _MAX_TERMS + 1)
     for (i, az_i, _), cut, (start, _) in zip(live, cuts, bounds):
         mag = np.exp(log_mag[start : cut + 1])
@@ -336,60 +327,24 @@ def pasvs(param: SqueezeParam, m: int, eps: float = 1e-14) -> FockVector:
 
 
 def _pasvs_columns(param: SqueezeParam, top: int, eps: float):
-    """|zeta, i> for every i = 0..top, built together in numpy passes.
+    """|zeta, i> for every i = 0..top, as the segments of one ``_pasvs_cut``
+    pass.
 
     Returns (dense, lengths, tails, norms): column i of ``dense`` holds the
     coefficients of |zeta, i> on |0>, |1>, ... (zero-padded), and lengths[i],
     tails[i] and norms[i] are its stored length, tail bound and closed-form
-    normalization ``overlap.pasvs_norm``.  Each column is ``pasvs(param, i,
-    eps)`` up to rounding: the same first amplitude and step ratio, the same
-    cut (the first k at which the step ratio underflows to 0, or at which
-    rho = max(ratio(k+1), |zeta|) < 1 and the geometric tail is below eps),
-    and the same normalization check on every column.
+    normalization ``overlap.pasvs_norm``.  Column i is ``pasvs(param, i,
+    eps)``, bit for bit, and errors name it as that call does.
     """
     _check_pasvs_args(top, eps)
-    cols = np.arange(top + 1)
-    norms = np.array([overlap.pasvs_norm(param, i) for i in cols])
-    if param.zeta == 0:
-        return np.eye(top + 1, dtype=complex), np.ones(top + 1, dtype=int), np.zeros(top + 1), norms
-    az = abs(param.zeta)
-    log0 = np.array([_pasvs_log_amplitude0(param, i, norms[i]) for i in cols])
-    # a first guess at the longest column's cut, doubled until every column
-    # is cut within _MAX_TERMS steps
-    rows = _pasvs_rows(az, top, eps)
-    while True:
-        ratio = _pasvs_step_ratio(az, cols, np.sqrt)(np.arange(rows + 1)[:, None])
-        with np.errstate(all="ignore"):
-            # log amplitudes at k = 0..rows, accumulated in the scalar order
-            log_mag = np.cumsum(np.vstack([log0, np.log(ratio[:rows])]), axis=0)
-            rho = np.maximum(ratio[1:], az)
-            tail = np.exp(2.0 * log_mag[1:]) / (1.0 - rho * rho)
-        underflow = ratio[:rows] == 0.0
-        stop = underflow | ((rho < 1.0) & (tail < eps))
-        if stop.any(axis=0).all():
-            break
-        if rows > _MAX_TERMS:
-            raise _cap_error(f"pasvs zeta={param.zeta} m={top}", eps)
-        rows = min(2 * rows, _MAX_TERMS + 1)
-    cut = np.argmax(stop, axis=0)
-    lengths = cut + 1
-    tails = np.where(underflow[cut, cols], 0.0, tail[cut, cols])
-    k = np.arange(int(lengths.max()))[:, None]
-    phase = np.full(len(k), param.zeta / az)
-    phase[0] = 1.0
-    coeffs = np.exp(log_mag[: len(k)]) * np.cumprod(phase)[:, None]
-    coeffs[k >= lengths] = 0.0
-    defect = np.abs(np.sum(np.abs(coeffs) ** 2, axis=0) + tails - 1.0)
-    if (bad := np.flatnonzero(~(defect <= _NORM_TOL))).size:
-        i = bad[0]
-        raise ArithmeticError(
-            f"pasvs zeta={param.zeta} m={i}: closed-form normalization check failed "
-            f"(defect {defect[i]:.3e})"
-        )
-    # coefficient k of column i sits on the photon number i + 2k
-    dense = np.zeros((top + 2 * len(k), top + 1), dtype=complex)
-    dense[cols + 2 * k, cols] = coeffs
-    return dense, lengths, tails, norms
+    norms = np.array([overlap.pasvs_norm(param, i) for i in range(top + 1)])
+    cut = _pasvs_cut("pasvs", 0, [(param, i, norm) for i, norm in enumerate(norms)], eps)
+    lengths = np.array([len(coeffs) for coeffs, _ in cut])
+    dense = np.zeros((top + 2 * int(lengths.max()), top + 1), dtype=complex)
+    for i, (coeffs, _) in enumerate(cut):
+        # coefficient k of |zeta, i> sits on the photon number i + 2k
+        dense[i : i + 2 * len(coeffs) : 2, i] = coeffs
+    return dense, lengths, np.array([tail for _, tail in cut]), norms
 
 
 def pasops(param: SqueezeParam, m: int, eps: float = 1e-14) -> FockVector:

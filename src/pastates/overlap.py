@@ -377,10 +377,11 @@ def _grid_forms(label_pairs, points):
 
     Returns an array of shape (4, points, pairs) holding forms 1, 2, 3 and
     the oracle.  Each form is evaluated once per point on the array of all
-    pairs.  Each label's oracle vectors |zeta, 0..max N> are built together
-    by ``fockstate._pasvs_columns`` as the columns of one zero-padded dense
-    matrix V, so a pair's oracle overlaps at every point are the entries of
-    one product V_xi^H V_zeta.
+    pairs.  Each label's oracle vectors |zeta, 0..max N> are the segments
+    of one ``fockstate._pasvs_cut`` pass, which ``fockstate._pasvs_columns``
+    lays out as the columns of one zero-padded dense matrix V, so a pair's
+    oracle overlaps at every point are the entries of one product
+    V_xi^H V_zeta.
     """
     from . import fockstate
 

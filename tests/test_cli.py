@@ -777,3 +777,29 @@ def test_usage_error_exit_code_from_argparse(cli_env):
         env=cli_env,
     )
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "all"],
+        # about 370 kB of coefficients, more than a pipe holds
+        ["state", "pasvs", "--zeta", "0.99", "--m", "30", "--eps", "1e-30"],
+    ],
+)
+def test_closed_stdout_pipe_exits_without_traceback(argv, cli_env):
+    # as `pastates ... | head -1`: read one line, then close the pipe while
+    # the command may still be writing
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pastates.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=cli_env,
+    )
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    # 1 where a write met the closed pipe, 0 where every write came first
+    assert proc.wait() in (0, 1)
+    assert err == b""

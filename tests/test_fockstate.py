@@ -118,6 +118,18 @@ def test_truncation_honesty():
         assert abs(coarse.coeffs[k] - fine.coeffs[k]) < 1e-13
 
 
+def pasvs_step_ratio(az, m, sqrt=math.sqrt):
+    """The amplitude ratio k -> |<m+2k+2|zeta, m> / <m+2k|zeta, m>| of
+    |zeta, m>; with sqrt=np.sqrt, m and k may be numpy arrays."""
+
+    def ratio(k):
+        twice = 2 * k
+        j = twice + (m + 1)
+        return sqrt(j * (j + 1)) * az / (twice + 2.0)
+
+    return ratio
+
+
 def scalar_pasvs(param, m, eps):
     """The coefficients and tail bound of |zeta, m> from the one-step-per-
     coefficient reference cut ``_build_truncated``."""
@@ -125,7 +137,7 @@ def scalar_pasvs(param, m, eps):
         return np.array([1.0 + 0.0j]), 0.0
     az = abs(param.zeta)
     log_mag0 = fs._pasvs_log_amplitude0(param, m, ov.pasvs_norm(param, m))
-    ratio = fs._pasvs_step_ratio(az, m)
+    ratio = pasvs_step_ratio(az, m)
     return fs._build_truncated(log_mag0, param.zeta / az, ratio, az, eps, lambda: "pasvs")
 
 
@@ -166,7 +178,7 @@ def array_pass_pasvs(param, m, eps):
         return np.array([1.0 + 0.0j]), 0.0
     az = abs(param.zeta)
     log_mag0 = fs._pasvs_log_amplitude0(param, m, ov.pasvs_norm(param, m))
-    ratio = fs._pasvs_step_ratio(az, m, np.sqrt)
+    ratio = pasvs_step_ratio(az, m, np.sqrt)
     rows = fs._pasvs_rows(az, m, eps)
     while True:
         r = ratio(np.arange(rows + 1))
@@ -244,6 +256,33 @@ def test_pasvs_columns_match_scalar_constructor(zeta, eps):
         support = np.arange(i, i + 2 * lengths[i], 2)
         assert np.max(np.abs(dense[support, i] - want)) <= 1e-14
         assert not np.delete(dense[:, i], support).any()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    modulus=st.one_of(st.just(0.0), st.floats(1e-6, 0.97)),
+    angle=st.floats(-math.pi, math.pi),
+    top=st.integers(0, 30),
+    log_eps=st.floats(-30.0, -4.0),
+)
+def test_pasvs_columns_are_bit_identical_to_pasvs(modulus, angle, top, log_eps):
+    param, eps = fs.SqueezeParam(modulus * unit_phase(angle)), 10.0**log_eps
+    want = []
+    for i in range(top + 1):
+        try:
+            want.append(fs.pasvs(param, i, eps))
+        except ArithmeticError as scalar:
+            # a tail bound above the normalization tolerance fails the check,
+            # and the columns fail it first at the same index
+            with pytest.raises(ArithmeticError) as batch:
+                fs._pasvs_columns(param, top, eps)
+            assert str(batch.value) == str(scalar)
+            return
+    dense, lengths, tails, _ = fs._pasvs_columns(param, top, eps)
+    for i, v in enumerate(want):
+        assert lengths[i] == len(v.coeffs)
+        assert tails[i] == v.tail_bound
+        assert np.array_equal(dense[i : i + 2 * lengths[i] : 2, i], v.coeffs)
 
 
 def test_pasvs_columns_check_every_normalization(monkeypatch):

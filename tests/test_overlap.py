@@ -334,6 +334,16 @@ def test_scalar_overlap_cuts_one_oracle_segment_on_the_diagonal(monkeypatch, ora
     assert not oracle_builds
 
 
+@pytest.mark.parametrize("args, index", [((0.5, 2, 1 - 1e-12, 0), 0), ((1 - 1e-12, 2, 0.5, 0), 2)])
+def test_scalar_overlap_oracle_names_the_state_that_does_not_cut(args, index):
+    # only the state at |zeta| = 1 - 1e-12 reaches the term cap, in either
+    # segment of the oracle pass
+    xi, n, zeta, m = args
+    want = rf"^pasvs zeta=\(0\.999999999999\+0j\) m={index} eps=1e-26: state truncation did not converge"
+    with pytest.raises(ValueError, match=want):
+        ov.pasvs_overlap(sq(xi), n, sq(zeta), m)
+
+
 def test_scalar_overlap_evaluates_each_norm_once(monkeypatch):
     calls = []
     real = ov.pasvs_norm
