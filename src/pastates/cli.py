@@ -350,25 +350,24 @@ def _verify_discrete(args, lines: list[dict]) -> float:
     param = fockstate.SqueezeParam(parse_complex(args.zeta))
     cutoffs = parse_int_list(args.cutoffs)
     ref_cut = cutoffs[len(cutoffs) // 2]
-    devs = []
-    for cutoff in cutoffs:
-        mat = complete.sns_completeness_matrix(param, cutoff, args.dim)
-        devs.append(mat.identity_deviation())
-        closed = complete.discrete_completeness_matrix(param, cutoff, args.dim, "closed")
-        if cutoff == ref_cut:
-            ref_closed = closed
-        pair_dev = closed.identity_deviation()
+    # one block of oracle vectors for both routes, one closed matrix per top
+    *closed, series = complete._discrete_matrices(
+        param, [(cutoff, "closed") for cutoff in cutoffs] + [(ref_cut, "series")], args.dim
+    )
+    numbers = complete._sns_completeness_matrices(param, cutoffs, args.dim)
+    devs = [mat.identity_deviation() for mat in numbers]
+    for cutoff, dev, mat in zip(cutoffs, devs, closed):
+        pair_dev = mat.identity_deviation()
         lines.append(
             {
                 "check": f"discrete cutoff={cutoff}",
-                "number_basis_deviation": devs[-1],
+                "number_basis_deviation": dev,
                 "pair_basis_deviation": pair_dev,
                 "pass": bool(pair_dev < args.tol),
             }
         )
     decreasing = all(devs[i] > devs[i + 1] for i in range(len(devs) - 1))
-    series = complete.discrete_completeness_matrix(param, ref_cut, args.dim, "series")
-    gap = float(np.max(np.abs(ref_closed.entries - series.entries)))
+    gap = float(np.max(np.abs(closed[len(cutoffs) // 2].entries - series.entries)))
     lines.append(
         {
             "check": f"discrete assembly consistency at cutoff={ref_cut}",

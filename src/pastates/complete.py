@@ -475,23 +475,35 @@ def discrete_completeness_matrix(
     V D V^H, with V the states |zeta, 0..top> on the block and D their pair
     coefficients; pairs with n >= basis_dim have no support on the block.
     """
+    return _discrete_matrices(param, [(m_cutoff, coefficients)], basis_dim)[0]
+
+
+def _discrete_matrices(param: fockstate.SqueezeParam, routes, basis_dim: int) -> list:
+    """``discrete_completeness_matrix`` at every (m_cutoff, coefficients) in
+    ``routes``, from one block of states |zeta, 0..max top>, whose first
+    columns serve a smaller top, and one assembly per (top, coefficients)."""
     if abs(param.zeta) > 0.5:
         raise ValueError("discrete_completeness_matrix requires |zeta| <= 0.5")
-    if not 0 <= m_cutoff <= 80:
+    if not all(0 <= m_cutoff <= 80 for m_cutoff, _ in routes):
         raise ValueError("discrete_completeness_matrix requires 0 <= m_cutoff <= 80")
     if basis_dim < 1 or basis_dim > 64:
         raise ValueError("discrete_completeness_matrix requires 1 <= basis_dim <= 64")
-    if coefficients not in ("closed", "series"):
-        raise ValueError(f"unknown coefficient route: {coefficients!r}")
+    for _, coefficients in routes:
+        if coefficients not in ("closed", "series"):
+            raise ValueError(f"unknown coefficient route: {coefficients!r}")
     if param.zeta == 0:
-        return OperatorMatrix(0, 1, basis_dim, np.eye(basis_dim, dtype=complex))
-    top = min(m_cutoff, basis_dim - 1)
+        return [OperatorMatrix(0, 1, basis_dim, np.eye(basis_dim, dtype=complex))] * len(routes)
+    keys = [(min(m_cutoff, basis_dim - 1), coefficients) for m_cutoff, coefficients in routes]
+    top = max(t for t, _ in keys)
+    ((dense, *_),) = fockstate._pasvs_columns([param], top, overlap.SERIES_EPS)
     # |zeta, 0..top> on the first basis_dim Fock states
-    vectors = np.zeros((basis_dim, top + 1), dtype=complex)
-    block = fockstate._pasvs_columns(param, top, overlap.SERIES_EPS)[0][:basis_dim]
-    vectors[: len(block)] = block
-    entries = vectors @ _pair_matrix(param, top, coefficients) @ vectors.conj().T
-    return OperatorMatrix(0, 1, basis_dim, entries)
+    vectors = np.pad(dense, ((0, basis_dim), (0, 0)))[:basis_dim]
+    assembled = {}
+    for t, coefficients in dict.fromkeys(keys):
+        v = vectors[:, : t + 1]
+        entries = v @ _pair_matrix(param, t, coefficients) @ v.conj().T
+        assembled[t, coefficients] = OperatorMatrix(0, 1, basis_dim, entries)
+    return [assembled[key] for key in keys]
 
 
 def sns_completeness_matrix(
@@ -503,13 +515,21 @@ def sns_completeness_matrix(
     the identity matrix shrinks monotonically in the cutoff and serves as
     the convergence oracle for the discrete resolution.
     """
+    return _sns_completeness_matrices(param, [m_cutoff], basis_dim)[0]
+
+
+def _sns_completeness_matrices(param: fockstate.SqueezeParam, cutoffs, basis_dim: int) -> list:
+    """``sns_completeness_matrix`` at every cutoff c in ``cutoffs``: V_c V_c^H,
+    with V_c the first c + 1 columns of one matrix V of the states on the
+    Fock block, |0, zeta>..|max cutoff, zeta>."""
     if basis_dim < 1 or basis_dim > 64:
         raise ValueError("sns_completeness_matrix requires 1 <= basis_dim <= 64")
-    entries = np.zeros((basis_dim, basis_dim), dtype=complex)
-    for state in fockstate._sns_states(param, range(m_cutoff + 1), overlap.SERIES_EPS):
-        v = state.dense(basis_dim)
-        entries += np.outer(v, v.conj())
-    return OperatorMatrix(0, 1, basis_dim, entries)
+    if min(cutoffs) < 0:
+        raise ValueError("sns_completeness_matrix requires m_cutoff >= 0")
+    coeffs, _, _ = fockstate._sns_states(param, range(max(cutoffs) + 1), overlap.SERIES_EPS)
+    vectors = np.pad(coeffs, ((0, basis_dim), (0, 0)))[:basis_dim]
+    prefixes = (vectors[:, : cutoff + 1] for cutoff in cutoffs)
+    return [OperatorMatrix(0, 1, basis_dim, v @ v.conj().T) for v in prefixes]
 
 
 def carleman_sequence(m: int, k_list) -> list[tuple[int, float]]:

@@ -144,13 +144,8 @@ def _unit_vector(n: int, stride: int) -> FockVector:
     return FockVector(offset=n, stride=stride, coeffs=np.array([1.0 + 0.0j]), tail_bound=0.0)
 
 
-def _check_normalized(v: FockVector, label: str) -> FockVector:
-    defect = abs(v.norm_sq() + v.tail_bound - 1.0)
-    if defect > _NORM_TOL:
-        raise ArithmeticError(
-            f"{label}: closed-form normalization check failed (defect {defect:.3e})"
-        )
-    return v
+def _norm_error(label: str, defect: float) -> ArithmeticError:
+    return ArithmeticError(f"{label}: closed-form normalization check failed (defect {defect:.3e})")
 
 
 def _cap_error(label: str, eps: float) -> ValueError:
@@ -201,6 +196,10 @@ def _build_truncated(log_mag0, phase_unit, ratio, limit_ratio, eps, label):
 def _check_eps(name: str, eps: float) -> None:
     if not 0.0 < eps < math.inf:
         raise ValueError(f"{name} requires a finite eps > 0, got eps={eps}")
+    if eps >= _NORM_TOL:  # a tail bound of eps could fail the normalization check
+        raise ValueError(
+            f"{name} requires eps < {_NORM_TOL}, the normalization tolerance; got eps={eps}"
+        )
 
 
 def _check_pasvs_args(m: int, eps: float) -> None:
@@ -287,20 +286,22 @@ def _pasvs_cut(name: str, shift: int, labels, eps: float) -> list:
             raise _cap_error(_segment_label(name, shift, labels[live[capped[-1]][0]]), eps)
         for n in short:
             rows[n] = min(2 * rows[n], _MAX_TERMS + 1)
-    for (i, az_i, _), cut, (start, _) in zip(live, cuts, bounds):
+    for (i, _, _), cut, (start, _) in zip(live, cuts, bounds):
         mag = np.exp(log_mag[start : cut + 1])
         tail_i = float(tail[cut])
         defect = abs(float(mag @ mag) + tail_i - 1.0)
         if not defect <= _NORM_TOL:
-            raise ArithmeticError(
-                f"{_segment_label(name, shift, labels[i])}: closed-form normalization check "
-                f"failed (defect {defect:.3e})"
-            )
-        phase = np.empty(len(mag), dtype=complex)
-        phase.fill(labels[i][0].zeta / az_i)
-        phase[0] = 1.0
-        out[i] = mag * phase.cumprod(), tail_i
+            raise _norm_error(_segment_label(name, shift, labels[i]), defect)
+        out[i] = mag * _phase_powers(labels[i][0].zeta, len(mag)), tail_i
     return out
+
+
+def _phase_powers(zeta: complex, count: int) -> np.ndarray:
+    """(zeta/|zeta|)^k, k < count, the squeeze phase of coefficient k of |zeta, m>."""
+    powers = np.empty(count, dtype=complex)
+    powers.fill(zeta / abs(zeta))
+    powers[0] = 1.0
+    return powers.cumprod()
 
 
 def _segment_label(name: str, shift: int, label) -> str:
@@ -326,25 +327,41 @@ def pasvs(param: SqueezeParam, m: int, eps: float = 1e-14) -> FockVector:
     return _vacuum_family_vector("pasvs", 0, param, m, eps)
 
 
-def _pasvs_columns(param: SqueezeParam, top: int, eps: float):
-    """|zeta, i> for every i = 0..top, as the segments of one ``_pasvs_cut``
-    pass.
+def _pasvs_columns(params, top: int, eps: float) -> list:
+    """|zeta, i> for every i = 0..top and every label zeta in ``params``.
 
-    Returns (dense, lengths, tails, norms): column i of ``dense`` holds the
-    coefficients of |zeta, i> on |0>, |1>, ... (zero-padded), and lengths[i],
-    tails[i] and norms[i] are its stored length, tail bound and closed-form
-    normalization ``overlap.pasvs_norm``.  Column i is ``pasvs(param, i,
-    eps)``, bit for bit, and errors name it as that call does.
+    Returns one (dense, lengths, tails, norms) per label: column i of
+    ``dense`` holds the coefficients of |zeta, i> on |0>, |1>, ...
+    (zero-padded), and lengths[i], tails[i] and norms[i] are its stored
+    length, tail bound and closed-form normalization ``overlap.pasvs_norm``.
+    The cut depends on |zeta| alone and the phase enters coefficient k as
+    (zeta/|zeta|)^k, so one ``_pasvs_cut`` pass cuts a real table per
+    distinct modulus, which each label multiplies by its phase powers.
+    Column i is ``pasvs(param, i, eps)``, bit for bit; errors name its modulus.
     """
     _check_pasvs_args(top, eps)
-    norms = np.array([overlap.pasvs_norm(param, i) for i in range(top + 1)])
-    cut = _pasvs_cut("pasvs", 0, [(param, i, norm) for i, norm in enumerate(norms)], eps)
-    lengths = np.array([len(coeffs) for coeffs, _ in cut])
-    dense = np.zeros((top + 2 * int(lengths.max()), top + 1), dtype=complex)
-    for i, (coeffs, _) in enumerate(cut):
-        # coefficient k of |zeta, i> sits on the photon number i + 2k
-        dense[i : i + 2 * len(coeffs) : 2, i] = coeffs
-    return dense, lengths, np.array([tail for _, tail in cut]), norms
+    moduli = [SqueezeParam(a) for a in dict.fromkeys(abs(param.zeta) for param in params)]
+    norms = [np.array([overlap.pasvs_norm(param, i) for i in range(top + 1)]) for param in moduli]
+    labels = [(param, i, norm) for param, row in zip(moduli, norms) for i, norm in enumerate(row)]
+    cut = iter(_pasvs_cut("pasvs", 0, labels, eps))
+    real = {}
+    for param, row in zip(moduli, norms):
+        own = [next(cut) for _ in row]
+        lengths = np.array([len(coeffs) for coeffs, _ in own])
+        dense = np.zeros((top + 2 * int(lengths.max()), top + 1), dtype=complex)
+        for i, (coeffs, _) in enumerate(own):
+            # coefficient k of |zeta, i> sits on the photon number i + 2k
+            dense[i : i + 2 * len(coeffs) : 2, i] = coeffs
+        real[param.zeta.real] = dense, lengths, np.array([tail for _, tail in own]), row
+    tables = []
+    for param in params:
+        dense, *rest = real[abs(param.zeta)]
+        if param.zeta != abs(param.zeta):
+            # entry (n, i) of the table is coefficient (n - i) / 2 of |zeta, i>, or 0
+            n, i = np.indices(dense.shape)
+            dense = dense * _phase_powers(param.zeta, len(dense))[np.maximum(n - i, 0) // 2]
+        tables.append((dense, *rest))
+    return tables
 
 
 def pasops(param: SqueezeParam, m: int, eps: float = 1e-14) -> FockVector:
@@ -402,38 +419,42 @@ def _expansion_matrix(param: SqueezeParam, rows, cols, expand: str) -> np.ndarra
 def sns(param: SqueezeParam, m: int, eps: float = 1e-14) -> FockVector:
     """Squeezed number state |m, zeta> assembled as its finite combination
     of photon-added squeezed vacuum states."""
-    return _sns_states(param, [m], eps)[0]
+    coeffs, lengths, tails = _sns_states(param, [m], eps)
+    if param.zeta == 0:
+        return _unit_vector(m, 2)
+    # part k is stored on the photon numbers k, k + 2, ... below k + 2 * lengths[k]
+    ks = np.arange(m % 2, m + 1, 2)
+    return FockVector(m % 2, 2, coeffs[m % 2 : int(np.max(ks + 2 * lengths[ks])) : 2, 0], tails[0])
 
 
-def _sns_states(param: SqueezeParam, ms, eps: float) -> list[FockVector]:
-    """The squeezed number states |m, zeta> for every m in ``ms``, with the
-    photon-added parts |zeta, k> built once for all of them, as the columns
-    of ``_pasvs_columns``, and the weights as one row per state of the
-    expansion matrix.
+def _sns_states(param: SqueezeParam, ms, eps: float):
+    """The squeezed number states |m, zeta> for every m in ``ms`` as the
+    columns of dense @ weights^T, with the parts |zeta, k> the columns of
+    ``_pasvs_columns`` and one row of the expansion matrix per state;
+    returns (coeffs, lengths of the parts, tail bounds of the states).
 
     The parts are cut at eps / max_m (sum_k |w_mk|)^2, so that the combined
     tail bound (sum_k |w_mk| sqrt(tail_k))^2 of every state stays below eps
-    however large its weights are.
+    however large its weights are.  A failed normalization names the state.
     """
     if any(m < 0 for m in ms):
         raise ValueError("sns requires m >= 0")
     _check_eps("sns", eps)
-    if param.zeta == 0 or not ms:
-        return [_unit_vector(m, 2) for m in ms]
-    top = max(ms)
-    weights = _expansion_matrix(param, ms, range(top + 1), "sns")
+    weights = _expansion_matrix(param, ms, range(max(ms) + 1), "sns")
     part_eps = eps / float(np.max(np.sum(np.abs(weights), axis=1))) ** 2
-    dense, lengths, tails, _ = _pasvs_columns(param, top, part_eps)
-    states = []
-    for m, row in zip(ms, weights):
-        off = m % 2
-        ks = np.arange(off, m + 1, 2)
-        w = row[ks]
-        # part k is stored on the photon numbers k, k + 2, ... below k + 2 * lengths[k]
-        coeffs = dense[off : int(np.max(ks + 2 * lengths[ks])) : 2, ks] @ w
-        tail_amp = float(np.abs(w) @ np.sqrt(tails[ks]))
-        states.append(_check_normalized(FockVector(off, 2, coeffs, tail_amp**2), "sns"))
-    return states
+    ((dense, lengths, part_tails, _),) = _pasvs_columns([param], max(ms), part_eps)
+    # a state and its parts share one parity of photon numbers: one product
+    # per parity skips the zeros and stays below BLAS's threading threshold
+    coeffs = np.zeros((len(dense), len(weights)), dtype=complex)
+    for parity in (0, 1):
+        own = np.asarray(ms) % 2 == parity
+        coeffs[parity::2, own] = dense[parity::2, parity::2] @ weights[own, parity::2].T
+    tails = (np.abs(weights) @ np.sqrt(part_tails)) ** 2
+    defects = np.abs(np.sum(np.abs(coeffs) ** 2, axis=0) + tails - 1.0)
+    j = int(np.argmax(~(defects <= _NORM_TOL)))
+    if not defects[j] <= _NORM_TOL:
+        raise _norm_error(f"sns zeta={param.zeta} m={ms[j]}", defects[j])
+    return coeffs, lengths, tails
 
 
 def csc(param: CircleParam, eps: float = 1e-14) -> FockVector:
@@ -470,7 +491,11 @@ def _circle_state(name: str, param: CircleParam, m: int, eps: float) -> FockVect
 
     log_mag0 = -0.5 * math.log(overlap._circle_series(param, m, label))
     coeffs, tail = _build_truncated(log_mag0, param.z / az, ratio, 0.0, eps, label)
-    return _check_normalized(FockVector(m + mu, lam, coeffs, tail), name)
+    v = FockVector(m + mu, lam, coeffs, tail)
+    defect = abs(v.norm_sq() + tail - 1.0)
+    if not defect <= _NORM_TOL:
+        raise _norm_error(name, defect)
+    return v
 
 
 def apply_raising(v: FockVector) -> FockVector:

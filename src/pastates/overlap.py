@@ -377,21 +377,20 @@ def _grid_forms(label_pairs, points):
 
     Returns an array of shape (4, points, pairs) holding forms 1, 2, 3 and
     the oracle.  Each form is evaluated once per point on the array of all
-    pairs.  Each label's oracle vectors |zeta, 0..max N> are the segments
-    of one ``fockstate._pasvs_cut`` pass, which ``fockstate._pasvs_columns``
-    lays out as the columns of one zero-padded dense matrix V, so a pair's
-    oracle overlaps at every point are the entries of one product
-    V_xi^H V_zeta.
+    pairs.  The oracle vectors |zeta, 0..max N> of every label are the
+    columns of one zero-padded dense matrix V from one
+    ``fockstate._pasvs_columns`` call, which cuts one real table per
+    distinct modulus, so a pair's oracle overlaps at every point are the
+    entries of one product V_xi^H V_zeta, a sum over Fock coefficients.
     """
     from . import fockstate
 
     big_n, big_m = (np.array(col) for col in zip(*points))
     top = int(big_n.max())
-    norms, dense = {}, {}
-    for param in {p.zeta: p for pair in label_pairs for p in pair}.values():
-        dense[param.zeta], _, _, norms[param.zeta] = fockstate._pasvs_columns(
-            param, top, SERIES_EPS
-        )
+    params = list({p.zeta: p for pair in label_pairs for p in pair}.values())
+    tables = fockstate._pasvs_columns(params, top, SERIES_EPS)
+    dense = {param.zeta: v for param, (v, *_) in zip(params, tables)}
+    norms = {param.zeta: row for param, (*_, row) in zip(params, tables)}
     gram = np.empty((top + 1, top + 1, len(label_pairs)), dtype=complex)
     for p, (xi, zeta) in enumerate(label_pairs):
         v_xi, v_zeta = dense[xi.zeta], dense[zeta.zeta]

@@ -17,20 +17,26 @@ def cli_env():
 
 @pytest.fixture
 def oracle_builds(monkeypatch):
-    """Record every oracle-vector build: ("columns", label, top) for each
-    ``fockstate._pasvs_columns`` call and ("pasvs", label, m) for each scalar
+    """Record every oracle-vector build: ("columns", |label|, top) for each
+    real table of a ``fockstate._pasvs_columns`` call, one per distinct
+    modulus of its labels, and ("pasvs", label, m) for each scalar
     ``fockstate.pasvs`` call."""
     from pastates import fockstate
 
     calls = []
-    for name, kind in (("_pasvs_columns", "columns"), ("pasvs", "pasvs")):
-        real = getattr(fockstate, name)
+    real_columns, real_pasvs = fockstate._pasvs_columns, fockstate.pasvs
 
-        def counted(param, index, *args, _kind=kind, _real=real, **kwargs):
-            calls.append((_kind, param.zeta, index))
-            return _real(param, index, *args, **kwargs)
+    def columns(params, top, *args, **kwargs):
+        moduli = dict.fromkeys(abs(param.zeta) for param in params)
+        calls.extend(("columns", modulus, top) for modulus in moduli)
+        return real_columns(params, top, *args, **kwargs)
 
-        monkeypatch.setattr(fockstate, name, counted)
+    def pasvs(param, m, *args, **kwargs):
+        calls.append(("pasvs", param.zeta, m))
+        return real_pasvs(param, m, *args, **kwargs)
+
+    monkeypatch.setattr(fockstate, "_pasvs_columns", columns)
+    monkeypatch.setattr(fockstate, "pasvs", pasvs)
     return calls
 
 

@@ -102,6 +102,21 @@ def test_non_finite_eps_exits_2(argv, name, capsys):
     assert err.startswith(f"error: {name} requires a finite eps > 0, got eps=")
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["state", "pasvs", "--zeta", "0.3", "--m", "2", "--eps", "1e-4"], "pasvs"),
+        (["state", "pacsc", "--z", "2", "--m", "1", "--eps", "1e-4"], "pacsc"),
+    ],
+)
+def test_eps_above_the_normalization_tolerance_exits_2(argv, name, capsys):
+    # such a cut used to fail its own normalization check and exit 1
+    code, out, err = run_cli(argv, capsys)
+    assert code == 2 and out == ""
+    want = f"error: {name} requires eps < 1e-09, the normalization tolerance; got eps=0.0001\n"
+    assert err == want
+
+
 def test_state_rejects_bad_modulus(capsys):
     code, _, err = run_cli(["state", "pasvs", "--zeta", "1.5", "--m", "1"], capsys)
     assert code == 2
@@ -389,18 +404,42 @@ def test_verify_discrete(capsys):
     assert "strictly_decreasing=True" in out
 
 
-def test_verify_discrete_builds_each_closed_matrix_once(capsys, monkeypatch):
-    routes = []
-    real = cli.complete.discrete_completeness_matrix
+def test_verify_discrete_builds_each_closed_matrix_once(capsys, monkeypatch, oracle_builds):
+    pairs = []
+    real = cli.complete._pair_matrix
 
-    def counted(param, cutoff, dim, coefficients="closed"):
-        routes.append((cutoff, coefficients))
-        return real(param, cutoff, dim, coefficients)
+    def counted(param, top, coefficients):
+        pairs.append((top, coefficients))
+        return real(param, top, coefficients)
 
-    monkeypatch.setattr(cli.complete, "discrete_completeness_matrix", counted)
+    monkeypatch.setattr(cli.complete, "_pair_matrix", counted)
     code, _, _ = run_cli(["verify", "discrete", "--cutoffs", "10,20,40", "--dim", "8"], capsys)
     assert code == 0
-    assert routes == [(10, "closed"), (20, "closed"), (40, "closed"), (20, "series")]
+    # on 8 Fock states every cutoff keeps the pairs up to top 7, so the three
+    # closed matrices are one
+    assert pairs == [(7, "closed"), (7, "series")]
+    # one block |zeta, 0..7> for both routes, and the parts |zeta, 0..40> of
+    # every squeezed number state up to the largest cutoff
+    assert oracle_builds == [("columns", 0.3, 7), ("columns", 0.3, 40)]
+
+
+def test_verify_discrete_fails_on_scaled_number_state_weights(capsys, monkeypatch):
+    # a weight error of 1e-6 in one squeezed number state fails its
+    # normalization check, which names the state
+    real = cli.fockstate._expansion_matrix
+
+    def scaled(param, rows, cols, expand):
+        out = real(param, rows, cols, expand)
+        if expand == "sns":
+            out[5] *= 1.0 + 1e-6
+        return out
+
+    monkeypatch.setattr(cli.fockstate, "_expansion_matrix", scaled)
+    code, out, err = run_cli(["verify", "discrete"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(
+        "error: ArithmeticError: sns zeta=(0.3+0j) m=5: closed-form normalization check failed"
+    )
 
 
 def test_verify_discrete_defaults_pass(capsys):
@@ -723,9 +762,27 @@ def test_verify_overlaps_builds_each_oracle_vector_once(oracle_builds, capsys):
     )
     assert code == 0
     assert "(n,m <= 3, 192 points)" in out
-    # 2 moduli x 11 distinct phases, each label's indices 0..3 as one array
-    assert len(oracle_builds) == len(set(oracle_builds)) == 22
-    assert {(kind, top) for kind, _, top in oracle_builds} == {("columns", 3)}
+    # 22 labels, 2 moduli x 11 distinct phases, whose moduli are 4 distinct
+    # floats: one real table of indices 0..3 per float
+    moduli = {abs(p.zeta) for pair in cli._label_pairs("0.2,0.4") for p in pair}
+    assert len(moduli) == 4
+    assert len(oracle_builds) == 4
+    assert set(oracle_builds) == {("columns", modulus, 3) for modulus in moduli}
+
+
+def test_verify_all_catches_a_conjugated_squeeze_phase(capsys, monkeypatch):
+    # zeta/|zeta| is formed in one place, the power table of every squeeze
+    # phase; conjugated there, the overlap grids of verify all fail
+    real = cli.fockstate._phase_powers
+    monkeypatch.setattr(
+        cli.fockstate, "_phase_powers", lambda zeta, count: real(zeta.conjugate(), count)
+    )
+    code, out, _ = run_cli(["verify", "all"], capsys)
+    assert code == 1
+    failed = [line.split(":")[0] for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert failed == [
+        f"[FAIL] overlaps {family} grid (n,m <= 8, 1800 points)" for family in ("pasvs", "pasops")
+    ]
 
 
 def test_verify_all_builds_each_overlap_label_once(oracle_builds, capsys, tmp_path):
@@ -733,12 +790,15 @@ def test_verify_all_builds_each_overlap_label_once(oracle_builds, capsys, tmp_pa
     assert [line["check"] for line in lines if line["check"].startswith("overlaps")] == [
         f"overlaps {family} grid (n,m <= 8, 1800 points)" for family in ("pasvs", "pasops")
     ]
-    # both grids share one array per label: 3 moduli x 11 distinct phases,
-    # indices 0..9; the discrete suite builds its zeta = 0.3 arrays
-    grid_builds = [c for c in oracle_builds if c[1] != 0.3]
-    assert len(grid_builds) == len(set(grid_builds)) == 33
-    assert {(kind, top) for kind, _, top in grid_builds} == {("columns", 9)}
-    assert not [c for c in oracle_builds if c[0] == "pasvs"]
+    # both grids share one real table of indices 0..9 per distinct modulus:
+    # 33 labels, 3 moduli x 11 distinct phases, on 6 distinct floats; the
+    # discrete suite builds one zeta = 0.3 block and one table of the parts
+    # of its squeezed number states
+    moduli = {abs(p.zeta) for pair in cli._label_pairs("0.2,0.4,0.6") for p in pair}
+    assert len(moduli) == 6
+    assert len(oracle_builds) == 8
+    assert set(oracle_builds[:6]) == {("columns", modulus, 9) for modulus in moduli}
+    assert oracle_builds[6:] == [("columns", 0.3, 7), ("columns", 0.3, 40)]
 
 
 @pytest.mark.parametrize(

@@ -591,9 +591,34 @@ def test_sns_completeness_builds_each_part_once(oracle_builds):
         want += np.outer(v, v.conj())
     oracle_builds.clear()
     got = cm.sns_completeness_matrix(p, 20, 8)
-    # the parts |zeta, 0..20> as one array
-    assert oracle_builds == [("columns", p.zeta, 20)]
-    assert np.array_equal(got.entries, want)
+    # the parts |zeta, 0..20> as one array; V V^H sums the projectors in
+    # another order than the loop of outer products
+    assert oracle_builds == [("columns", abs(p.zeta), 20)]
+    assert np.max(np.abs(got.entries - want)) <= 1e-15
+
+
+def test_sns_completeness_at_several_cutoffs_builds_one_state_matrix(oracle_builds):
+    p = fs.SqueezeParam(0.3 * cmath.exp(0.4j))
+    mats = cm._sns_completeness_matrices(p, [10, 20, 40], 8)
+    # the states up to the largest cutoff, once; each cutoff a column prefix
+    assert oracle_builds == [("columns", abs(p.zeta), 40)]
+    for cutoff, mat in zip((10, 20, 40), mats):
+        single = cm.sns_completeness_matrix(p, cutoff, 8)
+        assert np.max(np.abs(mat.entries - single.entries)) <= 1e-15
+    with pytest.raises(ValueError, match="m_cutoff >= 0"):
+        cm.sns_completeness_matrix(p, -1, 8)
+
+
+def test_discrete_matrices_share_one_block(oracle_builds):
+    p = fs.SqueezeParam(0.3 * cmath.exp(0.4j))
+    routes = [(10, "closed"), (20, "closed"), (4, "closed"), (20, "series")]
+    mats = cm._discrete_matrices(p, routes, 8)
+    # one block |zeta, 0..7>, whose first columns serve the smaller top 4
+    assert oracle_builds == [("columns", abs(p.zeta), 7)]
+    assert mats[0] is mats[1]
+    for (cutoff, route), mat in zip(routes, mats):
+        single = cm.discrete_completeness_matrix(p, cutoff, 8, route)
+        assert np.array_equal(mat.entries, single.entries)
 
 
 def test_sns_completeness_builds_one_expansion_matrix(expansion_builds):
@@ -636,7 +661,7 @@ def test_discrete_matrix_builds_its_vectors_as_one_array(oracle_builds):
     p = fs.SqueezeParam(0.3 * cmath.exp(0.4j))
     mat = cm.discrete_completeness_matrix(p, 20, 8, "closed")
     # pairs with n >= basis_dim have no support on the block
-    assert oracle_builds == [("columns", p.zeta, 7)]
+    assert oracle_builds == [("columns", abs(p.zeta), 7)]
     assert mat.identity_deviation() < 1e-10
     with pytest.raises(ValueError, match="0 <= m_cutoff"):
         cm.discrete_completeness_matrix(p, -1, 8)

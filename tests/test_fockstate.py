@@ -209,14 +209,15 @@ def array_pass_pasvs(param, m, eps):
 )
 def test_pasvs_is_bit_identical_to_the_one_vector_array_cut(modulus, angle, m, log_eps):
     param, eps = fs.SqueezeParam(modulus * unit_phase(angle)), 10.0**log_eps
+    if eps >= 1e-9:
+        # a tail bound of eps could exceed the normalization tolerance
+        want = r"^pasvs requires eps < 1e-09, the normalization tolerance; got eps="
+        with pytest.raises(ValueError, match=want):
+            fs.pasvs(param, m, eps)
+        return
     want, want_tail = array_pass_pasvs(param, m, eps)
     if want is None:
         with pytest.raises(ValueError, match="state truncation did not converge"):
-            fs.pasvs(param, m, eps)
-        return
-    if not abs(np.sum(np.abs(want) ** 2) + want_tail - 1.0) <= 1e-9:
-        # a tail bound above the normalization tolerance fails the check
-        with pytest.raises(ArithmeticError, match=r"^pasvs zeta=.* m=\d+: closed-form normalization"):
             fs.pasvs(param, m, eps)
         return
     v = fs.pasvs(param, m, eps)
@@ -246,7 +247,7 @@ def test_pasvs_gives_up_at_the_term_cap_quickly(recwarn):
 @pytest.mark.parametrize("zeta", [0, 0.3, 0.6 * unit_phase(2.9), 0.9, 0.95])
 def test_pasvs_columns_match_scalar_constructor(zeta, eps):
     param = fs.SqueezeParam(zeta)
-    dense, lengths, tails, norms = fs._pasvs_columns(param, 40, eps)
+    ((dense, lengths, tails, norms),) = fs._pasvs_columns([param], 40, eps)
     for i in range(41):
         want, want_tail = scalar_pasvs(param, i, eps)
         assert lengths[i] == len(want)
@@ -267,18 +268,17 @@ def test_pasvs_columns_match_scalar_constructor(zeta, eps):
 )
 def test_pasvs_columns_are_bit_identical_to_pasvs(modulus, angle, top, log_eps):
     param, eps = fs.SqueezeParam(modulus * unit_phase(angle)), 10.0**log_eps
-    want = []
-    for i in range(top + 1):
-        try:
-            want.append(fs.pasvs(param, i, eps))
-        except ArithmeticError as scalar:
-            # a tail bound above the normalization tolerance fails the check,
-            # and the columns fail it first at the same index
-            with pytest.raises(ArithmeticError) as batch:
-                fs._pasvs_columns(param, top, eps)
-            assert str(batch.value) == str(scalar)
-            return
-    dense, lengths, tails, _ = fs._pasvs_columns(param, top, eps)
+    if eps >= 1e-9:
+        # a tail bound of eps could exceed the normalization tolerance, and
+        # the columns reject such an eps as pasvs does
+        with pytest.raises(ValueError) as scalar:
+            fs.pasvs(param, 0, eps)
+        with pytest.raises(ValueError) as batch:
+            fs._pasvs_columns([param], top, eps)
+        assert str(batch.value) == str(scalar.value)
+        return
+    want = [fs.pasvs(param, i, eps) for i in range(top + 1)]
+    ((dense, lengths, tails, _),) = fs._pasvs_columns([param], top, eps)
     for i, v in enumerate(want):
         assert lengths[i] == len(v.coeffs)
         assert tails[i] == v.tail_bound
@@ -289,11 +289,11 @@ def test_pasvs_columns_check_every_normalization(monkeypatch):
     real = ov.pasvs_norm
     monkeypatch.setattr(ov, "pasvs_norm", lambda zeta, m: real(zeta, m) * (1.0 + 1e-8))
     with pytest.raises(ArithmeticError, match=r"pasvs zeta=\(0\.3\+0j\) m=0: .*normalization"):
-        fs._pasvs_columns(fs.SqueezeParam(0.3), 5, TIGHT)
+        fs._pasvs_columns([fs.SqueezeParam(0.3)], 5, TIGHT)
     # a column that is not the first is named by its own index
     monkeypatch.setattr(ov, "pasvs_norm", lambda zeta, m: real(zeta, m) * (1.0 + 1e-8 * (m == 4)))
     with pytest.raises(ArithmeticError, match=r"m=4: closed-form normalization check failed"):
-        fs._pasvs_columns(fs.SqueezeParam(0.3), 5, TIGHT)
+        fs._pasvs_columns([fs.SqueezeParam(0.3)], 5, TIGHT)
 
 
 @pytest.mark.parametrize(
@@ -305,7 +305,7 @@ def test_pasvs_columns_reject_what_pasvs_rejects(zeta, index, eps):
     with pytest.raises(ValueError) as scalar:
         fs.pasvs(param, index, eps)
     with pytest.raises(ValueError) as batch:
-        fs._pasvs_columns(param, index, eps)
+        fs._pasvs_columns([param], index, eps)
     assert str(batch.value) == str(scalar.value)
 
 
@@ -324,6 +324,25 @@ def test_constructors_reject_bad_eps(name, build, eps):
     # a NaN tolerance never stops the truncation; an infinite one stops it
     # at the first term, short of normalization
     with pytest.raises(ValueError, match=rf"^{name} requires a finite eps > 0, got eps="):
+        build(eps)
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-4, 0.5])
+@pytest.mark.parametrize(
+    "name, build",
+    [
+        ("pasvs", lambda eps: fs.pasvs(fs.SqueezeParam(0.3), 2, eps)),
+        ("pasops", lambda eps: fs.pasops(fs.SqueezeParam(0.3), 2, eps)),
+        ("sns", lambda eps: fs.sns(fs.SqueezeParam(0.3), 2, eps)),
+        ("csc", lambda eps: fs.csc(fs.CircleParam(2.0, 1, 0), eps)),
+        ("pacsc", lambda eps: fs.pacsc(fs.CircleParam(2.0, 1, 0), 1, eps)),
+    ],
+)
+def test_constructors_reject_eps_at_the_normalization_tolerance(name, build, eps):
+    # the tail bound alone may reach eps, so a cut at eps >= 1e-9 could fail
+    # the normalization check of the state it builds
+    want = rf"^{name} requires eps < 1e-09, the normalization tolerance; got eps={eps}$"
+    with pytest.raises(ValueError, match=want):
         build(eps)
 
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -423,9 +424,11 @@ def test_overlap_grid_builds_each_oracle_vector_once(family, oracle_builds):
     worst, count = ov.overlap_grids((family,), pairs, 3)[family]
     assert count == 6 * len(pairs)
     assert worst < 1e-9
-    # one array per label: vacuum-family indices 0..3, or 0..4 for pasops
+    # one real table per distinct modulus: vacuum-family indices 0..3, or
+    # 0..4 for pasops
     top = 4 if family == "pasops" else 3
-    assert sorted(oracle_builds, key=str) == [("columns", polar(0.2, 0.5), top), ("columns", 0.4, top)]
+    assert len(oracle_builds) == 2
+    assert set(oracle_builds) == {("columns", abs(polar(0.2, 0.5)), top), ("columns", 0.4, top)}
 
 
 def test_overlap_grids_share_one_evaluation(oracle_builds, monkeypatch):
@@ -477,20 +480,61 @@ def test_overlap_grid_matches_pointwise_overlaps():
 
 
 def corrupt_oracle_vector(monkeypatch, label, index, corrupt):
-    """Make fockstate._pasvs_columns hand column ``index`` of ``label`` as
-    ``corrupt(column)``."""
+    """Make fockstate._pasvs_columns hand column ``index`` of the table of
+    ``label`` as ``corrupt(column)``."""
     real = fs._pasvs_columns
 
-    def patched(param, top, *args, **kwargs):
-        dense, *rest = real(param, top, *args, **kwargs)
-        if param.zeta == label:
-            dense[:, index] = corrupt(dense[:, index].copy())
-        return (dense, *rest)
+    def patched(params, top, *args, **kwargs):
+        tables = real(params, top, *args, **kwargs)
+        for param, (dense, *_) in zip(params, tables):
+            if param.zeta == label:
+                dense[:, index] = corrupt(dense[:, index].copy())
+        return tables
 
     monkeypatch.setattr(fs, "_pasvs_columns", patched)
 
 
 GRID_PAIRS = [(sq(0.2), sq(0.4)), (sq(0.4), sq(0.2))]
+
+# angles at and next to the branch cut of the phase, and on the real axis
+EDGE_ANGLES = [0.0, math.pi, -math.pi, math.nextafter(math.pi, 0.0), math.nextafter(-math.pi, 0.0)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    modulus=st.one_of(st.just(0.0), st.floats(1e-6, 0.9)),
+    angles=st.lists(
+        st.one_of(st.floats(-math.pi, math.pi), st.sampled_from(EDGE_ANGLES)),
+        min_size=1,
+        max_size=4,
+    ),
+    top=st.integers(0, 12),
+)
+def test_grid_oracle_tables_are_bit_identical_to_each_labels_own_vectors(modulus, angles, top):
+    # labels at one modulus and at the next float up, whose phases may also
+    # move their moduli by the last bit, and on the negative real axis: the
+    # phased real tables hold each label's own pasvs vectors, bit for bit
+    moduli = (modulus, math.nextafter(modulus, 1.0))
+    params = [sq(a * cmath.exp(1j * angle)) for a in moduli for angle in angles]
+    params += [sq(-modulus), sq(complex(-modulus, -0.0))]
+    tables = fs._pasvs_columns(params, top, ov.SERIES_EPS)
+    for param, (dense, lengths, tails, norms) in zip(params, tables):
+        for i in range(top + 1):
+            v = fs.pasvs(param, i, ov.SERIES_EPS)
+            assert (lengths[i], tails[i]) == (len(v.coeffs), v.tail_bound)
+            assert norms[i] == ov.pasvs_norm(param, i)
+            assert np.array_equal(dense[:, i], v.dense(len(dense)))
+
+
+def test_overlap_grid_fails_with_a_conjugated_phase(monkeypatch):
+    # every squeeze phase in src/ is one power table of zeta/|zeta|:
+    # conjugated, the oracle overlaps of complex labels go wrong
+    from pastates import cli
+
+    real = fs._phase_powers
+    monkeypatch.setattr(fs, "_phase_powers", lambda zeta, count: real(zeta.conjugate(), count))
+    worst, count = ov.overlap_grids(("pasvs",), cli._label_pairs("0.2,0.4,0.6"), 8)["pasvs"]
+    assert worst > 1e-3 and count == 25 * 72
 
 
 def test_overlap_grid_fails_on_nan_oracle(monkeypatch):
