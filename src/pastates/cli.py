@@ -350,10 +350,8 @@ def _verify_discrete(args, lines: list[dict]) -> float:
     param = fockstate.SqueezeParam(parse_complex(args.zeta))
     cutoffs = parse_int_list(args.cutoffs)
     ref_cut = cutoffs[len(cutoffs) // 2]
-    # one block of oracle vectors for both routes, one closed matrix per top
-    *closed, series = complete._discrete_matrices(
-        param, [(cutoff, "closed") for cutoff in cutoffs] + [(ref_cut, "series")], args.dim
-    )
+    routes = [(cutoff, "closed") for cutoff in cutoffs] + [(ref_cut, "series")]
+    *closed, series = complete._discrete_matrices(param, routes, args.dim)
     numbers = complete._sns_completeness_matrices(param, cutoffs, args.dim)
     devs = [mat.identity_deviation() for mat in numbers]
     for cutoff, dev, mat in zip(cutoffs, devs, closed):

@@ -479,9 +479,8 @@ def discrete_completeness_matrix(
 
 
 def _discrete_matrices(param: fockstate.SqueezeParam, routes, basis_dim: int) -> list:
-    """``discrete_completeness_matrix`` at every (m_cutoff, coefficients) in
-    ``routes``, from one block of states |zeta, 0..max top>, whose first
-    columns serve a smaller top, and one assembly per (top, coefficients)."""
+    """``discrete_completeness_matrix`` at every (m_cutoff, coefficients) in ``routes``,
+    from one block |zeta, 0..max top> and one assembly per distinct (top, coefficients)."""
     if abs(param.zeta) > 0.5:
         raise ValueError("discrete_completeness_matrix requires |zeta| <= 0.5")
     if not all(0 <= m_cutoff <= 80 for m_cutoff, _ in routes):
@@ -494,16 +493,14 @@ def _discrete_matrices(param: fockstate.SqueezeParam, routes, basis_dim: int) ->
     if param.zeta == 0:
         return [OperatorMatrix(0, 1, basis_dim, np.eye(basis_dim, dtype=complex))] * len(routes)
     keys = [(min(m_cutoff, basis_dim - 1), coefficients) for m_cutoff, coefficients in routes]
-    top = max(t for t, _ in keys)
-    ((dense, *_),) = fockstate._pasvs_columns([param], top, overlap.SERIES_EPS)
-    # |zeta, 0..top> on the first basis_dim Fock states
+    ((dense, *_),) = fockstate._pasvs_columns([param], max(t for t, _ in keys), overlap.SERIES_EPS)
+    # |zeta, 0..max top> on the first basis_dim Fock states
     vectors = np.pad(dense, ((0, basis_dim), (0, 0)))[:basis_dim]
-    assembled = {}
-    for t, coefficients in dict.fromkeys(keys):
+    out = {}
+    for t, c in dict.fromkeys(keys):  # c: the coefficient route
         v = vectors[:, : t + 1]
-        entries = v @ _pair_matrix(param, t, coefficients) @ v.conj().T
-        assembled[t, coefficients] = OperatorMatrix(0, 1, basis_dim, entries)
-    return [assembled[key] for key in keys]
+        out[t, c] = OperatorMatrix(0, 1, basis_dim, v @ _pair_matrix(param, t, c) @ v.conj().T)
+    return [out[key] for key in keys]
 
 
 def sns_completeness_matrix(
@@ -519,15 +516,17 @@ def sns_completeness_matrix(
 
 
 def _sns_completeness_matrices(param: fockstate.SqueezeParam, cutoffs, basis_dim: int) -> list:
-    """``sns_completeness_matrix`` at every cutoff c in ``cutoffs``: V_c V_c^H,
-    with V_c the first c + 1 columns of one matrix V of the states on the
-    Fock block, |0, zeta>..|max cutoff, zeta>."""
+    """``sns_completeness_matrix`` at every cutoff c in ``cutoffs``: V_c V_c^H, with V_c
+    the first c + 1 columns of V, the states |0, zeta>..|max c, zeta> on the block."""
     if basis_dim < 1 or basis_dim > 64:
         raise ValueError("sns_completeness_matrix requires 1 <= basis_dim <= 64")
     if min(cutoffs) < 0:
         raise ValueError("sns_completeness_matrix requires m_cutoff >= 0")
-    coeffs, _, _ = fockstate._sns_states(param, range(max(cutoffs) + 1), overlap.SERIES_EPS)
-    vectors = np.pad(coeffs, ((0, basis_dim), (0, 0)))[:basis_dim]
+    if param.zeta == 0:  # |m, 0> = |m>, off the block from m = basis_dim on
+        vectors = np.eye(basis_dim, dtype=complex)
+    else:
+        coeffs, _, _ = fockstate._sns_states(param, range(max(cutoffs) + 1), overlap.SERIES_EPS)
+        vectors = np.pad(coeffs, ((0, basis_dim), (0, 0)))[:basis_dim]
     prefixes = (vectors[:, : cutoff + 1] for cutoff in cutoffs)
     return [OperatorMatrix(0, 1, basis_dim, v @ v.conj().T) for v in prefixes]
 

@@ -144,8 +144,11 @@ def _unit_vector(n: int, stride: int) -> FockVector:
     return FockVector(offset=n, stride=stride, coeffs=np.array([1.0 + 0.0j]), tail_bound=0.0)
 
 
-def _norm_error(label: str, defect: float) -> ArithmeticError:
-    return ArithmeticError(f"{label}: closed-form normalization check failed (defect {defect:.3e})")
+def _check_defect(label, defect: float) -> None:
+    if not defect <= _NORM_TOL:  # label() forms the state's name only here
+        raise ArithmeticError(
+            f"{label()}: closed-form normalization check failed (defect {defect:.3e})"
+        )
 
 
 def _cap_error(label: str, eps: float) -> ValueError:
@@ -202,10 +205,10 @@ def _check_eps(name: str, eps: float) -> None:
         )
 
 
-def _check_pasvs_args(m: int, eps: float) -> None:
+def _check_args(name: str, m: int, eps: float) -> None:
     if m < 0:
-        raise ValueError("pasvs requires m >= 0")
-    _check_eps("pasvs", eps)
+        raise ValueError(f"{name} requires m >= 0")
+    _check_eps(name, eps)
 
 
 def _pasvs_log_amplitude0(param: SqueezeParam, m: int, norm: float) -> float:
@@ -225,7 +228,7 @@ def _pasvs_rows(az: float, m: int, eps: float) -> int:
 
 def _pasvs_cut(name: str, shift: int, labels, eps: float) -> list:
     """The coefficients and tail bound of |zeta, m> for every (param, m,
-    norm) in ``labels`` (norm: its closed-form normalization
+    norm[, named]) in ``labels`` (norm: its closed-form normalization
     ``overlap.pasvs_norm``), cut as ``_build_truncated`` cuts it.
 
     The rows k = 0..rows of every label's segment are laid end to end in
@@ -238,7 +241,7 @@ def _pasvs_cut(name: str, shift: int, labels, eps: float) -> list:
     as the ``name`` state at index m - shift; of the segments that reach
     the term cap in one pass, the last is named.
     """
-    live = [(i, abs(param.zeta), m) for i, (param, m, _) in enumerate(labels) if param.zeta != 0]
+    live = [(i, abs(lab[0].zeta), lab[1]) for i, lab in enumerate(labels) if lab[0].zeta != 0]
     # zeta = 0 gives the unit vector |m>, with no tail
     unit = (np.array([1.0 + 0.0j]), 0.0) if len(live) < len(labels) else None
     out = [unit] * len(labels)
@@ -267,7 +270,7 @@ def _pasvs_cut(name: str, shift: int, labels, eps: float) -> list:
             log_mag = np.empty(len(j))
             np.log(ratio[:-1], out=log_mag[1:])
             for (i, _, m), (start, end) in zip(live, bounds):
-                param, _, norm = labels[i]
+                param, norm = labels[i][0], labels[i][2]
                 log_mag[start] = _pasvs_log_amplitude0(param, m, norm)
                 np.add.accumulate(log_mag[start:end], out=log_mag[start:end])
             rho = np.maximum(ratio[1:], az if len(live) == 1 else az[:-1])
@@ -287,11 +290,9 @@ def _pasvs_cut(name: str, shift: int, labels, eps: float) -> list:
         for n in short:
             rows[n] = min(2 * rows[n], _MAX_TERMS + 1)
     for (i, _, _), cut, (start, _) in zip(live, cuts, bounds):
-        mag = np.exp(log_mag[start : cut + 1])
-        tail_i = float(tail[cut])
+        mag, tail_i = np.exp(log_mag[start : cut + 1]), float(tail[cut])
         defect = abs(float(mag @ mag) + tail_i - 1.0)
-        if not defect <= _NORM_TOL:
-            raise _norm_error(_segment_label(name, shift, labels[i]), defect)
+        _check_defect(lambda: _segment_label(name, shift, labels[i]), defect)
         out[i] = mag * _phase_powers(labels[i][0].zeta, len(mag)), tail_i
     return out
 
@@ -305,9 +306,8 @@ def _phase_powers(zeta: complex, count: int) -> np.ndarray:
 
 
 def _segment_label(name: str, shift: int, label) -> str:
-    """How errors name the vector of a (param, m, norm) label."""
-    param, m, _ = label
-    return f"{name} zeta={param.zeta} m={m - shift}"
+    """How errors name the vector of a (param, m, norm[, named]) label: named if given."""
+    return f"{name} zeta={(label[3:] or label)[0].zeta} m={label[1] - shift}"
 
 
 def _vacuum_family_vector(
@@ -323,7 +323,7 @@ def _vacuum_family_vector(
 
 def pasvs(param: SqueezeParam, m: int, eps: float = 1e-14) -> FockVector:
     """Photon-added squeezed vacuum state |zeta, m> as a Fock vector."""
-    _check_pasvs_args(m, eps)
+    _check_args("pasvs", m, eps)
     return _vacuum_family_vector("pasvs", 0, param, m, eps)
 
 
@@ -337,29 +337,30 @@ def _pasvs_columns(params, top: int, eps: float) -> list:
     The cut depends on |zeta| alone and the phase enters coefficient k as
     (zeta/|zeta|)^k, so one ``_pasvs_cut`` pass cuts a real table per
     distinct modulus, which each label multiplies by its phase powers.
-    Column i is ``pasvs(param, i, eps)``, bit for bit; errors name its modulus.
+    Column i is ``pasvs(param, i, eps)`` bit for bit; errors name a modulus's first label.
     """
-    _check_pasvs_args(top, eps)
-    moduli = [SqueezeParam(a) for a in dict.fromkeys(abs(param.zeta) for param in params)]
-    norms = [np.array([overlap.pasvs_norm(param, i) for i in range(top + 1)]) for param in moduli]
-    labels = [(param, i, norm) for param, row in zip(moduli, norms) for i, norm in enumerate(row)]
+    _check_args("pasvs", top, eps)
+    named = {abs(p.zeta): p for p in reversed(params)}  # a modulus's first label
+    indices = range(top + 1)
+    norms = {a: np.array([overlap.pasvs_norm(p, i) for i in indices]) for a, p in named.items()}
+    labels = [(SqueezeParam(a), i, norms[a][i], p) for a, p in named.items() for i in indices]
     cut = iter(_pasvs_cut("pasvs", 0, labels, eps))
     real = {}
-    for param, row in zip(moduli, norms):
+    for a, row in norms.items():
         own = [next(cut) for _ in row]
         lengths = np.array([len(coeffs) for coeffs, _ in own])
         dense = np.zeros((top + 2 * int(lengths.max()), top + 1), dtype=complex)
         for i, (coeffs, _) in enumerate(own):
             # coefficient k of |zeta, i> sits on the photon number i + 2k
             dense[i : i + 2 * len(coeffs) : 2, i] = coeffs
-        real[param.zeta.real] = dense, lengths, np.array([tail for _, tail in own]), row
+        # entry (n, i) is coefficient k = (n - i) / 2 of |zeta, i>, or 0
+        k = np.maximum(np.subtract.outer(np.arange(len(dense)), indices), 0) // 2
+        real[a] = dense, k, lengths, np.array([tail for _, tail in own]), row
     tables = []
     for param in params:
-        dense, *rest = real[abs(param.zeta)]
+        dense, k, *rest = real[abs(param.zeta)]
         if param.zeta != abs(param.zeta):
-            # entry (n, i) of the table is coefficient (n - i) / 2 of |zeta, i>, or 0
-            n, i = np.indices(dense.shape)
-            dense = dense * _phase_powers(param.zeta, len(dense))[np.maximum(n - i, 0) // 2]
+            dense = dense * _phase_powers(param.zeta, len(dense))[k]
         tables.append((dense, *rest))
     return tables
 
@@ -372,9 +373,7 @@ def pasops(param: SqueezeParam, m: int, eps: float = 1e-14) -> FockVector:
     it.  A norm beyond the float range, a failed normalization check and a
     cut beyond the term cap raise their errors under this name and index.
     """
-    if m < 0:
-        raise ValueError("pasops requires m >= 0")
-    _check_eps("pasops", eps)
+    _check_args("pasops", m, eps)
     try:
         return _vacuum_family_vector("pasops", 1, param, m + 1, eps)
     except OverflowError:
@@ -419,9 +418,10 @@ def _expansion_matrix(param: SqueezeParam, rows, cols, expand: str) -> np.ndarra
 def sns(param: SqueezeParam, m: int, eps: float = 1e-14) -> FockVector:
     """Squeezed number state |m, zeta> assembled as its finite combination
     of photon-added squeezed vacuum states."""
-    coeffs, lengths, tails = _sns_states(param, [m], eps)
+    _check_args("sns", m, eps)
     if param.zeta == 0:
         return _unit_vector(m, 2)
+    coeffs, lengths, tails = _sns_states(param, [m], eps)
     # part k is stored on the photon numbers k, k + 2, ... below k + 2 * lengths[k]
     ks = np.arange(m % 2, m + 1, 2)
     return FockVector(m % 2, 2, coeffs[m % 2 : int(np.max(ks + 2 * lengths[ks])) : 2, 0], tails[0])
@@ -435,25 +435,20 @@ def _sns_states(param: SqueezeParam, ms, eps: float):
 
     The parts are cut at eps / max_m (sum_k |w_mk|)^2, so that the combined
     tail bound (sum_k |w_mk| sqrt(tail_k))^2 of every state stays below eps
-    however large its weights are.  A failed normalization names the state.
+    however large its weights are.  The callers check ms >= 0 and eps.
     """
-    if any(m < 0 for m in ms):
-        raise ValueError("sns requires m >= 0")
-    _check_eps("sns", eps)
     weights = _expansion_matrix(param, ms, range(max(ms) + 1), "sns")
     part_eps = eps / float(np.max(np.sum(np.abs(weights), axis=1))) ** 2
     ((dense, lengths, part_tails, _),) = _pasvs_columns([param], max(ms), part_eps)
-    # a state and its parts share one parity of photon numbers: one product
-    # per parity skips the zeros and stays below BLAS's threading threshold
+    # one product per parity of photon numbers skips the zeros and stays single-threaded
     coeffs = np.zeros((len(dense), len(weights)), dtype=complex)
     for parity in (0, 1):
         own = np.asarray(ms) % 2 == parity
         coeffs[parity::2, own] = dense[parity::2, parity::2] @ weights[own, parity::2].T
     tails = (np.abs(weights) @ np.sqrt(part_tails)) ** 2
     defects = np.abs(np.sum(np.abs(coeffs) ** 2, axis=0) + tails - 1.0)
-    j = int(np.argmax(~(defects <= _NORM_TOL)))
-    if not defects[j] <= _NORM_TOL:
-        raise _norm_error(f"sns zeta={param.zeta} m={ms[j]}", defects[j])
+    j = int(np.argmax(defects))  # the largest defect, or the first NaN
+    _check_defect(lambda: f"sns zeta={param.zeta} m={ms[j]}", defects[j])
     return coeffs, lengths, tails
 
 
@@ -465,9 +460,7 @@ def csc(param: CircleParam, eps: float = 1e-14) -> FockVector:
 
 def pacsc(param: CircleParam, m: int, eps: float = 1e-14) -> FockVector:
     """Photon-added circle coherent state |z, mu, m> as a Fock vector."""
-    if m < 0:
-        raise ValueError("pacsc requires m >= 0")
-    _check_eps("pacsc", eps)
+    _check_args("pacsc", m, eps)
     return _circle_state("pacsc", param, m, eps)
 
 
@@ -492,9 +485,7 @@ def _circle_state(name: str, param: CircleParam, m: int, eps: float) -> FockVect
     log_mag0 = -0.5 * math.log(overlap._circle_series(param, m, label))
     coeffs, tail = _build_truncated(log_mag0, param.z / az, ratio, 0.0, eps, label)
     v = FockVector(m + mu, lam, coeffs, tail)
-    defect = abs(v.norm_sq() + tail - 1.0)
-    if not defect <= _NORM_TOL:
-        raise _norm_error(name, defect)
+    _check_defect(lambda: name, abs(v.norm_sq() + tail - 1.0))
     return v
 
 

@@ -387,13 +387,12 @@ def _grid_forms(label_pairs, points):
 
     big_n, big_m = (np.array(col) for col in zip(*points))
     top = int(big_n.max())
-    params = list({p.zeta: p for pair in label_pairs for p in pair}.values())
-    tables = fockstate._pasvs_columns(params, top, SERIES_EPS)
-    dense = {param.zeta: v for param, (v, *_) in zip(params, tables)}
-    norms = {param.zeta: row for param, (*_, row) in zip(params, tables)}
+    params = {p.zeta: p for pair in label_pairs for p in pair}
+    # (dense, lengths, tails, norms) of each label
+    tables = dict(zip(params, fockstate._pasvs_columns(list(params.values()), top, SERIES_EPS)))
     gram = np.empty((top + 1, top + 1, len(label_pairs)), dtype=complex)
     for p, (xi, zeta) in enumerate(label_pairs):
-        v_xi, v_zeta = dense[xi.zeta], dense[zeta.zeta]
+        v_xi, v_zeta = tables[xi.zeta][0], tables[zeta.zeta][0]
         rows = min(len(v_xi), len(v_zeta))
         gram[:, :, p] = v_xi[:rows].conj().T @ v_zeta[:rows]
 
@@ -407,8 +406,8 @@ def _grid_forms(label_pairs, points):
     svo = quarter * x_arg
     log_fact = np.array([specfun.log_factorial(k) for k in range(top + 1)])
     pref = (
-        np.array([norms[zeta.zeta] for _, zeta in label_pairs]).T[big_m]
-        * np.array([norms[xi.zeta] for xi, _ in label_pairs]).T[big_n]
+        np.array([tables[zeta.zeta][3] for _, zeta in label_pairs]).T[big_m]
+        * np.array([tables[xi.zeta][3] for xi, _ in label_pairs]).T[big_n]
     ) ** -0.5
     common = pref * np.exp(log_fact[big_n] - log_fact[q[:, 0]])[:, None] * (0.5 * ze) ** q
 

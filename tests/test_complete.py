@@ -609,6 +609,18 @@ def test_sns_completeness_at_several_cutoffs_builds_one_state_matrix(oracle_buil
         cm.sns_completeness_matrix(p, -1, 8)
 
 
+def test_sns_completeness_at_zero_squeezing_is_the_unit_block(oracle_builds):
+    # |m, 0> = |m>: the first cutoff + 1 unit projectors of the block, with
+    # no table, also at cutoffs where pasvs_norm(0, m) = m! overflows
+    p = fs.SqueezeParam(0)
+    mats = cm._sns_completeness_matrices(p, [3, 171, 200], 8)
+    for cutoff, mat in zip((3, 171, 200), mats):
+        want = np.diag([1.0 + 0.0j if n <= cutoff else 0.0j for n in range(8)])
+        assert np.array_equal(mat.entries, want)
+        assert np.array_equal(cm.sns_completeness_matrix(p, cutoff, 8).entries, want)
+    assert oracle_builds == []
+
+
 def test_discrete_matrices_share_one_block(oracle_builds):
     p = fs.SqueezeParam(0.3 * cmath.exp(0.4j))
     routes = [(10, "closed"), (20, "closed"), (4, "closed"), (20, "series")]

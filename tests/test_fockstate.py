@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import time
 
 import numpy as np
@@ -296,6 +297,24 @@ def test_pasvs_columns_check_every_normalization(monkeypatch):
         fs._pasvs_columns([fs.SqueezeParam(0.3)], 5, TIGHT)
 
 
+def test_pasvs_columns_name_the_label_a_caller_passed(monkeypatch):
+    # one real table per modulus; its errors name the first label with that
+    # modulus as pasvs names it, not the modulus
+    label = fs.SqueezeParam(0.99999999 * unit_phase(1.0))
+    params = [fs.SqueezeParam(0.3), label, fs.SqueezeParam(-abs(label.zeta))]
+    with pytest.raises(ValueError) as scalar:
+        fs.pasvs(label, 3)
+    with pytest.raises(ValueError) as batch:
+        fs._pasvs_columns(params, 3, 1e-14)
+    assert str(batch.value) == str(scalar.value)
+    assert f"zeta={label.zeta} m=3" in str(batch.value)
+    real = ov.pasvs_norm
+    monkeypatch.setattr(ov, "pasvs_norm", lambda zeta, m: real(zeta, m) * (1.0 + 1e-8 * (m == 2)))
+    label = fs.SqueezeParam(-0.3j)
+    with pytest.raises(ArithmeticError, match=rf"pasvs zeta={re.escape(str(label.zeta))} m=2: "):
+        fs._pasvs_columns([label, fs.SqueezeParam(0.3)], 4, TIGHT)
+
+
 @pytest.mark.parametrize(
     "zeta, index, eps",
     [(0.3, 2, 0.0), (0.3, 2, -1e-14), (0.3, -1, 1e-14), (1 - 1e-12, 2, 1e-14), (1 - 1e-13, 0, 1e-14)],
@@ -386,6 +405,19 @@ def test_sns_zero_squeezing_and_single_term():
     param = fs.SqueezeParam(0.4)
     a, b = fs.sns(param, 0), fs.pasvs(param, 0)
     np.testing.assert_allclose(a.coeffs, b.coeffs, atol=1e-14)
+
+
+def test_sns_at_zero_squeezing_builds_no_table(oracle_builds):
+    # |m, 0> = |m> at every m, also beyond m = 170, where pasvs_norm(0, m) = m!
+    # overflows
+    for m in (5, 171, 200):
+        v = fs.sns(fs.SqueezeParam(0), m)
+        assert (v.offset, v.stride, list(v.coeffs), v.tail_bound) == (m, 2, [1.0 + 0.0j], 0.0)
+    assert oracle_builds == []
+    with pytest.raises(ValueError, match="m >= 0"):
+        fs.sns(fs.SqueezeParam(0), -1)
+    with pytest.raises(ValueError, match="eps"):
+        fs.sns(fs.SqueezeParam(0), 200, 1e-4)
 
 
 def test_sns_matches_ladder_oracle():
