@@ -184,12 +184,8 @@ def cmd_overlap(args) -> int:
         # |xi> and S(xi)|1> are the vacuum-family states |xi, 0> and |xi, 1>
         shift = 0 if args.family == "sv" else 1
         value = (overlap.sv_overlap if shift == 0 else overlap.sops_overlap)(xi, zeta)
-        oracle = overlap._series(
-            args.family,
-            shift,
-            (xi, shift, overlap.pasvs_norm(xi, shift)),
-            (zeta, shift, overlap.pasvs_norm(zeta, shift)),
-        )
+        labels = [(p, shift, overlap._pasvs_log_norms(p, shift)[shift]) for p in (xi, zeta)]
+        oracle = overlap._series(args.family, shift, *labels)
         err = abs(value - oracle)
         env = _envelope(
             "overlap",
@@ -405,12 +401,9 @@ def _verify_carleman(args, lines: list[dict]) -> float:
 def _label_pairs(moduli: str) -> list[tuple]:
     """The overlaps suite's label pairs: every pair of moduli at every
     phase pair."""
-    mods = parse_float_list(moduli)
+    mods, sq = parse_float_list(moduli), fockstate.SqueezeParam
     return [
-        (
-            fockstate.SqueezeParam(axi * cmath.exp(1j * pxi)),
-            fockstate.SqueezeParam(aze * cmath.exp(1j * pze)),
-        )
+        (sq(axi * cmath.exp(1j * pxi)), sq(aze * cmath.exp(1j * pze)))
         for axi in mods
         for aze in mods
         for pxi, pze in _PHASE_PAIRS

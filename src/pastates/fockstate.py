@@ -211,10 +211,10 @@ def _check_args(name: str, m: int, eps: float) -> None:
     _check_eps(name, eps)
 
 
-def _pasvs_log_amplitude0(param: SqueezeParam, m: int, norm: float) -> float:
-    """log |<m|zeta, m>|, the first amplitude of |zeta, m> (norm: its
-    closed-form normalization ``overlap.pasvs_norm``)."""
-    return -0.5 * math.log(norm) + 0.25 * math.log1p(-param.y) + 0.5 * specfun.log_factorial(m)
+def _pasvs_log_amplitude0(param: SqueezeParam, m: int, log_norm: float) -> float:
+    """log |<m|zeta, m>|, the first amplitude of |zeta, m> (log_norm: ln of
+    its closed-form normalization, from ``overlap._pasvs_log_norms``)."""
+    return -0.5 * log_norm + 0.25 * math.log1p(-param.y) + 0.5 * specfun.log_factorial(m)
 
 
 def _pasvs_rows(az: float, m: int, eps: float) -> int:
@@ -228,8 +228,9 @@ def _pasvs_rows(az: float, m: int, eps: float) -> int:
 
 def _pasvs_cut(name: str, shift: int, labels, eps: float) -> list:
     """The coefficients and tail bound of |zeta, m> for every (param, m,
-    norm[, named]) in ``labels`` (norm: its closed-form normalization
-    ``overlap.pasvs_norm``), cut as ``_build_truncated`` cuts it.
+    log_norm[, named]) in ``labels`` (log_norm: ln of its closed-form
+    normalization, from ``overlap._pasvs_log_norms``), cut as
+    ``_build_truncated`` cuts it.
 
     The rows k = 0..rows of every label's segment are laid end to end in
     one 1-D array, and each elementwise pass of the cut runs once over all
@@ -270,8 +271,8 @@ def _pasvs_cut(name: str, shift: int, labels, eps: float) -> list:
             log_mag = np.empty(len(j))
             np.log(ratio[:-1], out=log_mag[1:])
             for (i, _, m), (start, end) in zip(live, bounds):
-                param, norm = labels[i][0], labels[i][2]
-                log_mag[start] = _pasvs_log_amplitude0(param, m, norm)
+                param, log_norm = labels[i][0], labels[i][2]
+                log_mag[start] = _pasvs_log_amplitude0(param, m, log_norm)
                 np.add.accumulate(log_mag[start:end], out=log_mag[start:end])
             rho = np.maximum(ratio[1:], az if len(live) == 1 else az[:-1])
             # rho >= 1 bounds no tail: its tail is +inf or NaN, never below
@@ -306,7 +307,7 @@ def _phase_powers(zeta: complex, count: int) -> np.ndarray:
 
 
 def _segment_label(name: str, shift: int, label) -> str:
-    """How errors name the vector of a (param, m, norm[, named]) label: named if given."""
+    """How errors name the vector of a (param, m, log_norm[, named]) label: named if given."""
     return f"{name} zeta={(label[3:] or label)[0].zeta} m={label[1] - shift}"
 
 
@@ -317,7 +318,8 @@ def _vacuum_family_vector(
     whose errors name it as the ``name`` state at index m - shift."""
     if param.zeta == 0:
         return _unit_vector(m, 2)
-    ((coeffs, tail),) = _pasvs_cut(name, shift, [(param, m, overlap.pasvs_norm(param, m))], eps)
+    log_norm = overlap._pasvs_log_norms(param, m)[m]
+    ((coeffs, tail),) = _pasvs_cut(name, shift, [(param, m, log_norm)], eps)
     return FockVector(m, 2, coeffs, tail)
 
 
@@ -330,19 +332,20 @@ def pasvs(param: SqueezeParam, m: int, eps: float = 1e-14) -> FockVector:
 def _pasvs_columns(params, top: int, eps: float) -> list:
     """|zeta, i> for every i = 0..top and every label zeta in ``params``.
 
-    Returns one (dense, lengths, tails, norms) per label: column i of
+    Returns one (dense, lengths, tails, log_norms) per label: column i of
     ``dense`` holds the coefficients of |zeta, i> on |0>, |1>, ...
-    (zero-padded), and lengths[i], tails[i] and norms[i] are its stored
-    length, tail bound and closed-form normalization ``overlap.pasvs_norm``.
-    The cut depends on |zeta| alone and the phase enters coefficient k as
-    (zeta/|zeta|)^k, so one ``_pasvs_cut`` pass cuts a real table per
-    distinct modulus, which each label multiplies by its phase powers.
+    (zero-padded), and lengths[i], tails[i] and log_norms[i] are its stored
+    length, tail bound and ln of its closed-form normalization, read off one
+    ``overlap._pasvs_log_norms`` table per modulus.  The cut depends on
+    |zeta| alone and the phase enters coefficient k as (zeta/|zeta|)^k, so
+    one ``_pasvs_cut`` pass cuts a real table per distinct modulus, which
+    each label multiplies by its phase powers.
     Column i is ``pasvs(param, i, eps)`` bit for bit; errors name a modulus's first label.
     """
     _check_args("pasvs", top, eps)
     named = {abs(p.zeta): p for p in reversed(params)}  # a modulus's first label
     indices = range(top + 1)
-    norms = {a: np.array([overlap.pasvs_norm(p, i) for i in indices]) for a, p in named.items()}
+    norms = {a: overlap._pasvs_log_norms(p, top) for a, p in named.items()}
     labels = [(SqueezeParam(a), i, norms[a][i], p) for a, p in named.items() for i in indices]
     cut = iter(_pasvs_cut("pasvs", 0, labels, eps))
     real = {}
@@ -370,14 +373,11 @@ def pasops(param: SqueezeParam, m: int, eps: float = 1e-14) -> FockVector:
 
     S(zeta)|1> is proportional to a^dag S(zeta)|0>, so |1, zeta, m> is the
     photon-added squeezed vacuum state |zeta, m+1>, cut as ``pasvs`` cuts
-    it.  A norm beyond the float range, a failed normalization check and a
-    cut beyond the term cap raise their errors under this name and index.
+    it.  A failed normalization check and a cut beyond the term cap raise
+    their errors under this name and index.
     """
     _check_args("pasops", m, eps)
-    try:
-        return _vacuum_family_vector("pasops", 1, param, m + 1, eps)
-    except OverflowError:
-        raise OverflowError(f"pasops: norm overflows at zeta={param.zeta}, m={m}") from None
+    return _vacuum_family_vector("pasops", 1, param, m + 1, eps)
 
 
 def _expansion_matrix(param: SqueezeParam, rows, cols, expand: str) -> np.ndarray:
@@ -393,15 +393,8 @@ def _expansion_matrix(param: SqueezeParam, rows, cols, expand: str) -> np.ndarra
     """
     rows, cols = np.asarray(rows)[:, None], np.asarray(cols)[None, :]
     top = int(max(rows.max(), cols.max()))
-    omy = 1.0 - param.y
-    x = omy**-0.5
-    # ln P_j(x) from the ratios P_j / P_{j-1}, which cannot overflow
-    log_ratio = np.zeros(top + 1)
-    r = 1.0
-    for j in range(1, top + 1):
-        r = ((2 * j - 1) * x - (j - 1) / r) / j
-        log_ratio[j] = math.log(r)
-    log_n = 0.25 * np.arange(top + 1) * math.log(omy) + 0.5 * np.cumsum(log_ratio)
+    log_p = np.array(overlap._log_legendre_p(param, top))
+    log_n = 0.25 * np.arange(top + 1) * math.log(1.0 - param.y) + 0.5 * log_p
     log_fact = np.array([specfun.log_factorial(i) for i in range(top + 1)])
     diff = rows - cols
     valid = (diff >= 0) & (diff % 2 == 0)
@@ -495,12 +488,8 @@ def apply_raising(v: FockVector) -> FockVector:
         return FockVector(v.offset, v.stride, v.coeffs, v.tail_bound)
     n = v.photon_numbers()
     top = int(n[-1])
-    return FockVector(
-        v.offset + 1,
-        v.stride,
-        v.coeffs * np.sqrt(n + 1.0),
-        v.tail_bound * (top + v.stride + 1),
-    )
+    scaled = v.coeffs * np.sqrt(n + 1.0)
+    return FockVector(v.offset + 1, v.stride, scaled, v.tail_bound * (top + v.stride + 1))
 
 
 def apply_lowering(v: FockVector) -> FockVector:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -67,23 +68,47 @@ def sops_overlap(xi, zeta) -> complex:
     return amp * (1.0 - w) ** -1.5
 
 
+def _log_legendre_p(zeta, top: int) -> list[float]:
+    """ln P_0..ln P_top at x = (1-y)^(-1/2), y = |zeta|^2, summed from the
+    logs of the ratios r_j = P_j / P_(j-1) = ((2j-1) x - (j-1) / r_(j-1)) / j,
+    which cannot overflow."""
+    x = (1.0 - zeta.y) ** -0.5
+    r, log_ratios = 1.0, [0.0]
+    for j in range(1, top + 1):
+        r = ((2 * j - 1) * x - (j - 1) / r) / j
+        log_ratios.append(math.log(r))
+    return list(accumulate(log_ratios))
+
+
+def _pasvs_log_norms(zeta, top: int) -> list[float]:
+    """ln N_0..ln N_top of the squared norms N_m = m! (1-y)^(-m/2) P_m(x) of
+    (a^dag)^m applied to a squeezed vacuum state, the one table that every
+    squeezed vacuum norm in the package is read from; the two smaller terms
+    are added first."""
+    log_omy, log_p = math.log(1.0 - zeta.y), _log_legendre_p(zeta, top)
+    return [specfun.log_factorial(m) + (log_p[m] - 0.5 * m * log_omy) for m in range(top + 1)]
+
+
+def _norm_in_float_range(zeta, m: int, log_norm: float, name: str = "pasvs_norm") -> float:
+    """log_norm, the log of the norm ``name(zeta, m)``, or the OverflowError
+    of a norm beyond the float range."""
+    try:
+        math.exp(log_norm)
+    except OverflowError:
+        raise OverflowError(f"{name}: norm overflows at zeta={zeta.zeta}, m={m}") from None
+    return log_norm
+
+
 def pasvs_norm(zeta, m: int) -> float:
     """Squared norm of (a^dag)^m applied to a squeezed vacuum state.
 
-    m! (1-y)^(-m/2) P_m((1-y)^(-1/2)) with y = |zeta|^2; a norm beyond the
-    float range raises ``OverflowError``.
+    m! (1-y)^(-m/2) P_m((1-y)^(-1/2)) with y = |zeta|^2, read off the log
+    table ``_pasvs_log_norms``; a norm beyond the float range raises
+    ``OverflowError``.
     """
     if m < 0:
         raise ValueError("pasvs_norm requires m >= 0")
-    omy = 1.0 - zeta.y
-    x = omy**-0.5
-    try:
-        norm = math.exp(specfun.log_factorial(m)) * omy ** (-0.5 * m) * specfun.legendre_p(m, x)
-    except OverflowError:
-        norm = math.inf
-    if not math.isfinite(norm):
-        raise OverflowError(f"pasvs_norm: norm overflows at zeta={zeta.zeta}, m={m}")
-    return norm
+    return math.exp(_norm_in_float_range(zeta, m, _pasvs_log_norms(zeta, m)[m]))
 
 
 def pasops_norm(zeta, m: int) -> float:
@@ -95,10 +120,8 @@ def pasops_norm(zeta, m: int) -> float:
     """
     if m < 0:
         raise ValueError("pasops_norm requires m >= 0")
-    try:
-        return (1.0 - zeta.y) * pasvs_norm(zeta, m + 1)
-    except OverflowError:
-        raise OverflowError(f"pasops_norm: norm overflows at zeta={zeta.zeta}, m={m}") from None
+    log_norm = _norm_in_float_range(zeta, m, _pasvs_log_norms(zeta, m + 1)[m + 1], "pasops_norm")
+    return (1.0 - zeta.y) * math.exp(log_norm)
 
 
 def _circle_series(param, m: int, label) -> float:
@@ -212,15 +235,15 @@ def _pacsc_laguerre_norm(param, m: int, n_mu: float) -> complex:
 
 
 def _pasvs_forms(
-    xi, n: int, norm_xi: float, zeta, m: int, norm_zeta: float
+    xi, n: int, log_norm_xi: float, zeta, m: int, log_norm_zeta: float
 ) -> tuple[complex, complex, complex]:
     """The three closed forms of the photon-added squeezed vacuum overlap
     for n >= m with n - m even: hypergeometric, Euler-transformed
-    terminating hypergeometric, and associated-Legendre (norm_xi,
-    norm_zeta: the ``pasvs_norm`` of both states)."""
+    terminating hypergeometric, and associated-Legendre (log_norm_xi,
+    log_norm_zeta: ln ``pasvs_norm`` of both states)."""
     w = xi.zeta.conjugate() * zeta.zeta
     q = (n - m) // 2
-    pref = (norm_zeta * norm_xi) ** -0.5
+    pref = math.exp(-0.5 * (log_norm_zeta + log_norm_xi))
     svo = sv_overlap(xi, zeta)
     quarter = ((1.0 - zeta.y) * (1.0 - xi.y)) ** 0.25
     front = math.exp(specfun.log_factorial(n) - specfun.log_factorial(q))
@@ -263,8 +286,8 @@ _SHIFT = {"pasvs": 0, "pasops": 1}
 
 def _series(family: str, shift: int, left, right) -> complex:
     """The series oracle <xi, n|zeta, m> of the photon-added squeezed vacuum
-    vectors left = (xi, n, norm) and right = (zeta, m, norm), n - m even
-    (norm: ``pasvs_norm``), cut at SERIES_EPS.
+    vectors left = (xi, n, log_norm) and right = (zeta, m, log_norm), n - m
+    even (log_norm: ln ``pasvs_norm``), cut at SERIES_EPS.
 
     Both vectors are cut by one ``fockstate._pasvs_cut`` pass (one segment
     when they are the same vector) and summed over the photon numbers both
@@ -290,7 +313,8 @@ def _overlap(family: str, xi, n: int, zeta, m: int, form) -> OverlapResult:
 
     The one-photon state |1, zeta, m> is the vacuum-family state |zeta, m+1>,
     so both families are evaluated as photon-added squeezed vacuum states.
-    Each state's norm is evaluated once, for the forms and the oracle.
+    Each state's log norm is evaluated once, for the forms and the oracle;
+    a norm beyond the float range raises ``pasvs_norm``'s OverflowError.
     """
     if n < 0 or m < 0:
         raise ValueError(f"{family}_overlap requires n >= 0 and m >= 0")
@@ -306,10 +330,11 @@ def _overlap(family: str, xi, n: int, zeta, m: int, form) -> OverlapResult:
     swap = n < m
     if swap:
         xi, n, zeta, m = zeta, m, xi, n
-    norm_xi = pasvs_norm(xi, n)
-    norm_zeta = norm_xi if (xi.zeta, n) == (zeta.zeta, m) else pasvs_norm(zeta, m)
-    f1, f2, f3 = _pasvs_forms(xi, n, norm_xi, zeta, m, norm_zeta)
-    series = _series(family, shift, (xi, n, norm_xi), (zeta, m, norm_zeta))
+    log_xi = _norm_in_float_range(xi, n, _pasvs_log_norms(xi, n)[n])
+    same = (xi.zeta, n) == (zeta.zeta, m)
+    log_zeta = log_xi if same else _norm_in_float_range(zeta, m, _pasvs_log_norms(zeta, m)[m])
+    f1, f2, f3 = _pasvs_forms(xi, n, log_xi, zeta, m, log_zeta)
+    series = _series(family, shift, (xi, n, log_xi), (zeta, m, log_zeta))
     value = {1: f1, 2: f2, 3: f3, "series": series}[form]
     spread = _nan_fails(abs(f1 - f2), abs(f1 - f3), abs(f2 - f3))
     error = _nan_fails(abs(value - series))
@@ -388,8 +413,10 @@ def _grid_forms(label_pairs, points):
     big_n, big_m = (np.array(col) for col in zip(*points))
     top = int(big_n.max())
     params = {p.zeta: p for pair in label_pairs for p in pair}
-    # (dense, lengths, tails, norms) of each label
+    # (dense, lengths, tails, log norms) of each label
     tables = dict(zip(params, fockstate._pasvs_columns(list(params.values()), top, SERIES_EPS)))
+    for param, (*_, log_norms) in zip(params.values(), tables.values()):
+        _norm_in_float_range(param, top, log_norms[top])  # N_m grows with m
     gram = np.empty((top + 1, top + 1, len(label_pairs)), dtype=complex)
     for p, (xi, zeta) in enumerate(label_pairs):
         v_xi, v_zeta = tables[xi.zeta][0], tables[zeta.zeta][0]
@@ -405,10 +432,9 @@ def _grid_forms(label_pairs, points):
     quarter = ((1.0 - np.abs(ze) ** 2) * (1.0 - np.abs(xi_c) ** 2)) ** 0.25
     svo = quarter * x_arg
     log_fact = np.array([specfun.log_factorial(k) for k in range(top + 1)])
-    pref = (
-        np.array([tables[zeta.zeta][3] for _, zeta in label_pairs]).T[big_m]
-        * np.array([tables[xi.zeta][3] for xi, _ in label_pairs]).T[big_n]
-    ) ** -0.5
+    log_ze = np.array([tables[zeta.zeta][3] for _, zeta in label_pairs]).T[big_m]
+    log_xi = np.array([tables[xi.zeta][3] for xi, _ in label_pairs]).T[big_n]
+    pref = np.exp(-0.5 * (log_ze + log_xi))
     common = pref * np.exp(log_fact[big_n] - log_fact[q[:, 0]])[:, None] * (0.5 * ze) ** q
 
     # forms 1 and 2 share one series run: 2F1((N+1)/2, (N+2)/2; q+1; w) and

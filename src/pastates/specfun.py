@@ -87,20 +87,15 @@ def log_double_factorial(n: int) -> float:
 
 
 def legendre_p(n: int, x):
-    """Legendre polynomial P_n(x) by the three-term recurrence.
+    """Legendre polynomial P_n(x): ``legendre_p_deriv`` at order 0, whose
+    Gegenbauer recurrence is then the Legendre three-term recurrence.
 
     Accuracy is stated for real x >= 1 (the recurrence is stable there);
     complex x is accepted because the recurrence is polynomial.
     """
     if n < 0:
         raise ValueError("legendre_p requires n >= 0")
-    if n == 0:
-        return 1.0 if not isinstance(x, complex) else 1.0 + 0.0j
-    p_prev = 1.0
-    p = x
-    for k in range(1, n):
-        p, p_prev = ((2 * k + 1) * x * p - k * p_prev) / (k + 1), p
-    return p
+    return legendre_p_deriv(0, n, x)
 
 
 def legendre_p_deriv(order: int, degree: int, x):
@@ -116,8 +111,6 @@ def legendre_p_deriv(order: int, degree: int, x):
         raise ValueError("legendre_p_deriv requires order >= 0")
     if order > degree:
         return 0.0
-    if order == 0:
-        return legendre_p(degree, x)
     c_prev, c = 0.0, 1.0
     for k in range(degree - order):
         c_prev, c = c, ((2 * (k + order) + 1) * x * c - (k + 2 * order) * c_prev) / (k + 1)

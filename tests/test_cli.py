@@ -351,6 +351,25 @@ def test_weights_grid_ends_at_y_max(argv, last, capsys):
     assert out.splitlines()[-1].split(",")[0] == last
 
 
+def test_weights_pacsc_at_lambda_200_match_mpmath(capsys):
+    # pi lam^(lam-mu) is beyond the float range at lam = 200; the densities
+    # are not: 1.556e-166 at y = 1e-300
+    flags = ["--lambda", "200", "--m", "1", "--y-min", "1e-300", "--y-max", "1e-299", "--grid", "3"]
+    code, _, rows = weights_table("pacsc", capsys, *flags)
+    assert code == 0
+    assert rows[0][1] == pytest.approx(1.556e-166, rel=1e-3)
+    for y, value in rows:
+        assert value == pytest.approx(mpmath_weight("pacsc", 1, y, 0, 200), rel=1e-13, abs=0)
+
+
+def test_weights_pacsc_at_lambda_200_underflow_names_y(capsys):
+    # on the default grid the densities underflow to 0
+    argv = ["weights", "pacsc", "--lambda", "200", "--m", "1", "--grid", "3"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1 and out.splitlines()[-1] == "4,0"
+    assert err == "error: h_1 at y=0.01 is 0, not positive and finite\n"
+
+
 def test_weights_csv_nonpositive_value_names_y_and_column(capsys):
     # e^(-2000) underflows: the table is written, and the first value that
     # is not positive and finite is named on stderr
@@ -628,16 +647,7 @@ def test_envelope_records_version_and_tolerance(tmp_path, capsys):
     "argv,names",
     [
         pytest.param(
-            ["state", "pasvs", "--zeta", "0.5", "--m", "200"], ("pasvs_norm", "m=200"), id="state"
-        ),
-        pytest.param(
             ["norm", "pasvs", "--zeta", "0.5", "--m", "200"], ("pasvs_norm", "m=200"), id="norm"
-        ),
-        # the norm is inf below the m at which m! overflows
-        pytest.param(
-            ["state", "pasvs", "--zeta", "0.5", "--m", "170"],
-            ("pasvs_norm", "zeta=", "m=170"),
-            id="state-inf-norm",
         ),
         # pasops is built from pasvs at m + 1, but keeps its own name and index
         pytest.param(
@@ -646,21 +656,11 @@ def test_envelope_records_version_and_tolerance(tmp_path, capsys):
             id="norm-pasops",
         ),
         pytest.param(
-            ["state", "pasops", "--zeta", "0.5", "--m", "170"],
-            ("pasops:", "zeta=", "m=170"),
-            id="state-pasops",
-        ),
-        pytest.param(
             ["norm", "pacsc", "--z", "0.8", "--lambda", "2", "--mu", "0", "--m", "200"],
             ("pacsc_norm", "z=", "lam=2", "mu=0", "m=200"),
             id="norm-pacsc",
         ),
         pytest.param(["norm", "csc", "--z", "1000", "--lambda", "2"], ("z=",), id="norm-csc"),
-        pytest.param(
-            ["weights", "pacsc", "--lambda", "200", "--m", "1", "--grid", "3"],
-            ("weight_hmum", "lam=200", "mu=0"),
-            id="weights-pacsc",
-        ),
         # y = |z|^2 / lam^lam overflows in CircleParam.y before any kernel runs
         pytest.param(
             ["norm", "csc", "--z", "1e155", "--lambda", "2"], ("CircleParam", "z="), id="norm-csc-y2"
@@ -679,12 +679,33 @@ def test_numerical_overflow_exits_1_without_traceback(argv, names, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["state", "pasvs", "--zeta", "0.5", "--m", "200"], id="state"),
+        # the norm is inf here, below the m at which m! overflows
+        pytest.param(["state", "pasvs", "--zeta", "0.5", "--m", "170"], id="state-inf-norm"),
+        pytest.param(["state", "pasops", "--zeta", "0.5", "--m", "170"], id="state-pasops"),
+    ],
+)
+def test_states_past_the_float_range_of_their_norm_exit_0(argv, capsys):
+    # the norm is beyond the float range, the unit vector is not
+    code, out, err = run_cli(argv, capsys)
+    assert code == 0 and err == ""
+    preamble, header, *rows = out.splitlines()
+    assert header == "n,re_c,im_c,abs2"
+    tail = float(preamble.split("=")[1])
+    assert abs(sum(float(row.split(",")[3]) for row in rows) + tail - 1.0) <= 1e-9
+
+
 def test_failed_normalization_check_exits_1(capsys, monkeypatch):
     # a closed-form norm off by a factor of 2 must fail the constructor's check
     from pastates import overlap
 
-    real = overlap.pasvs_norm
-    monkeypatch.setattr(overlap, "pasvs_norm", lambda zeta, m: 2.0 * real(zeta, m))
+    real = overlap._pasvs_log_norms
+    monkeypatch.setattr(
+        overlap, "_pasvs_log_norms", lambda zeta, top: np.add(real(zeta, top), math.log(2.0))
+    )
     code, _, err = run_cli(["state", "pasvs", "--zeta", "0.5", "--m", "2"], capsys)
     assert code == 1
     assert "normalization check failed" in err

@@ -212,10 +212,18 @@ def test_weight_hmum_errors_name_y_and_measure():
 
 
 @pytest.mark.parametrize("lam, mu", [(200, 0), (200, 57), (144, 0)])
-def test_weight_hmum_constant_overflow_names_function_lam_and_mu(lam, mu):
-    # pi lam^(lam-mu) is beyond the float range although the density is not
-    with pytest.raises(OverflowError, match=rf"^weight_hmum: .* at lam={lam}, mu={mu}$"):
-        cm.weight_hmum(lam, mu, 1, 0.5)
+def test_weight_hmum_scale_is_formed_in_log_space(lam, mu):
+    # pi lam^(lam-mu) is beyond the float range, the density at y = 1e-300
+    # is not; at y = 0.5 it underflows to 0
+    mpmath = pytest.importorskip("mpmath")
+    y = 1e-300
+    with mpmath.workdps(40):
+        y_mp = mpmath.mpf(y)
+        x = lam * y_mp ** (mpmath.mpf(1) / lam)
+        want = y_mp ** (mpmath.mpf(mu + 1 - lam) / lam) * mpmath.exp(-x) * mpmath.hyperu(1, 1, x)
+        want /= mpmath.pi * mpmath.mpf(lam) ** (lam - mu)
+    assert cm.weight_hmum(lam, mu, 1, y) == pytest.approx(float(want), rel=1e-13, abs=0)
+    assert cm.weight_hmum(lam, mu, 1, 0.5) == 0.0
 
 
 # ------------------------------------------------------------ moments

@@ -137,7 +137,7 @@ def scalar_pasvs(param, m, eps):
     if param.zeta == 0:
         return np.array([1.0 + 0.0j]), 0.0
     az = abs(param.zeta)
-    log_mag0 = fs._pasvs_log_amplitude0(param, m, ov.pasvs_norm(param, m))
+    log_mag0 = fs._pasvs_log_amplitude0(param, m, ov._pasvs_log_norms(param, m)[m])
     ratio = pasvs_step_ratio(az, m)
     return fs._build_truncated(log_mag0, param.zeta / az, ratio, az, eps, lambda: "pasvs")
 
@@ -146,19 +146,13 @@ def scalar_pasvs(param, m, eps):
 @pytest.mark.parametrize("modulus", [1e-200, 0.3, 0.9, 0.95, 0.99])
 def test_pasvs_matches_scalar_reference_cut(modulus, eps):
     param = fs.SqueezeParam(modulus * unit_phase(2.3))
-    checked = 0
+    # the log norms build every index, also where the norm itself overflows
     for m in (0, 1, 2, 3, 4, 7, 8, 15, 16, 31, 40, 64, 99, 127, 160):
-        try:
-            want, want_tail = scalar_pasvs(param, m, eps)
-        except OverflowError:
-            # the norm is beyond the float range at this index and above
-            break
+        want, want_tail = scalar_pasvs(param, m, eps)
         v = fs.pasvs(param, m, eps)
         assert v.offset == m and len(v.coeffs) == len(want)
         assert abs(v.tail_bound - want_tail) <= 1e-12 * want_tail
         assert np.max(np.abs(v.coeffs - want)) <= 1e-14
-        checked += 1
-    assert checked >= 9
 
 
 def test_pasvs_cut_at_an_underflowing_ratio_has_zero_tail():
@@ -178,7 +172,7 @@ def array_pass_pasvs(param, m, eps):
     if param.zeta == 0:
         return np.array([1.0 + 0.0j]), 0.0
     az = abs(param.zeta)
-    log_mag0 = fs._pasvs_log_amplitude0(param, m, ov.pasvs_norm(param, m))
+    log_mag0 = fs._pasvs_log_amplitude0(param, m, ov._pasvs_log_norms(param, m)[m])
     ratio = pasvs_step_ratio(az, m, np.sqrt)
     rows = fs._pasvs_rows(az, m, eps)
     while True:
@@ -233,6 +227,35 @@ def test_pasops_beyond_the_term_cap_names_its_own_index():
         fs.pasops(fs.SqueezeParam(1 - 1e-9), 0)
 
 
+def mpmath_pasvs_amplitudes(zeta: complex, m: int, count: int) -> np.ndarray:
+    """The first ``count`` amplitudes of |zeta, m> on |m + 2k>, with its norm
+    summed in mpmath: sqrt(t_k / S) (zeta/|zeta|)^k, t_k = (2k+m)! (y/4)^k / (k!)^2
+    and S the sum of every t_k."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        quarter_y = mpmath.mpf(abs(zeta)) ** 2 / 4
+        terms = [mpmath.factorial(m)]
+        total, k = terms[0], 0
+        while k < count or terms[-1] > mpmath.mpf(10) ** -40 * total:
+            terms.append(terms[-1] * (2 * k + m + 1) * (2 * k + m + 2) / (k + 1) ** 2 * quarter_y)
+            total += terms[-1]
+            k += 1
+        mags = [float(mpmath.sqrt(t / total)) for t in terms[:count]]
+    return np.array(mags) * (zeta / abs(zeta)) ** np.arange(count)
+
+
+@pytest.mark.parametrize("family", ["pasvs", "pasops"])
+@pytest.mark.parametrize("modulus, m", [(0.1, 168), (0.5, 151), (0.9, 117), (0.5, 200), (0.9, 300)])
+def test_states_past_the_float_range_of_their_norm_match_mpmath(family, modulus, m):
+    # the norm of |zeta, m> is beyond the float range from m = 168 at
+    # |zeta| = 0.1, 151 at 0.5 and 117 at 0.9; the unit vector is not
+    param = fs.SqueezeParam(modulus * unit_phase(-2.2))
+    v = getattr(fs, family)(param, m)
+    assert abs(v.norm_sq() + v.tail_bound - 1.0) <= 1e-9
+    want = mpmath_pasvs_amplitudes(param.zeta, m + (family == "pasops"), len(v.coeffs))
+    assert np.max(np.abs(v.coeffs - want)) <= 1e-12
+
+
 def test_pasvs_gives_up_at_the_term_cap_quickly(recwarn):
     # about 1.6e10 coefficients before the tail drops below eps: far past
     # the term cap, which must stop the cut before any large allocation
@@ -248,12 +271,12 @@ def test_pasvs_gives_up_at_the_term_cap_quickly(recwarn):
 @pytest.mark.parametrize("zeta", [0, 0.3, 0.6 * unit_phase(2.9), 0.9, 0.95])
 def test_pasvs_columns_match_scalar_constructor(zeta, eps):
     param = fs.SqueezeParam(zeta)
-    ((dense, lengths, tails, norms),) = fs._pasvs_columns([param], 40, eps)
+    ((dense, lengths, tails, log_norms),) = fs._pasvs_columns([param], 40, eps)
+    assert np.array_equal(log_norms, ov._pasvs_log_norms(param, 40))
     for i in range(41):
         want, want_tail = scalar_pasvs(param, i, eps)
         assert lengths[i] == len(want)
         assert abs(tails[i] - want_tail) <= 1e-12 * want_tail
-        assert norms[i] == ov.pasvs_norm(param, i)
         # column i holds |zeta, i> on the photon numbers i, i + 2, ... only
         support = np.arange(i, i + 2 * lengths[i], 2)
         assert np.max(np.abs(dense[support, i] - want)) <= 1e-14
@@ -286,13 +309,25 @@ def test_pasvs_columns_are_bit_identical_to_pasvs(modulus, angle, top, log_eps):
         assert np.array_equal(dense[i : i + 2 * lengths[i] : 2, i], v.coeffs)
 
 
+def corrupt_log_norms(monkeypatch, factor, index=None):
+    """Scale the norms of the table ``overlap._pasvs_log_norms`` by factor:
+    every norm, or the one at ``index``."""
+    real = ov._pasvs_log_norms
+
+    def patched(zeta, top):
+        at = np.arange(top + 1) == index if index is not None else True
+        return np.add(real(zeta, top), math.log(factor) * at)
+
+    monkeypatch.setattr(ov, "_pasvs_log_norms", patched)
+
+
 def test_pasvs_columns_check_every_normalization(monkeypatch):
-    real = ov.pasvs_norm
-    monkeypatch.setattr(ov, "pasvs_norm", lambda zeta, m: real(zeta, m) * (1.0 + 1e-8))
+    corrupt_log_norms(monkeypatch, 1.0 + 1e-8)
     with pytest.raises(ArithmeticError, match=r"pasvs zeta=\(0\.3\+0j\) m=0: .*normalization"):
         fs._pasvs_columns([fs.SqueezeParam(0.3)], 5, TIGHT)
     # a column that is not the first is named by its own index
-    monkeypatch.setattr(ov, "pasvs_norm", lambda zeta, m: real(zeta, m) * (1.0 + 1e-8 * (m == 4)))
+    monkeypatch.undo()
+    corrupt_log_norms(monkeypatch, 1.0 + 1e-8, index=4)
     with pytest.raises(ArithmeticError, match=r"m=4: closed-form normalization check failed"):
         fs._pasvs_columns([fs.SqueezeParam(0.3)], 5, TIGHT)
 
@@ -308,8 +343,7 @@ def test_pasvs_columns_name_the_label_a_caller_passed(monkeypatch):
         fs._pasvs_columns(params, 3, 1e-14)
     assert str(batch.value) == str(scalar.value)
     assert f"zeta={label.zeta} m=3" in str(batch.value)
-    real = ov.pasvs_norm
-    monkeypatch.setattr(ov, "pasvs_norm", lambda zeta, m: real(zeta, m) * (1.0 + 1e-8 * (m == 2)))
+    corrupt_log_norms(monkeypatch, 1.0 + 1e-8, index=2)
     label = fs.SqueezeParam(-0.3j)
     with pytest.raises(ArithmeticError, match=rf"pasvs zeta={re.escape(str(label.zeta))} m=2: "):
         fs._pasvs_columns([label, fs.SqueezeParam(0.3)], 4, TIGHT)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from pastates import fockstate as fs
 from pastates import overlap as ov
 from pastates import specfun
-from pastates.specfun import laguerre, legendre_p, legendre_p_deriv, log_factorial
+from pastates.specfun import laguerre, legendre_p_deriv, log_factorial
 
 
 def sq(value) -> fs.SqueezeParam:
@@ -113,10 +113,34 @@ def test_pasops_norm_overflow_names_function_and_parameters(m):
 
 
 def test_pasvs_norm_keeps_the_largest_finite_value():
-    # m = 150 is the last finite norm at |zeta| = 0.5: the printed formula, unchanged
-    omy = 0.75
-    want = math.exp(log_factorial(150)) * omy**-75.0 * legendre_p(150, omy**-0.5)
-    assert ov.pasvs_norm(sq(0.5), 150) == want
+    # m = 150 is the last finite norm at |zeta| = 0.5; exp of a log norm near
+    # 708 carries its rounding, about 1e-13 relative
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        omy = mpmath.mpf(0.75)
+        want = mpmath.factorial(150) * omy**-75 * mpmath.legenp(150, 0, omy**-0.5, type=3)
+    assert ov.pasvs_norm(sq(0.5), 150) == pytest.approx(float(want), rel=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    modulus=st.one_of(st.sampled_from([0.0, 0.99]), st.floats(0.0, 0.99)),
+    angle=st.floats(-math.pi, math.pi),
+    m=st.integers(0, 300),
+)
+def test_log_norm_table_matches_mpmath(modulus, angle, m):
+    # ln N_m = ln m! - (m/2) ln(1-y) + ln P_m((1-y)^(-1/2)), also where N_m
+    # itself is beyond the float range
+    mpmath = pytest.importorskip("mpmath")
+    param = sq(polar(modulus, angle))
+    got = ov._pasvs_log_norms(param, m)
+    with mpmath.workdps(40):
+        omy = 1 - mpmath.mpf(param.y)
+        legendre = mpmath.legenp(m, 0, 1 / mpmath.sqrt(omy), type=3)
+        want = mpmath.log(mpmath.factorial(m)) - m * mpmath.log(omy) / 2 + mpmath.log(legendre)
+    assert abs(got[m] - want) <= 1e-13 * max(1.0, abs(want))
+    # a table's prefix is the shorter table, bit for bit
+    assert np.array_equal(ov._pasvs_log_norms(param, m + 7)[: m + 1], got)
 
 
 def test_pasops_norm_rejects_negative_index():
@@ -347,13 +371,13 @@ def test_scalar_overlap_oracle_names_the_state_that_does_not_cut(args, index):
 
 def test_scalar_overlap_evaluates_each_norm_once(monkeypatch):
     calls = []
-    real = ov.pasvs_norm
+    real = ov._pasvs_log_norms
 
-    def counted(zeta, m):
-        calls.append((zeta.zeta, m))
-        return real(zeta, m)
+    def counted(zeta, top):
+        calls.append((zeta.zeta, top))
+        return real(zeta, top)
 
-    monkeypatch.setattr(ov, "pasvs_norm", counted)
+    monkeypatch.setattr(ov, "_pasvs_log_norms", counted)
     ov.pasops_overlap(sq(0.4), 4, sq(0.3j), 2)
     assert sorted(calls, key=lambda c: c[1]) == [(0.3j, 3), (0.4, 5)]
     calls.clear()
@@ -381,8 +405,8 @@ def test_series_oracle_matches_inner_product_of_constructor_vectors(labels, n, s
     # same label and shift 0: the diagonal, one segment
     xi, zeta = sq(labels[0]), sq(labels[0] if same else labels[1])
     m = max(n + 2 * shift, n % 2)
-    left = (xi, n, ov.pasvs_norm(xi, n))
-    right = (zeta, m, ov.pasvs_norm(zeta, m))
+    left = (xi, n, ov._pasvs_log_norms(xi, n)[n])
+    right = (zeta, m, ov._pasvs_log_norms(zeta, m)[m])
     got = ov._series(family, ov._SHIFT[family], left, right)
     want = fs.inner(fs.pasvs(xi, n, ov.SERIES_EPS), fs.pasvs(zeta, m, ov.SERIES_EPS))
     assert abs(got - want) <= 1e-15
@@ -391,12 +415,16 @@ def test_series_oracle_matches_inner_product_of_constructor_vectors(labels, n, s
 def test_scalar_overlap_oracle_checks_each_normalization(monkeypatch):
     # a closed-form norm off by 1e-6 must fail the oracle's normalization
     # check, named by the segment it fails on
-    real = ov.pasvs_norm
-    monkeypatch.setattr(ov, "pasvs_norm", lambda zeta, m: real(zeta, m) * (1.0 + 1e-6))
+    real = ov._pasvs_log_norms
+    monkeypatch.setattr(
+        ov, "_pasvs_log_norms", lambda zeta, top: np.add(real(zeta, top), math.log1p(1e-6))
+    )
     with pytest.raises(ArithmeticError, match=r"^pasops zeta=\(0\.4\+0j\) m=4: closed-form normalization"):
         ov.pasops_overlap(sq(0.4), 4, sq(0.3j), 2)
     monkeypatch.setattr(
-        ov, "pasvs_norm", lambda zeta, m: real(zeta, m) * (1.0 + 1e-6 * (zeta.zeta == 0.3j))
+        ov,
+        "_pasvs_log_norms",
+        lambda zeta, top: np.add(real(zeta, top), math.log1p(1e-6) * (zeta.zeta == 0.3j)),
     )
     with pytest.raises(ArithmeticError, match=r"^pasvs zeta=0\.3j m=2: closed-form normalization"):
         ov.pasvs_overlap(sq(0.4), 4, sq(0.3j), 2)
@@ -472,7 +500,7 @@ def test_overlap_grid_matches_pointwise_overlaps():
                 oracle = fs.inner(
                     fs.pasvs(xi, big_n, eps=ov.SERIES_EPS), fs.pasvs(ze, big_m, eps=ov.SERIES_EPS)
                 )
-                norms = ov.pasvs_norm(xi, big_n), ov.pasvs_norm(ze, big_m)
+                norms = ov._pasvs_log_norms(xi, big_n)[big_n], ov._pasvs_log_norms(ze, big_m)[big_m]
                 scalar = [*ov._pasvs_forms(xi, big_n, norms[0], ze, big_m, norms[1]), oracle]
                 for got, want in zip(forms[:, i, p], scalar):
                     assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
@@ -518,11 +546,11 @@ def test_grid_oracle_tables_are_bit_identical_to_each_labels_own_vectors(modulus
     params = [sq(a * cmath.exp(1j * angle)) for a in moduli for angle in angles]
     params += [sq(-modulus), sq(complex(-modulus, -0.0))]
     tables = fs._pasvs_columns(params, top, ov.SERIES_EPS)
-    for param, (dense, lengths, tails, norms) in zip(params, tables):
+    for param, (dense, lengths, tails, log_norms) in zip(params, tables):
+        assert np.array_equal(log_norms, ov._pasvs_log_norms(param, top))
         for i in range(top + 1):
             v = fs.pasvs(param, i, ov.SERIES_EPS)
             assert (lengths[i], tails[i]) == (len(v.coeffs), v.tail_bound)
-            assert norms[i] == ov.pasvs_norm(param, i)
             assert np.array_equal(dense[:, i], v.dense(len(dense)))
 
 
