@@ -266,8 +266,8 @@ def _log_squeezed_moment(m: int, k: int) -> float:
     )
 
 
-def _moment_plan(wf: WeightFunction, k_max: int):
-    """Powers and assembly of ``moment_check(wf, k_max)``."""
+def _moment_references(wf: WeightFunction, k_max: int) -> tuple[list[float], list[float]]:
+    """Powers and reference moments of ``moment_check(wf, k_max)``."""
     if k_max < 0:
         raise ValueError("moment_check requires k_max >= 0")
     ks = range(k_max + 1)
@@ -284,51 +284,25 @@ def _moment_plan(wf: WeightFunction, k_max: int):
                 f"order {n} at k={k}, which is outside the normal float range"
             )
         rhs.append(math.exp(log_rhs))
-
-    def assemble(results: list[QuadResult]) -> list[MomentReport]:
-        return [
-            MomentReport(
-                k=k,
-                lhs=res.value,
-                rhs=r,
-                rel_err=abs(res.value - r) / abs(r),
-                nodes_used=res.nodes_used,
-                converged=res.converged,
-            )
-            for k, r, res in zip(ks, rhs, results)
-        ]
-
-    return [float(n) for n in orders], assemble
+    return [float(n) for n in orders], rhs
 
 
-def _unity_plan(wf: WeightFunction, basis_dim: int):
-    """Powers and assembly of ``unity_resolution_matrix(wf, basis_dim)``:
-    diagonal entry j is moment j of ``moment_check(wf, basis_dim - 1)``
-    divided by its reference."""
-    if basis_dim < 1 or basis_dim > 64:
-        raise ValueError("unity_resolution_matrix requires 1 <= basis_dim <= 64")
+def _unity_matrix(wf: WeightFunction, powers, reports: list[MomentReport]) -> OperatorMatrix:
+    """``unity_resolution_matrix`` from the reports of ``moment_check(wf, basis_dim - 1)``
+    at ``powers``: diagonal entry j is moment j divided by its reference."""
     if wf.family == "pacsc":
         stride, offset = wf.lam, wf.m + wf.mu
     else:
         stride, offset = 2, _integrand(wf)[1]
-    powers, moments = _moment_plan(wf, basis_dim - 1)
-
-    def assemble(results: list[QuadResult]) -> OperatorMatrix:
-        diagonal = []
-        for power, r in zip(powers, moments(results)):
-            if not r.converged:
-                raise ArithmeticError(
-                    f"unity_resolution_matrix: radial quadrature did not converge at index sum "
-                    f"{2 * r.k} (power {power}) after {r.nodes_used} nodes "
-                    f"(last estimate {r.lhs:.6e})"
-                )
-            diagonal.append(r.lhs / r.rhs)
-        return OperatorMatrix(offset, stride, basis_dim, np.diag(np.array(diagonal, dtype=complex)))
-
-    return powers, assemble
-
-
-_PLANS = {"moments": _moment_plan, "unity": _unity_plan}
+    for power, r in zip(powers, reports):
+        if not r.converged:
+            raise ArithmeticError(
+                f"unity_resolution_matrix: radial quadrature did not converge at index sum "
+                f"{2 * r.k} (power {power}) after {r.nodes_used} nodes "
+                f"(last estimate {r.lhs:.6e})"
+            )
+    diagonal = np.array([r.lhs / r.rhs for r in reports], dtype=complex)
+    return OperatorMatrix(offset, stride, len(reports), np.diag(diagonal))
 
 
 def radial_checks(checks) -> list:
@@ -349,19 +323,28 @@ def radial_checks(checks) -> list:
     plans = []
     needed: dict[str, set[tuple[int, float]]] = {}
     for kind, wf, size in checks:
-        if kind not in _PLANS:
+        if kind == "unity":
+            if size < 1 or size > 64:
+                raise ValueError("unity_resolution_matrix requires 1 <= basis_dim <= 64")
+            size -= 1  # the diagonal is moments 0..basis_dim - 1
+        elif kind != "moments":
             raise ValueError(f"unknown radial check: {kind!r}")
-        (weight, index), (powers, assemble) = _integrand(wf), _PLANS[kind](wf, size)
+        (weight, index), (powers, rhs) = _integrand(wf), _moment_references(wf, size)
         needed.setdefault(weight, set()).update((index, p) for p in powers)
-        plans.append((weight, index, powers, assemble))
+        plans.append((kind, wf, weight, index, powers, rhs))
     moments = {}
     for weight, pairs in needed.items():
         union = sorted(pairs)
         moments[weight] = dict(zip(union, _radial_pass(weight, union)))
-    return [
-        assemble([moments[weight][index, p] for p in powers])
-        for weight, index, powers, assemble in plans
-    ]
+    out = []
+    for kind, wf, weight, index, powers, rhs in plans:
+        results = [moments[weight][index, p] for p in powers]
+        reports = [
+            MomentReport(k, q.value, r, abs(q.value - r) / abs(r), q.nodes_used, q.converged)
+            for k, (r, q) in enumerate(zip(rhs, results))
+        ]
+        out.append(_unity_matrix(wf, powers, reports) if kind == "unity" else reports)
+    return out
 
 
 def moment_check(wf: WeightFunction, k_max: int) -> list[MomentReport]:

@@ -5,8 +5,9 @@ the theory provides, plus a brute-force series route through the Fock
 vectors; ``OverlapResult`` reports how far the forms spread and how far the
 selected form sits from the series oracle.
 
-Parameters are the ``SqueezeParam`` / ``CircleParam`` values from
-``fockstate`` (duck-typed here to keep the import graph acyclic).
+Parameters are ``fockstate``'s ``SqueezeParam`` / ``CircleParam`` values,
+duck-typed: ``fockstate`` imports this module for its normalization tables,
+so ``_series`` and ``_grid_forms`` import ``fockstate`` inside the function.
 """
 
 from __future__ import annotations

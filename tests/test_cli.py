@@ -190,6 +190,19 @@ def test_norm_two_form_check(capsys):
     assert env["results"]["form_rel_error"] < 1e-9
 
 
+@pytest.mark.parametrize("family, zeta, m", [("pasvs", "0.5", 3), ("pasops", "0.9@1", 5)])
+def test_norm_squeezed_families_report_the_closed_form(family, zeta, m, capsys):
+    from pastates import fockstate, overlap
+
+    code, out, _ = run_cli(["norm", family, "--zeta", zeta, "--m", str(m)], capsys)
+    assert code == 0
+    env = json.loads(out)
+    param = fockstate.SqueezeParam(cli.parse_complex(zeta))
+    assert env["results"]["value"] == getattr(overlap, f"{family}_norm")(param, m)
+    assert env["results"]["normalization_defect"] < 1e-9
+    assert env["pass"] is True
+
+
 # ------------------------------------------------------------ weights
 
 def test_weights_header_and_positivity(capsys):

@@ -494,6 +494,17 @@ def test_radial_batch_agrees_with_single_checks():
             assert np.max(np.abs(got.entries - alone.entries)) <= 1e-12
 
 
+def test_unity_diagonal_is_the_moment_check_over_its_references():
+    # entry j of a unity matrix of dim d is moment j of moment_check(wf, d - 1)
+    # divided by its reference, bit for bit, and the matrix is diagonal
+    for kind, wf, size in BATCH:
+        if kind == "unity":
+            mat = cm.unity_resolution_matrix(wf, size)
+            want = [r.lhs / r.rhs for r in cm.moment_check(wf, size - 1)]
+            assert np.array_equal(np.diag(mat.entries), np.array(want, dtype=complex))
+            assert mat.max_offdiagonal() == 0.0
+
+
 def test_radial_checks_validate_every_check_before_any_pass(monkeypatch):
     asked = recording_passes(monkeypatch)
     bad = [

@@ -309,6 +309,39 @@ def test_pasvs_columns_are_bit_identical_to_pasvs(modulus, angle, top, log_eps):
         assert np.array_equal(dense[i : i + 2 * lengths[i] : 2, i], v.coeffs)
 
 
+def test_row_doubling_gives_the_results_of_a_long_enough_first_guess(monkeypatch):
+    # the first row guess of _pasvs_rows is long enough wherever it has been
+    # tried, so the doubling runs only when a one-row guess forces every
+    # segment through it
+    labels = [fs.SqueezeParam(z) for z in (0, 0.3, 0.6 * unit_phase(2.9), 0.9, 0.99 * unit_phase(-1))]
+    xi, zeta = labels[3], labels[2]
+
+    def cut_results():
+        vectors = [
+            build(param, m, 1e-20)
+            for build in (fs.pasvs, fs.pasops)
+            for param in labels
+            for m in (0, 3, 12)
+        ]
+        left = (xi, 6, ov._pasvs_log_norms(xi, 6)[6])
+        series = ov._series("pasvs", 0, left, (zeta, 2, ov._pasvs_log_norms(zeta, 2)[2]))
+        columns = fs._pasvs_columns(labels, 10, 1e-20)
+        with pytest.raises(ValueError, match="state truncation did not converge") as cap:
+            fs.pasops(fs.SqueezeParam(1 - 1e-9), 0)
+        return vectors, series, columns, str(cap.value)
+
+    want = cut_results()
+    monkeypatch.setattr(fs, "_pasvs_rows", lambda az, m, eps: 1)
+    got = cut_results()
+    for v, w in zip(got[0], want[0]):
+        assert (v.offset, v.tail_bound) == (w.offset, w.tail_bound)
+        assert np.array_equal(v.coeffs, w.coeffs)
+    assert got[1] == want[1]
+    for table, want_table in zip(got[2], want[2]):
+        assert all(np.array_equal(a, b) for a, b in zip(table, want_table))
+    assert got[3] == want[3]
+
+
 def corrupt_log_norms(monkeypatch, factor, index=None):
     """Scale the norms of the table ``overlap._pasvs_log_norms`` by factor:
     every norm, or the one at ``index``."""
