@@ -48,6 +48,7 @@ __all__ = [
 FAMILIES = ("pasvs", "pasops", "pacsc")
 
 _TWO_PI = 2.0 * math.pi
+_VACUUM_INDEX_MAX = 172  # (i-2)! in the weight h_i overflows from i = 173 on
 _HERMITICITY_TOL = 1e-12
 # tolerance and deepest level of every radial moment-rule pass
 _QUAD_TOL = 1e-11
@@ -148,6 +149,8 @@ def weight_h(m: int, y: float, form: str = "closed", one_minus_y: float | None =
     """
     if m < 1:
         raise ValueError("weight_h is defined for m >= 1")
+    if m > _VACUUM_INDEX_MAX:
+        raise OverflowError(f"weight_h: (m-2)! overflows at m={m}")
     omy = (1.0 - y) if one_minus_y is None else one_minus_y
     if not (y > 0.0 and omy > 0.0):
         raise ValueError("weight_h requires 0 < y < 1")
@@ -210,6 +213,8 @@ def _weight_table(family: str, ms, y: np.ndarray, mu: int | None = None, lam: in
     / (pi lam^(lam-mu)) with x = lam y^(1/lam) on finite y > 0."""
     columns = [_integrand(WeightFunction(family, m, mu, lam))[1] for m in ms]
     circle = family == "pacsc"
+    if over := [m for m, i in zip(ms, columns) if i > _VACUUM_INDEX_MAX and not circle]:
+        raise OverflowError(f"{family} weight: the factorial in it overflows at m={over[0]}")
     bad = ~((y > 0.0) & (y < (math.inf if circle else 1.0)))
     if bad.any():
         domain = "finite y > 0" if circle else "0 < y < 1"

@@ -367,33 +367,34 @@ def pasops_overlap(xi, n: int, zeta, m: int, form=3) -> OverlapResult:
     return _overlap("pasops", xi, n, zeta, m, form)
 
 
-def _gauss_2f1_array(a, b, c, z):
-    """Gauss series 2F1(a, b; c; z) on broadcast arrays.
-
-    Each element stops, as in ``specfun.gauss_2f1``, once three of its terms
-    in a row fall below ``_TERM_EPS`` of its partial sum, and leaves the
-    arrays the others run on.  A terminating element's terms are exactly 0
-    past its last one, so it stops three terms later with the same sum.
-    """
-    shape = np.broadcast_shapes(np.shape(a), np.shape(b), np.shape(c), np.shape(z))
-    a, b, c, z = (np.broadcast_to(v, shape).ravel() for v in (a, b, c, z))
-    total = np.ones(a.size, dtype=complex)
-    live = np.arange(a.size)
-    term, part, small = total.copy(), total.copy(), np.zeros(a.size, dtype=int)
-    for k in range(2000):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1)) * z
-        part += term
-        small = np.where(np.abs(term) < specfun._TERM_EPS * np.abs(part), small + 1, 0)
-        done = small >= specfun._SMALL_RUN
-        if done.any():
-            total[live[done]] = part[done]
-            keep = ~done
-            live, a, b, c, z, term, part, small = (
-                v[keep] for v in (live, a, b, c, z, term, part, small)
-            )
-            if not live.size:
-                return total.reshape(shape)
-    raise ValueError("gauss_2f1: series did not converge within 2000 terms")
+def _gauss_2f1_grid(a, b, c, z):
+    """2F1(a_i, b_i; c_i; z_j) of the rows (a, b, c) at every point of z: the
+    real table coef[i, k] = prod_(j<k) (a_i+j)(b_i+j) / ((c_i+j)(j+1)) summed
+    against the power table z_j^k.  Row i sums its own count of terms, exact
+    zeros beyond it, so no value depends on the other rows: ``gauss_2f1``'s
+    first guess at the largest |z| (a terminating row's: to its last term)
+    plus _SMALL_RUN, and doubled, the short rows alone, until the last
+    _SMALL_RUN terms of each element fall below _TERM_EPS of its sum."""
+    run, cap = specfun._SMALL_RUN, specfun._MAX_2F1_TERMS
+    excess, abs_z = np.maximum(a + b - c - 1.0, 0.0), np.abs(z).max(initial=specfun._TERM_EPS)
+    ends = [np.where((v <= 0) & (v % 1 == 0), 1 - v, cap - run) for v in (a, b)]
+    counts = np.minimum.reduce([specfun._gauss_2f1_size(excess, abs_z), *ends]).astype(int) + run
+    total, live = np.empty((len(a), len(z)), complex), np.arange(len(a))
+    while live.size:
+        size, n = int(counts[live].max()), counts[live, None]
+        k, coef = np.arange(size - 1.0), np.ones((live.size, size))
+        coef[:, 1:] = (a[live, None] + k) * (b[live, None] + k) / ((c[live, None] + k) * (k + 1.0))
+        coef = np.where(np.arange(size) < n, np.cumprod(coef, axis=1), 0.0)
+        powers = np.vander(z, size, increasing=True)
+        total[live] = np.einsum("ik,jk->ij", coef, powers)
+        last = n - np.arange(1, run + 1)
+        tail = np.abs(np.take_along_axis(coef, last, 1)) * np.abs(powers[:, last])
+        short = (tail >= specfun._TERM_EPS * np.abs(total[live].T)[..., None]).any(axis=(0, 2))
+        if counts[live[short]].max(initial=0) >= cap:
+            raise ValueError(f"gauss_2f1: series did not converge within {cap} terms")
+        live = live[short]
+        counts[live] = np.minimum(2 * counts[live], cap)
+    return total
 
 
 def _grid_forms(label_pairs, points):
@@ -438,13 +439,11 @@ def _grid_forms(label_pairs, points):
     pref = np.exp(-0.5 * (log_ze + log_xi))
     common = pref * np.exp(log_fact[big_n] - log_fact[q[:, 0]])[:, None] * (0.5 * ze) ** q
 
-    # forms 1 and 2 share one series run: 2F1((N+1)/2, (N+2)/2; q+1; w) and
-    # the terminating 2F1(-(M-1)/2, -M/2; q+1; w)
-    upper_a = np.concatenate([0.5 * (big_n + 1), -0.5 * (big_m - 1)])[:, None]
-    upper_b = np.concatenate([0.5 * (big_n + 2), -0.5 * big_m])[:, None]
-    lower = np.concatenate([q, q]) + 1.0
-    series_1, series_2 = np.split(_gauss_2f1_array(upper_a, upper_b, lower, w), 2)
-    f1 = common * quarter * series_1
+    # form 1's 2F1((N+1)/2, (N+2)/2; q+1; w) runs on, and form 2's
+    # 2F1(-(M-1)/2, -M/2; q+1; w) terminates, so each has its own run
+    lower = q[:, 0] + 1.0
+    f1 = common * quarter * _gauss_2f1_grid(0.5 * (big_n + 1), 0.5 * (big_n + 2), lower, w)
+    series_2 = _gauss_2f1_grid(-0.5 * (big_m - 1), -0.5 * big_m, lower, w)
     f2 = common * svo * (1.0 - w) ** (-(big_n + big_m) // 2)[:, None] * series_2
 
     # form 3: the exponent (m-n)/4 + q/2 of conj(xi) vanishes, leaving

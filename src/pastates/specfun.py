@@ -209,13 +209,7 @@ def gauss_2f1(a: float, b: float, c: float, z: complex) -> complex:
     if _nonpositive_int(c) and (terminates_at is None or terminates_at > int(-c)):
         raise ValueError("gauss_2f1: c is a nonpositive integer (pole)")
     if terminates_at is None and z != 0:
-        # the terms fall like |z|^k k^(a+b-c-1); to _TERM_EPS, with 10 % to
-        # spare, no series of the overlap forms (a + b - c - 1 <= 13.5,
-        # |z| <= 0.9) stops later than this first guess
-        log_z = math.log(abs(z))
-        geometric = math.log(_TERM_EPS) / log_z
-        power = max(a + b - c - 1.0, 0.0) * math.log(max(geometric, 2.0)) / -log_z
-        size = int(1.1 * (geometric + power)) + _SMALL_RUN
+        size = int(_gauss_2f1_size(max(a + b - c - 1.0, 0.0), abs(z))) + _SMALL_RUN
         if size > _LOOP_TERMS:
             return _gauss_2f1_array(a, b, c, z, min(size, _MAX_2F1_TERMS))
     term = 1.0 + 0.0j
@@ -235,6 +229,15 @@ def gauss_2f1(a: float, b: float, c: float, z: complex) -> complex:
         else:
             small = 0
     raise ValueError(f"gauss_2f1: series did not converge within {_MAX_2F1_TERMS} terms")
+
+
+def _gauss_2f1_size(excess, abs_z: float):
+    """First guess, less _SMALL_RUN, at the terms of a Gauss series falling
+    like |z|^k k^excess to _TERM_EPS, excess = max(a+b-c-1, 0): no overlap
+    form's series (excess <= 13.5, |z| <= 0.9) runs longer."""
+    log_z = math.log(abs_z)
+    geometric = math.log(_TERM_EPS) / log_z
+    return 1.1 * (geometric + excess * math.log(max(geometric, 2.0)) / -log_z)
 
 
 def _gauss_2f1_array(a: float, b: float, c: float, z: complex, size: int) -> complex:
@@ -338,10 +341,11 @@ def _exp1(x: np.ndarray) -> np.ndarray:
     return -_EULER_GAMMA - np.log(x) - terms.sum(axis=1)
 
 
-def _kummer_u_row(m_max: int, x: float) -> list[float]:
+def _kummer_u_row(m_max: int, x: float, coefs: list[tuple[float, float]]) -> list[float]:
     """U(1..m_max, 1, x) at one x by Miller's backward recurrence in ratio
     form, r_a = U(a)/U(a-1) = 1 / (2a-1+x - a^2 r_(a+1)) from r_(n+1) = 0,
-    so nothing overflows, and U(m) = r_1 ... r_m.
+    so nothing overflows, and U(m) = r_1 ... r_m, with a^2 and 2a-1 read as
+    exact floats from coefs[a], which the sweep extends in place to its start.
 
     Setting r_(n+1) to 0 perturbs r_a by a relative amount that shrinks by
     the factor a^2 r_a r_(a+1) per step down (r_n stands in for r_(n+1) at
@@ -353,18 +357,19 @@ def _kummer_u_row(m_max: int, x: float) -> list[float]:
     """
     n = int((math.sqrt(m_max) + 9.0 / math.sqrt(x)) ** 2) + 2
     while True:
-        r = 1.0 / (2 * n - 1 + x)
-        trunc = n * n * r * r
-        for a in range(n - 1, m_max - 1, -1):
-            s = a * a * r
-            r = 1.0 / (2 * a - 1 + x - s)
+        coefs.extend((float(a * a), 2.0 * a - 1.0) for a in range(len(coefs), n + 1))
+        r = 1.0 / (coefs[n][1] + x)
+        trunc = coefs[n][0] * r * r
+        for square, odd in coefs[n - 1 : m_max - 1 : -1]:
+            s = square * r
+            r = 1.0 / (odd + x - s)
             trunc *= s * r
         if trunc <= 0.5 * _EPS:
             break
         n += n // 2 + 4
     ratios = [r]
-    for a in range(m_max - 1, 0, -1):
-        r = 1.0 / (2 * a - 1 + x - a * a * r)
+    for square, odd in coefs[m_max - 1 : 0 : -1]:
+        r = 1.0 / (odd + x - square * r)
         ratios.append(r)
     return list(accumulate(reversed(ratios), mul))
 
@@ -401,7 +406,8 @@ def kummer_u_table(m_max: int, x) -> np.ndarray:
             columns.append(u)
         out[forward] = np.column_stack(columns)
     if not forward.all():
-        out[~forward, 1:] = [_kummer_u_row(m_max, xi) for xi in x[~forward].tolist()]
+        coefs: list[tuple[float, float]] = []
+        out[~forward, 1:] = [_kummer_u_row(m_max, xi, coefs) for xi in x[~forward].tolist()]
     return out
 
 

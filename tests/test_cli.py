@@ -531,6 +531,23 @@ def test_verify_pacsc_requires_indices(capsys):
     assert "--mu" in err
 
 
+def test_verify_moments_past_the_weight_factorial_keeps_its_reference_error(capsys):
+    # the weight h_173 is out of float range, but the moment check stops
+    # first, at its reference moment
+    code, out, err = run_cli(["verify", "moments", "--family", "pasvs", "--m", "173"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: moment_check: k_max=10 (m=173) needs the reference moment")
+
+
+def test_verify_overlaps_with_zero_labels_only(capsys):
+    # every w = conj(xi) zeta is 0, so each Gauss series is its first term
+    code, out, _ = run_cli(
+        ["verify", "overlaps", "--family", "pasvs", "--moduli", "0", "--max-n", "3"], capsys
+    )
+    assert code == 0
+    assert "worst_deviation=0\n" in out
+
+
 def test_verify_moments_reference_overflow_exits_2(capsys):
     code, out, err = run_cli(
         ["verify", "moments", "--family", "pacsc", "--m", "1", "--mu", "0", "--lambda", "1",
@@ -680,6 +697,15 @@ def test_envelope_records_version_and_tolerance(tmp_path, capsys):
         ),
         pytest.param(
             ["norm", "csc", "--z", "1e200", "--lambda", "1"], ("CircleParam", "z="), id="norm-csc-y1"
+        ),
+        # h_i holds (i-2)!, which overflows from vacuum-family index 173 on;
+        # pasops at m is that family at m + 1, but keeps its own name and m
+        pytest.param(["weights", "pasvs", "--m", "173"], ("pasvs weight", "m=173"), id="weights"),
+        pytest.param(
+            ["weights", "pasvs", "--m", "1,173"], ("pasvs weight", "m=173"), id="weights-list"
+        ),
+        pytest.param(
+            ["weights", "pasops", "--m", "172"], ("pasops weight", "m=172"), id="weights-pasops"
         ),
     ],
 )

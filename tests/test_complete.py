@@ -92,6 +92,13 @@ def test_weight_h_domain_errors():
         cm.weight_h(2, 0.5, form="nope")
 
 
+@pytest.mark.parametrize("form", ["closed", "hypergeometric", "integral"])
+def test_weight_h_past_the_float_range_of_its_factorial_names_m(form):
+    # (m-2)! overflows from m = 173 on; every form says so before any table work
+    with pytest.raises(OverflowError, match=r"weight_h: \(m-2\)! overflows at m=180"):
+        cm.weight_h(180, 0.5, form=form)
+
+
 def test_weight_h_boundary_behavior():
     # vanishes at y -> 1 for m >= 2; diverges (logarithmically) at y -> 0
     for m in range(2, 6):

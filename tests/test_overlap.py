@@ -481,6 +481,76 @@ def test_overlap_grids_share_one_evaluation(oracle_builds, monkeypatch):
     assert len(points) == len(set(points)) == 9 + 3
 
 
+def verify_all_series():
+    """The rows (a, b, c) of forms 1 and 2 at every point of ``verify all``'s
+    overlap grid, and w = conj(xi) zeta of each of its label pairs."""
+    from pastates import cli
+
+    pairs = cli._label_pairs("0.2,0.4,0.6")
+    w = np.array([xi.zeta.conjugate() * ze.zeta for xi, ze in pairs])
+    grid = [(n, m) for n in range(9) for m in range(n % 2, n + 1, 2)]
+    points = sorted({(n + shift, m + shift) for n, m in grid for shift in (0, 1)})
+    big_n, big_m = (np.array(col) for col in zip(*points))
+    c = (big_n - big_m) // 2 + 1.0
+    rows = [(0.5 * (big_n + 1), 0.5 * (big_n + 2), c), (-0.5 * (big_m - 1), -0.5 * big_m, c)]
+    return rows, w
+
+
+def test_gauss_2f1_grid_is_the_scalar_series_on_the_verify_all_grid():
+    # the direct series loses what its terms cancel, so each element is held
+    # to the sum of the term moduli, 2F1(a, b; c; |w|) for these rows; a row
+    # run alone gives its values in the whole grid bit for bit
+    mpmath = pytest.importorskip("mpmath")
+    rows, w = verify_all_series()
+    for a, b, c in rows:
+        grid = ov._gauss_2f1_grid(a, b, c, w)
+        assert grid.shape == (len(a), len(w))
+        for i in range(len(a)):
+            alone = ov._gauss_2f1_grid(a[i : i + 1], b[i : i + 1], c[i : i + 1], w)
+            assert np.array_equal(alone[0], grid[i])
+            scales = {}
+            for j, z in enumerate(w.tolist()):
+                if abs(z) not in scales:
+                    scales[abs(z)] = float(mpmath.hyp2f1(a[i], b[i], c[i], abs(z)))
+                want = specfun.gauss_2f1(a[i], b[i], c[i], z)
+                assert abs(grid[i, j] - want) <= 1e-15 * scales[abs(z)], (a[i], b[i], c[i], z)
+
+
+def test_gauss_2f1_grid_row_does_not_sum_the_terms_of_a_longer_row():
+    # forms 1 at (N, q) = (3, 1) and (5, 1): the real part of the first is
+    # 1.7e-4 of its modulus, so the terms past its own count that the longer
+    # row runs would move its last bit
+    w = np.array([complex(0.17535790502386964, -0.5990540307597148)])
+    a, b, c = np.array([2.0, 3.0]), np.array([2.5, 3.5]), np.array([2.0, 2.0])
+    both = ov._gauss_2f1_grid(a, b, c, w)
+    assert both[0, 0] == ov._gauss_2f1_grid(a[:1], b[:1], c[:1], w)[0, 0]
+
+
+def test_gauss_2f1_grid_doubles_a_short_first_guess(monkeypatch):
+    # from a first guess of _SMALL_RUN terms every row is doubled until its
+    # last terms are small
+    rows, w = verify_all_series()
+    want = [ov._gauss_2f1_grid(a, b, c, w) for a, b, c in rows]
+    monkeypatch.setattr(specfun, "_gauss_2f1_size", lambda excess, abs_z: 0 * excess)
+    for (a, b, c), full in zip(rows, want):
+        got = ov._gauss_2f1_grid(a, b, c, w)
+        assert np.abs(got - full).max() <= 1e-15 * np.abs(full).max()
+
+
+def test_gauss_2f1_grid_at_zero_labels_is_one():
+    rows, _ = verify_all_series()
+    for a, b, c in rows:
+        got = ov._gauss_2f1_grid(a, b, c, np.zeros(3, complex))
+        assert np.array_equal(got, np.ones((len(a), 3)))
+
+
+def test_gauss_2f1_grid_gives_up_after_2000_terms():
+    # its terms still exceed 1e-17 of the sum at k = 2000
+    one = np.ones(1)
+    with pytest.raises(ValueError, match="did not converge within 2000 terms"):
+        ov._gauss_2f1_grid(20.0 * one, 20.0 * one, one, np.array([0.95, 0.1]))
+
+
 def test_overlap_grid_matches_pointwise_overlaps():
     # batched forms and oracle against the scalar forms and inner products,
     # point by point; the pairs include a zero label and phases across the

@@ -1,4 +1,6 @@
+import itertools
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -227,6 +229,51 @@ def test_kummer_u_table_matches_mpmath():
             assert abs(ref[0] - 1) <= 1e-25
             for m in range(9):
                 assert abs(got[i, m] - ref[m]) <= 1e-13 * ref[m], (m, x, got[i, m], float(ref[m]))
+
+
+def kummer_u_row_integer_steps(m_max: int, x: float, starts: list) -> list[float]:
+    """Reference Miller sweep for U(1..m_max, 1, x) with its coefficients
+    a^2 and 2a-1 formed in integer arithmetic at every step; each start n
+    it tries is appended to ``starts``."""
+    n = int((math.sqrt(m_max) + 9.0 / math.sqrt(x)) ** 2) + 2
+    while True:
+        starts.append(n)
+        r = 1.0 / (2 * n - 1 + x)
+        trunc = n * n * r * r
+        for a in range(n - 1, m_max - 1, -1):
+            s = a * a * r
+            r = 1.0 / (2 * a - 1 + x - s)
+            trunc *= s * r
+        if trunc <= 0.5 * sf._EPS:
+            break
+        n += n // 2 + 4
+    ratios = [r]
+    for a in range(m_max - 1, 0, -1):
+        r = 1.0 / (2 * a - 1 + x - a * a * r)
+        ratios.append(r)
+    return list(itertools.accumulate(reversed(ratios), operator.mul))
+
+
+def test_kummer_u_table_is_the_integer_step_sweep_bit_for_bit():
+    # a^2 and 2a-1 are exact in float, so the sweep over the shared float
+    # table gives the integer-step rows exactly.  For m = 1 at x = 85..820
+    # (and at other nodes) the first start fails its truncation test, so the
+    # restart runs and extends the table past that start
+    rng = np.random.default_rng(25)
+    restarted = []
+    for m in (1, 2, 3, 4, 8, 12, 40, 100):
+        xs = np.exp(rng.uniform(math.log(1e-3), math.log(1e4), 60))
+        if m == 1:
+            xs = np.concatenate([np.linspace(85.0, 820.0, 40), xs])
+        table = sf.kummer_u_table(m, xs)
+        miller = ~((xs <= 0.5) & (m * xs <= 3.0))
+        assert miller.sum() > 30
+        for x, row in zip(xs[miller].tolist(), table[miller]):
+            starts = []
+            assert np.array_equal(row, [1.0] + kummer_u_row_integer_steps(m, x, starts))
+            restarted += [(m, x)] if len(starts) > 1 else []
+    # the first node of the m = 1 call, x = 85, restarts on an empty table
+    assert restarted[0] == (1, 85.0)
 
 
 def test_scalar_kernels_are_rows_of_the_tables():
