@@ -157,9 +157,10 @@ def weight_h(m: int, y: float, form: str = "closed", one_minus_y: float | None =
     if form == "closed":
         return float(_vacuum_weight_table(m, np.array([y]), np.array([omy]))[0, m - 1])
     if form == "hypergeometric":
-        pref = 1.0 / (_TWO_PI * specfun.double_factorial(2 * m - 3))
+        # in log space: (2m-3)!! leaves the float range from m = 152 on
         hyp = specfun.gauss_2f1(0.5 * m, 0.5 * (m - 1), m - 0.5, omy)
-        return pref * omy ** (m - 1.5) * hyp.real
+        log_pref = -math.log(_TWO_PI) - specfun.log_double_factorial(2 * m - 3)
+        return math.exp(log_pref + (m - 1.5) * math.log(omy) + math.log(hyp.real))
     if form == "integral":
         if m < 2:
             raise ValueError("integral form of weight_h requires m >= 2")
@@ -182,6 +183,8 @@ def weight_h1m(m: int, y: float, one_minus_y: float | None = None) -> float:
     """
     if m < 0:
         raise ValueError("weight_h1m requires m >= 0")
+    if m + 1 > _VACUUM_INDEX_MAX:
+        raise OverflowError(f"weight_h1m: (m-1)! overflows at m={m}")
     return weight_h(m + 1, y, one_minus_y=one_minus_y)
 
 

@@ -1,7 +1,8 @@
 """State constructors on strided Fock subspaces.
 
 Every family is built as a finite coefficient vector |offset + k*stride>
-with a rigorous geometric bound on the squared norm of the truncated tail.
+with a rigorous geometric bound on the squared norm of the truncated tail,
+cut by one array kernel, ``_cut``, from the family's log step ratios.
 Constructors normalize through the closed-form coefficients from
 ``overlap`` and then *assert* that the coefficient sum plus tail is 1, so a
 formula bug surfaces instead of being hidden by renormalization.
@@ -151,51 +152,6 @@ def _check_defect(label, defect: float) -> None:
         )
 
 
-def _cap_error(label: str, eps: float) -> ValueError:
-    message = f"state truncation did not converge within {_MAX_TERMS} terms"
-    return ValueError(f"{label} eps={eps}: {message}")
-
-
-def _build_truncated(log_mag0, phase_unit, ratio, limit_ratio, eps, label):
-    """Coefficients c_k = exp(L_k) * phase_unit^k, cut when the geometric
-    tail bound drops below eps.
-
-    ratio(k) is the analytic amplitude ratio |c_{k+1}/c_k|; limit_ratio is
-    its k -> inf limit, so max(ratio(k+1), limit_ratio) dominates every
-    later step whichever way the ratios approach the limit.  Each ratio is
-    evaluated once: ratio(k+1) bounds the tail at step k and is the step
-    ratio at k+1.  ``pasvs`` makes the same cut in numpy passes; the short
-    circle-state vectors are cut here, one step per coefficient.  Errors
-    name the state by label(), formed only when one is raised.
-    """
-    coeffs = []
-    log_mag = log_mag0
-    phase = 1.0 + 0.0j
-    k = 0
-    r = ratio(0)
-    while True:
-        if not math.isfinite(r):
-            raise ArithmeticError(f"{label()}: amplitude ratio is not finite at k={k}")
-        coeffs.append(math.exp(log_mag) * phase)
-        if r == 0.0:
-            # ratio underflowed: every further coefficient is below the
-            # smallest positive double, the tail is exactly zero here
-            return np.array(coeffs), 0.0
-        log_next = log_mag + math.log(r)
-        r_next = ratio(k + 1)
-        rho = max(r_next, limit_ratio)
-        if rho < 1.0:
-            tail = math.exp(2.0 * log_next) / (1.0 - rho * rho)
-            if tail < eps:
-                return np.array(coeffs), tail
-        k += 1
-        if k > _MAX_TERMS:
-            raise _cap_error(label(), eps)
-        log_mag = log_next
-        phase *= phase_unit
-        r = r_next
-
-
 def _check_eps(name: str, eps: float) -> None:
     if not 0.0 < eps < math.inf:
         raise ValueError(f"{name} requires a finite eps > 0, got eps={eps}")
@@ -226,21 +182,63 @@ def _pasvs_rows(az: float, m: int, eps: float) -> int:
     return min(max(16, int(guess) + 1), _MAX_TERMS + 1)
 
 
+def _cut(rows: list, steps, firsts: list, label, eps: float) -> list:
+    """The magnitudes |c_k| and tail bound of every segment of one cut, the
+    one cut of every state family.
+
+    Segment n has the log amplitudes L_0 = firsts[n] and L_(k+1) = L_k +
+    ln r_k, k = 0..rows[n].  ``steps(rows)`` lays the rows of every segment
+    end to end in one 1-D array and gives (ln r_k, rho_k, bounds): the log
+    step ratios, rho_k = max(r_k, limit) with limit the k -> inf limit of
+    r_k, so that rho_(k+1) dominates every step after k whichever way the
+    ratios approach it, and each segment's (start, end).  Each elementwise
+    pass runs once over all segments.  A segment is cut at its first k
+    whose geometric tail bound exp(2 L_(k+1)) / (1 - rho_(k+1)^2) is below
+    eps; one that does not cut is run again twice as long, up to the
+    _MAX_TERMS cap.  Every segment's coefficient sum plus tail is checked
+    against 1.  Errors name segment n by label(n); of the segments that
+    reach the cap in one pass, the last is named.
+    """
+    while True:
+        with np.errstate(all="ignore"):
+            log_ratio, rho, bounds = steps(rows)
+            log_mag = np.empty(len(log_ratio))
+            log_mag[1:] = log_ratio[:-1]
+            for first, (start, end) in zip(firsts, bounds):
+                log_mag[start] = first
+                np.add.accumulate(log_mag[start:end], out=log_mag[start:end])
+            rho = rho[1:]
+            # rho >= 1 bounds no tail: its tail is +inf or NaN, never below
+            # eps.  Past a step ratio that underflows to 0 the amplitude is
+            # 0 in float, so the tail there is exactly 0 and cuts.  A
+            # segment's last entry pairs it with the next and is not read.
+            tail = np.exp(2.0 * log_mag[1:]) / np.maximum(1.0 - rho * rho, 0.0)
+        below = tail < eps
+        cuts = [start + below[start : end - 1].argmax() for start, end in bounds]
+        short = [n for n, cut in enumerate(cuts) if not below[cut]]
+        if not short:
+            break
+        capped = [n for n in short if rows[n] > _MAX_TERMS]
+        if capped:
+            message = f"state truncation did not converge within {_MAX_TERMS} terms"
+            raise ValueError(f"{label(capped[-1])} eps={eps}: {message}")
+        for n in short:
+            rows[n] = min(2 * rows[n], _MAX_TERMS + 1)
+    out = []
+    for n, (cut, (start, _)) in enumerate(zip(cuts, bounds)):
+        mag, tail_n = np.exp(log_mag[start : cut + 1]), float(tail[cut])
+        _check_defect(lambda: label(n), abs(float(mag @ mag) + tail_n - 1.0))
+        out.append((mag, tail_n))
+    return out
+
+
 def _pasvs_cut(name: str, shift: int, labels, eps: float) -> list:
     """The coefficients and tail bound of |zeta, m> for every (param, m,
     log_norm[, named]) in ``labels`` (log_norm: ln of its closed-form
-    normalization, from ``overlap._pasvs_log_norms``), cut as
-    ``_build_truncated`` cuts it.
-
-    The rows k = 0..rows of every label's segment are laid end to end in
-    one 1-D array, and each elementwise pass of the cut runs once over all
-    of them: the step ratio sqrt(j (j + 1)) |zeta| / (2k + 2) with
-    j = 2k + m + 1, the log amplitudes (summed within each segment, in the
-    order of _build_truncated) and the geometric tail bound.  A segment
-    that does not cut is run again twice as long.  Every vector's
-    coefficient sum plus tail is checked against 1.  Errors name a vector
-    as the ``name`` state at index m - shift; of the segments that reach
-    the term cap in one pass, the last is named.
+    normalization, from ``overlap._pasvs_log_norms``), one ``_cut`` segment
+    each, with the step ratio sqrt(j (j + 1)) |zeta| / (2k + 2) at
+    j = 2k + m + 1 and its limit |zeta|, formed once over all segments.
+    Errors name a vector as the ``name`` state at index m - shift.
     """
     live = [(i, abs(lab[0].zeta), lab[1]) for i, lab in enumerate(labels) if lab[0].zeta != 0]
     # zeta = 0 gives the unit vector |m>, with no tail
@@ -248,8 +246,8 @@ def _pasvs_cut(name: str, shift: int, labels, eps: float) -> list:
     out = [unit] * len(labels)
     if not live:
         return out
-    rows = [_pasvs_rows(az, m, eps) for _, az, m in live]
-    while True:
+
+    def steps(rows):
         # j = 2k + m + 1 at each segment's k = 0..rows; j * (j + 1) and
         # 2k + 2 = j + 1 - m are exact in float
         parts = [
@@ -267,39 +265,19 @@ def _pasvs_cut(name: str, shift: int, labels, eps: float) -> list:
             ends = list(accumulate(sizes))
             bounds = list(zip([0] + ends, ends))
         ratio = np.sqrt(j * (j + 1)) * az / (j + one_minus_m)
-        with np.errstate(all="ignore"):
-            log_mag = np.empty(len(j))
-            np.log(ratio[:-1], out=log_mag[1:])
-            for (i, _, m), (start, end) in zip(live, bounds):
-                param, log_norm = labels[i][0], labels[i][2]
-                log_mag[start] = _pasvs_log_amplitude0(param, m, log_norm)
-                np.add.accumulate(log_mag[start:end], out=log_mag[start:end])
-            rho = np.maximum(ratio[1:], az if len(live) == 1 else az[:-1])
-            # rho >= 1 bounds no tail: its tail is +inf or NaN, never below
-            # eps.  A ratio that underflows to 0 makes every later log
-            # amplitude -inf, so the tail there is exactly 0 and cuts.  A
-            # segment's last entry pairs it with the next and is not read.
-            tail = np.exp(2.0 * log_mag[1:]) / np.maximum(1.0 - rho * rho, 0.0)
-        below = tail < eps
-        cuts = [start + below[start : end - 1].argmax() for start, end in bounds]
-        short = [n for n, cut in enumerate(cuts) if not below[cut]]
-        if not short:
-            break
-        capped = [n for n in short if rows[n] > _MAX_TERMS]
-        if capped:
-            raise _cap_error(_segment_label(name, shift, labels[live[capped[-1]][0]]), eps)
-        for n in short:
-            rows[n] = min(2 * rows[n], _MAX_TERMS + 1)
-    for (i, _, _), cut, (start, _) in zip(live, cuts, bounds):
-        mag, tail_i = np.exp(log_mag[start : cut + 1]), float(tail[cut])
-        defect = abs(float(mag @ mag) + tail_i - 1.0)
-        _check_defect(lambda: _segment_label(name, shift, labels[i]), defect)
-        out[i] = mag * _phase_powers(labels[i][0].zeta, len(mag)), tail_i
+        return np.log(ratio), np.maximum(ratio, az), bounds
+
+    firsts = [_pasvs_log_amplitude0(labels[i][0], m, labels[i][2]) for i, _, m in live]
+    rows = [_pasvs_rows(az, m, eps) for _, az, m in live]
+    cut = _cut(rows, steps, firsts, lambda n: _segment_label(name, shift, labels[live[n][0]]), eps)
+    for (i, _, _), (mag, tail) in zip(live, cut):
+        out[i] = mag * _phase_powers(labels[i][0].zeta, len(mag)), tail
     return out
 
 
 def _phase_powers(zeta: complex, count: int) -> np.ndarray:
-    """(zeta/|zeta|)^k, k < count, the squeeze phase of coefficient k of |zeta, m>."""
+    """(zeta/|zeta|)^k, k < count: the phase of coefficient k of |zeta, m>,
+    and with zeta = z of |z, mu, m>."""
     powers = np.empty(count, dtype=complex)
     powers.fill(zeta / abs(zeta))
     powers[0] = 1.0
@@ -457,29 +435,43 @@ def pacsc(param: CircleParam, m: int, eps: float = 1e-14) -> FockVector:
     return _circle_state("pacsc", param, m, eps)
 
 
+def _circle_rows(param: CircleParam, m: int, eps: float) -> int:
+    """First guess at the rows a cut of |z, mu, m> needs.  Its photon
+    numbers n weigh about t^(2n) (n + m)! / (n!)^2 with t^2 = |z|^(2/lam),
+    which fall by e per photon once n^2 >= e t^2 (n + m); ln(1/eps) photons
+    past that point are enough."""
+    e_t_sq = math.e * abs(param.z) ** (2.0 / param.lam)
+    photons = 0.5 * (e_t_sq + math.sqrt(e_t_sq * (e_t_sq + 4.0 * m))) - math.log(eps)
+    return min(max(1, math.ceil((photons - param.mu) / param.lam)), _MAX_TERMS + 1)
+
+
 def _circle_state(name: str, param: CircleParam, m: int, eps: float) -> FockVector:
     """|z, mu, m> on |m + mu + k lam>, with amplitudes proportional to
-    z^k sqrt((k lam + mu + m)!) / (k lam + mu)!; the first is F_m^(-1/2)."""
+    z^k sqrt((k lam + mu + m)!) / (k lam + mu)!, cut by ``_cut`` as one
+    segment: its first log amplitude is -1/2 ln F_m, and the log step ratio
+    of block k is ln|z| + sum_n [1/2 ln(n + m) - ln n] over its lam photon
+    numbers n = k lam + mu + 1 .. (k + 1) lam + mu, with limit 0.  No
+    factorial is formed, so the cut holds where (k lam + mu + m)! leaves the
+    float range (from lam = 135 at |z| = 1)."""
     lam, mu = param.lam, param.mu
     if param.z == 0:
         return _unit_vector(m + mu, lam)
-    az = abs(param.z)
-
-    def ratio(k: int) -> float:
-        # one factor per j: the products over all j overflow from lam = 135 at |z| = 1
-        r = az
-        for n in range(k * lam + mu + 1, (k + 1) * lam + mu + 1):
-            r *= math.sqrt(n + m) / n
-        return r
 
     def label():
         return overlap._circle_label(name, param, m if name == "pacsc" else None)
 
-    log_mag0 = -0.5 * math.log(overlap._circle_series(param, m, label))
-    coeffs, tail = _build_truncated(log_mag0, param.z / az, ratio, 0.0, eps, label)
-    v = FockVector(m + mu, lam, coeffs, tail)
-    _check_defect(lambda: name, abs(v.norm_sq() + tail - 1.0))
-    return v
+    first = -0.5 * math.log(overlap._circle_series(param, m, label))
+    log_az = math.log(abs(param.z))
+
+    def steps(rows):
+        # logs[i] = ln(mu + 1 + i), so ln n and ln(n + m) are two views of it
+        logs = np.log(np.arange(mu + 1.0, mu + (rows[0] + 1) * lam + m + 1))
+        terms = 0.5 * logs[m:] - logs[: len(logs) - m]
+        log_ratio = log_az + np.add.reduceat(terms, np.arange(0, len(terms), lam))
+        return log_ratio, np.exp(log_ratio), [(0, len(log_ratio))]
+
+    ((mag, tail),) = _cut([_circle_rows(param, m, eps)], steps, [first], lambda _: label(), eps)
+    return FockVector(m + mu, lam, mag * _phase_powers(param.z, len(mag)), tail)
 
 
 def apply_raising(v: FockVector) -> FockVector:

@@ -144,6 +144,13 @@ def test_weight_h_is_a_row_of_the_vacuum_table():
         assert [cm.weight_h(m, y) for y in ys.tolist()] == table[:, m - 1].tolist()
 
 
+@pytest.mark.parametrize("m", [152, 160])
+def test_weight_h_hypergeometric_route_past_the_float_range_of_its_double_factorial(m):
+    # (2m-3)!! leaves the float range from m = 152 on; the density does not
+    y = 0.05
+    assert cm.weight_h(m, y, "hypergeometric") == pytest.approx(cm.weight_h(m, y), rel=1e-8)
+
+
 # ------------------------------------------------------------ weight_h1m
 
 def test_weight_h1m_index_identity():
@@ -169,6 +176,12 @@ def test_weight_h1m_rejects_negative_index():
     # a shift applied before the check would return the m = 0 vacuum weight
     with pytest.raises(ValueError, match="weight_h1m requires m >= 0"):
         cm.weight_h1m(-1, 0.5)
+
+
+def test_weight_h1m_past_the_float_range_of_its_factorial_names_itself_and_m():
+    # h1m at m holds (m-1)!, beyond the float range at m = 172
+    with pytest.raises(OverflowError, match=r"^weight_h1m: \(m-1\)! overflows at m=172$"):
+        cm.weight_h1m(172, 0.5)
 
 
 def test_weight_h1m_base_cases():

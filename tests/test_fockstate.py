@@ -131,15 +131,51 @@ def pasvs_step_ratio(az, m, sqrt=math.sqrt):
     return ratio
 
 
+def build_truncated(log_mag0, phase_unit, ratio, limit_ratio, eps):
+    """The scalar reference cut: coefficients c_k = exp(L_k) * phase_unit^k,
+    one step per coefficient, cut when the geometric tail bound drops below
+    eps.
+
+    ratio(k) is the analytic amplitude ratio |c_{k+1}/c_k|; limit_ratio is
+    its k -> inf limit, so max(ratio(k+1), limit_ratio) dominates every
+    later step whichever way the ratios approach the limit.  Each ratio is
+    evaluated once: ratio(k+1) bounds the tail at step k and is the step
+    ratio at k+1.
+    """
+    coeffs = []
+    log_mag = log_mag0
+    phase = 1.0 + 0.0j
+    k = 0
+    r = ratio(0)
+    while True:
+        coeffs.append(math.exp(log_mag) * phase)
+        if r == 0.0:
+            # ratio underflowed: every further coefficient is below the
+            # smallest positive double, the tail is exactly zero here
+            return np.array(coeffs), 0.0
+        log_next = log_mag + math.log(r)
+        r_next = ratio(k + 1)
+        rho = max(r_next, limit_ratio)
+        if rho < 1.0:
+            tail = math.exp(2.0 * log_next) / (1.0 - rho * rho)
+            if tail < eps:
+                return np.array(coeffs), tail
+        k += 1
+        assert k <= fs._MAX_TERMS
+        log_mag = log_next
+        phase *= phase_unit
+        r = r_next
+
+
 def scalar_pasvs(param, m, eps):
-    """The coefficients and tail bound of |zeta, m> from the one-step-per-
-    coefficient reference cut ``_build_truncated``."""
+    """The coefficients and tail bound of |zeta, m> from the reference cut
+    ``build_truncated``."""
     if param.zeta == 0:
         return np.array([1.0 + 0.0j]), 0.0
     az = abs(param.zeta)
     log_mag0 = fs._pasvs_log_amplitude0(param, m, ov._pasvs_log_norms(param, m)[m])
     ratio = pasvs_step_ratio(az, m)
-    return fs._build_truncated(log_mag0, param.zeta / az, ratio, az, eps, lambda: "pasvs")
+    return build_truncated(log_mag0, param.zeta / az, ratio, az, eps)
 
 
 @pytest.mark.parametrize("eps", [1e-14, TIGHT])
@@ -679,17 +715,49 @@ def test_pacsc_is_normalized_quickly_past_the_float_range_of_its_products(z, lam
     assert abs(v.norm_sq() + v.tail_bound - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_build_truncated_stops_at_a_non_finite_ratio(bad):
-    seen = []
+def scalar_circle(param, m, eps):
+    """The coefficients and tail bound of |z, mu, m> from the reference cut
+    ``build_truncated``, with the step ratio of block k a product of one
+    factor sqrt(n + m) / n per photon number n of the block."""
+    lam, mu, az = param.lam, param.mu, abs(param.z)
 
     def ratio(k):
-        seen.append(k)
-        return 0.5 if k == 0 else bad
+        r = az
+        for n in range(k * lam + mu + 1, (k + 1) * lam + mu + 1):
+            r *= math.sqrt(n + m) / n
+        return r
 
-    with pytest.raises(ArithmeticError, match=r"^pacsc z=1 m=2: amplitude ratio is not finite at k=1$"):
-        fs._build_truncated(0.0, 1.0 + 0.0j, ratio, 0.0, 1e-14, lambda: "pacsc z=1 m=2")
-    assert seen == [0, 1]
+    log_mag0 = -0.5 * math.log(ov._circle_series(param, m, lambda: "reference"))
+    return build_truncated(log_mag0, param.z / az, ratio, 0.0, eps)
+
+
+@pytest.mark.parametrize("eps", [1e-14, TIGHT])
+@pytest.mark.parametrize("m", [0, 1, 4, 11, 300])
+@pytest.mark.parametrize("lam", [1, 2, 3, 4, 135])
+def test_circle_states_match_scalar_reference_cut(lam, m, eps):
+    for modulus in (1e-3, 0.4, 1.0, 2.5, 6.0):
+        for mu in sorted({0, lam // 2, lam - 1}):
+            param = fs.CircleParam(modulus * unit_phase(-2.1), lam, mu)
+            want, want_tail = scalar_circle(param, m, eps)
+            for v in [fs.pacsc(param, m, eps)] + ([fs.csc(param, eps)] if m == 0 else []):
+                assert (v.offset, v.stride, len(v.coeffs)) == (m + mu, lam, len(want))
+                assert np.max(np.abs(v.coeffs - want)) <= 1e-13
+                assert abs(v.tail_bound - want_tail) <= 1e-12 * want_tail
+
+
+@pytest.mark.parametrize(
+    "build, want",
+    [
+        (lambda p: fs.csc(p), "csc z=(0.5+0.5j) lam=2 mu=1"),
+        (lambda p: fs.pacsc(p, 3), "pacsc z=(0.5+0.5j) lam=2 mu=1 m=3"),
+    ],
+)
+def test_circle_normalization_check_names_the_state(build, want, monkeypatch):
+    real = ov._circle_series
+    monkeypatch.setattr(ov, "_circle_series", lambda param, m, label: 2.0 * real(param, m, label))
+    with pytest.raises(ArithmeticError) as info:
+        build(fs.CircleParam(0.5 + 0.5j, 2, 1))
+    assert str(info.value) == f"{want}: closed-form normalization check failed (defect 5.000e-01)"
 
 
 # ------------------------------------------------------------ ladders / inner
@@ -785,7 +853,7 @@ def test_build_truncated_evaluates_each_ratio_once():
         seen.append(k)
         return math.sqrt((2 * k + 3) * (2 * k + 4)) * az / (2.0 * (k + 1))
 
-    coeffs, tail = fs._build_truncated(0.0, 1.0 + 0.0j, ratio, az, 1e-20, lambda: "test")
+    coeffs, tail = build_truncated(0.0, 1.0 + 0.0j, ratio, az, 1e-20)
     assert 0.0 < tail < 1e-20
     assert seen == list(range(len(coeffs) + 1))
 
