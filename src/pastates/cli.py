@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import tempfile
+import types
 
 import numpy as np
 
@@ -34,8 +35,8 @@ _PHASE_PAIRS = (
 )
 
 
-class UsageError(Exception):
-    pass
+class UsageError(argparse.ArgumentTypeError):
+    """Bad usage (exit 2); raised by an option's type, argparse names the option."""
 
 
 def parse_complex(text: str) -> complex:
@@ -66,6 +67,14 @@ def parse_int_list(text: str) -> list[int]:
 
 def parse_float_list(text: str) -> list[float]:
     return _parse_list(text, float, "float")
+
+
+def threshold(text: str) -> float:
+    """A --tol or --limit: finite and > 0, so that its check can both pass and fail."""
+    value = float(text)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise UsageError(f"must be finite and > 0, got {text}")
+    return value
 
 
 def _fmt(v: float) -> str:
@@ -129,50 +138,27 @@ def _csv_table(header: list[str], rows: list[list[float]], preamble: list[str] |
 # ----------------------------------------------------------------- state
 
 def _label(args):
-    """The squeezing (--zeta) or circle (--z) label of a state or norm
-    command's family."""
-    flag = "zeta" if args.family in ("pasvs", "pasops", "sns") else "z"
-    text = getattr(args, flag)
-    if text is None:
-        raise UsageError(f"{args.command} {args.family} requires --{flag}")
-    if flag == "zeta":
-        return fockstate.SqueezeParam(parse_complex(text))
-    return fockstate.CircleParam(parse_complex(text), args.lam, args.mu)
-
-
-def _build_state(args) -> fockstate.FockVector:
-    param = _label(args)
-    if args.family in ("pasvs", "pasops", "sns"):
-        builder = {"pasvs": fockstate.pasvs, "pasops": fockstate.pasops, "sns": fockstate.sns}
-        return builder[args.family](param, args.m, eps=args.eps)
-    if args.family == "csc":
-        return fockstate.csc(param, eps=args.eps)
-    return fockstate.pacsc(param, args.m, eps=args.eps)
+    """The label of a state or norm command: --zeta or --z, the one its family reads."""
+    if args.zeta is not None:
+        return fockstate.SqueezeParam(parse_complex(args.zeta))
+    return fockstate.CircleParam(parse_complex(args.z), args.lam, args.mu)
 
 
 def cmd_state(args) -> int:
-    vec = _build_state(args)
+    # every family but csc reads a photon-added index
+    index = () if args.m is None else (args.m,)
+    vec = getattr(fockstate, args.family)(_label(args), *index, eps=args.eps)
     rows = [
         [int(n), complex(c).real, complex(c).imag, abs(complex(c)) ** 2]
         for n, c in zip(vec.photon_numbers(), vec.coeffs)
     ]
     defect = abs(vec.norm_sq() + vec.tail_bound - 1.0)
     if args.format == "csv":
-        text = _csv_table(
-            ["n", "re_c", "im_c", "abs2"],
-            rows,
-            preamble=[f"# tail_bound = {_fmt(vec.tail_bound)}"],
-        )
-        _write_output(text, args.out)
+        preamble = [f"# tail_bound = {_fmt(vec.tail_bound)}"]
+        _write_output(_csv_table(["n", "re_c", "im_c", "abs2"], rows, preamble), args.out)
         return 0
-    env = _envelope(
-        "state",
-        {"family": args.family, "m": getattr(args, "m", None), "eps": args.eps},
-        {"rows": rows, "tail_bound": vec.tail_bound, "offset": vec.offset, "stride": vec.stride},
-        defect,
-        1e-9,
-    )
-    return _emit_envelope(env, args.out)
+    results = {"rows": rows, "tail_bound": vec.tail_bound, "offset": vec.offset, "stride": vec.stride}
+    return _emit_envelope(_envelope("state", args.parameters, results, defect, 1e-9), args.out)
 
 
 # ----------------------------------------------------------------- overlap
@@ -185,35 +171,15 @@ def cmd_overlap(args) -> int:
         shift = 0 if args.family == "sv" else 1
         value = (overlap.sv_overlap if shift == 0 else overlap.sops_overlap)(xi, zeta)
         labels = [(p, shift, overlap._pasvs_log_norms(p, shift)[shift]) for p in (xi, zeta)]
-        oracle = overlap._series(args.family, shift, *labels)
-        err = abs(value - oracle)
-        env = _envelope(
-            "overlap",
-            {"family": args.family, "xi": args.xi, "zeta": args.zeta},
-            {"value": value, "oracle_error": err},
-            err,
-            args.tol,
-        )
-        return _emit_envelope(env, args.out)
-    form = int(args.form) if args.form in ("1", "2", "3") else args.form
-    fn = overlap.pasvs_overlap if args.family == "pasvs" else overlap.pasops_overlap
-    res = fn(xi, args.n, zeta, args.m, form=form)
-    max_err = max(res.form_spread, res.oracle_error)
-    env = _envelope(
-        "overlap",
-        {
-            "family": args.family,
-            "xi": args.xi,
-            "n": args.n,
-            "zeta": args.zeta,
-            "m": args.m,
-            "form": args.form,
-        },
-        {"value": res.value, "form_spread": res.form_spread, "oracle_error": res.oracle_error},
-        max_err,
-        args.tol,
-    )
-    return _emit_envelope(env, args.out)
+        err = abs(value - overlap._series(args.family, shift, *labels))
+        results = {"value": value, "oracle_error": err}
+    else:
+        form = int(args.form) if args.form in ("1", "2", "3") else args.form
+        fn = overlap.pasvs_overlap if args.family == "pasvs" else overlap.pasops_overlap
+        res = fn(xi, args.n, zeta, args.m, form=form)
+        err = max(res.form_spread, res.oracle_error)
+        results = {key: getattr(res, key) for key in ("value", "form_spread", "oracle_error")}
+    return _emit_envelope(_envelope("overlap", args.parameters, results, err, args.tol), args.out)
 
 
 # ----------------------------------------------------------------- norm
@@ -221,32 +187,18 @@ def cmd_overlap(args) -> int:
 def cmd_norm(args) -> int:
     param = _label(args)
     if args.family in ("pasvs", "pasops"):
-        if args.family == "pasvs":
-            value = overlap.pasvs_norm(param, args.m)
-            vec = fockstate.pasvs(param, args.m, eps=overlap.SERIES_EPS)
-        else:
-            value = overlap.pasops_norm(param, args.m)
-            vec = fockstate.pasops(param, args.m, eps=overlap.SERIES_EPS)
+        value = getattr(overlap, f"{args.family}_norm")(param, args.m)
+        vec = getattr(fockstate, args.family)(param, args.m, eps=overlap.SERIES_EPS)
         err = abs(vec.norm_sq() + vec.tail_bound - 1.0)
         results = {"value": value, "normalization_defect": err}
-        params = {"family": args.family, "zeta": args.zeta, "m": args.m}
     else:
         if args.family == "csc":
-            a = overlap.csc_norm(param, "pfq")
-            b = overlap.csc_norm(param, "circle")
+            a, b = overlap.csc_norm(param, "pfq"), overlap.csc_norm(param, "circle")
         else:
-            a = overlap.pacsc_norm(param, args.m, "pfq")
-            b = overlap.pacsc_norm(param, args.m, "laguerre")
+            a, b = (overlap.pacsc_norm(param, args.m, form) for form in ("pfq", "laguerre"))
         err = abs(a - b) / abs(a)
         results = {"value": a, "alternate_form": b, "form_rel_error": err}
-        params = {
-            "family": args.family,
-            "z": args.z,
-            "mu": args.mu,
-            "lambda": args.lam,
-            "m": getattr(args, "m", None),
-        }
-    env = _envelope("norm", params, results, err, args.tol)
+    env = _envelope("norm", args.parameters, results, err, args.tol)
     return _emit_envelope(env, args.out)
 
 
@@ -256,15 +208,9 @@ def cmd_weights(args) -> int:
     if args.grid < 2:
         raise UsageError("weights requires --grid >= 2")
     for flag, value in (("--y-min", args.y_min), ("--y-max", args.y_max)):
-        if value is not None and not math.isfinite(value):
+        if not math.isfinite(value):
             raise UsageError(f"weights requires a finite {flag}, got {value}")
-    ms = parse_int_list(args.m)
-    if args.family == "pacsc":
-        y_max = args.y_max if args.y_max is not None else 4.0
-        y_min = args.y_min if args.y_min is not None else 0.01
-    else:
-        y_max = args.y_max if args.y_max is not None else 0.9999
-        y_min = args.y_min if args.y_min is not None else 0.0001
+    ms, y_min, y_max = args.m, args.y_min, args.y_max
     # the last point is y_max itself, not the rounded end of the steps
     steps = range(args.grid - 1)
     ys = [y_min + i * (y_max - y_min) / (args.grid - 1) for i in steps] + [y_max]
@@ -276,37 +222,29 @@ def cmd_weights(args) -> int:
     table = complete._weight_table(args.family, ms, np.array(ys), args.mu, args.lam)
     header = ["y"] + [f"h_{m}" for m in ms]
     rows = [[y] + values for y, values in zip(ys, table.tolist())]
-    bad = np.argwhere(~((table > 0.0) & np.isfinite(table)))
+    # a density below the normal float range (a subnormal or 0) has lost its digits
+    bad = np.argwhere(~((table >= sys.float_info.min) & np.isfinite(table)))
     positive = len(bad) == 0
     if args.format == "csv":
         _write_output(_csv_table(header, rows), args.out)
         if positive:
             return 0
         i, j = bad[0]
-        where = f"{header[j + 1]} at y={_fmt(ys[i])}"
-        print(f"error: {where} is {_fmt(table[i, j])}, not positive and finite", file=sys.stderr)
+        value = table[i, j]
+        why = "below the normal float range" if 0.0 < value < math.inf else "not positive and finite"
+        print(f"error: {header[j + 1]} at y={_fmt(ys[i])} is {_fmt(value)}, {why}", file=sys.stderr)
         return 1
-    env = _envelope(
-        "weights",
-        {"family": args.family, "m": args.m, "grid": args.grid, "y_min": y_min, "y_max": y_max},
-        {"columns": header, "rows": rows},
-        0.0 if positive else math.inf,
-        1.0,
-    )
+    results = {"columns": header, "rows": rows}
+    env = _envelope("weights", args.parameters, results, 0.0 if positive else math.inf, 1.0)
     return _emit_envelope(env, args.out)
 
 
 # ----------------------------------------------------------------- verify
 
-def _radial_check(suite: str, args) -> tuple:
+def _radial_check(args) -> tuple:
     """The ``complete.radial_checks`` entry of a moments or unity suite."""
-    if args.family != "pacsc":
-        wf = complete.WeightFunction(args.family, args.m)
-    elif args.mu is None or args.lam is None:
-        raise UsageError("pacsc verification requires --mu and --lambda")
-    else:
-        wf = complete.WeightFunction("pacsc", args.m, mu=args.mu, lam=args.lam)
-    return (suite, wf, args.kmax if suite == "moments" else args.dim)
+    wf = complete.WeightFunction(args.family, args.m, mu=args.mu, lam=args.lam)
+    return (args.suite, wf, args.kmax if args.suite == "moments" else args.dim)
 
 
 def _moment_lines(args, reports: list, lines: list[dict]) -> float:
@@ -422,81 +360,50 @@ def _overlap_lines(args, grid: tuple[float, int], lines: list[dict]) -> float:
     return worst
 
 
-# (suite, arguments, tolerance) of every check in ``verify all``, in order
-_BATTERY = (
-    [("moments", {"family": "pasvs", "m": m, "kmax": 10}, 1e-8) for m in range(1, 7)]
-    + [("moments", {"family": "pasops", "m": m, "kmax": 10}, 1e-8) for m in range(6)]
-    + [
-        ("moments", {"family": "pacsc", "m": m, "mu": mu, "lam": lam, "kmax": 8}, 1e-8)
-        for lam, mu in ((1, 0), (2, 0), (2, 1), (3, 2))
-        for m in range(5)
-    ]
-    + [("unity", {"family": "pasvs", "m": m, "dim": 12}, 1e-6) for m in range(1, 5)]
-    + [("unity", {"family": "pasops", "m": m, "dim": 12}, 1e-6) for m in range(4)]
-    + [
-        ("unity", {"family": "pacsc", "m": m, "mu": mu, "lam": lam, "dim": 12}, 1e-6)
-        for m, mu, lam in ((1, 0, 1), (2, 0, 2), (1, 1, 2), (2, 2, 3))
-    ]
-    + [("discrete", {"zeta": "0.3", "cutoffs": "10,20,40", "dim": 8}, 1e-9)]
-    + [("carleman", {"m": m, "k": "10,100,1000,10000"}, 0.01) for m in range(1, 5)]
-    + [
-        ("overlaps", {"family": family, "max_n": 8, "moduli": "0.2,0.4,0.6"}, 1e-9)
-        for family in ("pasvs", "pasops")
-    ]
-)
-
-
 def _run_battery(entries, lines: list[dict]) -> list[float]:
-    """Run the (suite, args) entries of a battery, append their lines in
-    entry order and return each entry's error.  Every moments and unity
-    entry goes through one ``complete.radial_checks`` call, so each kind of
-    radial weight is integrated in one pass, and the overlaps entries of
-    one (moduli, max_n) grid through one ``overlap.overlap_grids`` call, so
-    each point and oracle vector is evaluated once."""
-    radial = iter(
-        complete.radial_checks(
-            [_radial_check(suite, args) for suite, args in entries if suite in _RADIAL_LINES]
-        )
-    )
+    """Run the verify entries of a battery, append their lines in entry
+    order and return each entry's error.  Every moments and unity entry goes
+    through one ``complete.radial_checks`` call, so each kind of radial
+    weight is integrated in one pass, and the overlaps entries of one
+    (moduli, max_n) grid through one ``overlap.overlap_grids`` call, so each
+    point and oracle vector is evaluated once."""
+    checks = [_radial_check(args) for args in entries if args.suite in _RADIAL_LINES]
+    radial = iter(complete.radial_checks(checks))
     families = {}
-    for suite, args in entries:
-        if suite == "overlaps":
+    for args in entries:
+        if args.suite == "overlaps":
             families.setdefault((args.moduli, args.max_n), []).append(args.family)
     grids = {
         (moduli, max_n): overlap.overlap_grids(fams, _label_pairs(moduli), max_n)
         for (moduli, max_n), fams in families.items()
     }
     errors = []
-    for suite, args in entries:
-        if suite in _RADIAL_LINES:
-            err = _RADIAL_LINES[suite](args, next(radial), lines)
-        elif suite == "overlaps":
+    for args in entries:
+        if args.suite in _RADIAL_LINES:
+            err = _RADIAL_LINES[args.suite](args, next(radial), lines)
+        elif args.suite == "overlaps":
             err = _overlap_lines(args, grids[args.moduli, args.max_n][args.family], lines)
         else:
-            err = (_verify_discrete if suite == "discrete" else _verify_carleman)(args, lines)
+            err = (_verify_discrete if args.suite == "discrete" else _verify_carleman)(args, lines)
         errors.append(err)
     return errors
 
 
+def _tolerance(args) -> float:
+    """The threshold of a verify entry: --limit for carleman, --tol for the rest."""
+    return args.limit if args.suite == "carleman" else args.tol
+
+
 def cmd_verify(args) -> int:
-    if args.dim is None:
-        # the pairs up to the first default cutoff, 10, cover the first 11
-        # Fock states, not the 12 of the unity default
-        args.dim = 8 if args.suite == "discrete" else 12
     lines: list[dict] = []
     if args.suite == "all":
-        # carleman reads its tolerance as the limit, every other suite as tol
-        entries = [
-            (suite, argparse.Namespace(**{"mu": None, "lam": None, **params}, tol=tol, limit=tol))
-            for suite, params, tol in _BATTERY
-        ]
         # the worst error-to-tolerance ratio, against a unit tolerance
         max_err, tol = 0.0, 1.0
-        for (_, entry), err in zip(entries, _run_battery(entries, lines)):
-            max_err = max(max_err, err / entry.tol)
+        for entry, err in zip(_BATTERY, _run_battery(_BATTERY, lines)):
+            max_err = max(max_err, err / _tolerance(entry))
     else:
-        (max_err,) = _run_battery([(args.suite, args)], lines)
-        tol = args.limit if args.suite == "carleman" else args.tol
+        (max_err,) = _run_battery([args], lines)
+        tol = _tolerance(args)
     all_pass = all(line["pass"] for line in lines) and max_err < tol
     for line in lines:
         status = "PASS" if line["pass"] else "FAIL"
@@ -506,13 +413,7 @@ def cmd_verify(args) -> int:
             if k not in ("check", "pass")
         )
         print(f"[{status}] {line['check']}: {detail}")
-    env = _envelope(
-        f"verify {args.suite}",
-        {k: v for k, v in vars(args).items() if k not in ("func", "out", "format") and v is not None},
-        lines,
-        max_err,
-        tol,
-    )
+    env = _envelope(f"verify {args.suite}", args.parameters, lines, max_err, tol)
     env["pass"] = bool(all_pass)
     if args.out:
         _emit_envelope(env, args.out)
@@ -522,89 +423,178 @@ def cmd_verify(args) -> int:
 
 # ----------------------------------------------------------------- parser
 
+# every option of the CLI, declared once: the name its value is stored
+# under -> its option string and argparse keywords
+_FLAGS = {
+    "family": ("--family", {"choices": complete.FAMILIES, "help": "state family of the suite"}),
+    "zeta": ("--zeta", {"help": "squeezing label, MOD or MOD@RADIANS"}),
+    "z": ("--z", {"help": "circle label, MOD or MOD@RADIANS"}),
+    "xi": ("--xi", {"help": "squeezing label of the bra, MOD or MOD@RADIANS"}),
+    "n": ("--n", {"type": int, "help": "photon-added index of the bra"}),
+    "m": ("--m", {"type": parse_int_list, "help": "photon-added index (weights: a list)"}),
+    "mu": ("--mu", {"type": int, "help": "circle index, 0 <= mu < lambda"}),
+    "lam": ("--lambda", {"type": int, "help": "circle order"}),
+    "eps": ("--eps", {"type": float, "help": "truncation tolerance"}),
+    "form": ("--form", {"choices": ("1", "2", "3", "series"), "help": "closed form to check"}),
+    "grid": ("--grid", {"type": int, "help": "number of grid points, at least 2"}),
+    "y_min": ("--y-min", {"type": float, "help": "first grid point"}),
+    "y_max": ("--y-max", {"type": float, "help": "last grid point"}),
+    "kmax": ("--kmax", {"type": int, "help": "highest moment index k"}),
+    "dim": ("--dim", {"type": int, "help": "Fock basis dimension"}),
+    "cutoffs": ("--cutoffs", {"help": "comma-separated pair cutoffs"}),
+    "k": ("--k", {"help": "comma-separated Carleman orders"}),
+    "max_n": ("--max-n", {"type": int, "help": "largest photon-added index of the grid"}),
+    "moduli": ("--moduli", {"help": "comma-separated label moduli of the grid"}),
+    "tol": ("--tol", {"type": threshold, "help": "pass threshold of the error"}),
+    "limit": ("--limit", {"type": threshold, "help": "pass threshold of the last Carleman ratio"}),
+    "format": ("--format", {"choices": ("csv", "json")}),
+    "out": ("--out", {"help": "write to this file, atomically, instead of stdout"}),
+}
+
+_REQUIRED = object()
+_SQUEEZED = {"zeta": _REQUIRED, "m": 0}
+_CIRCLE = {"z": _REQUIRED, "mu": 0, "lam": 2}
+_CSV = {"format": "csv", "out": None}
+_CHECK = {"tol": 1e-8, "out": None}
+_OVERLAP = {"xi": _REQUIRED, "zeta": _REQUIRED, **_CHECK}
+_WEIGHTS = {"m": [1, 2, 3, 4, 5], "grid": 101}
+_CIRCLE_INDICES = {"mu": _REQUIRED, "lam": _REQUIRED}
+
+# command -> family or suite -> the flags it reads, each with its default
+# (_REQUIRED: none).  moments and unity read the flags of their --family,
+# so their keys name it.
+_READS = {
+    "state": {
+        **dict.fromkeys(("pasvs", "pasops", "sns"), {**_SQUEEZED, "eps": 1e-14, **_CSV}),
+        "csc": {**_CIRCLE, "eps": 1e-14, **_CSV},
+        "pacsc": {**_CIRCLE, "m": 0, "eps": 1e-14, **_CSV},
+    },
+    "overlap": {
+        **dict.fromkeys(("pasvs", "pasops"), {**_OVERLAP, "n": 0, "m": 0, "form": "1"}),
+        **dict.fromkeys(("sv", "sops"), _OVERLAP),
+    },
+    "norm": {
+        **dict.fromkeys(("pasvs", "pasops"), {**_SQUEEZED, "tol": 1e-9, "out": None}),
+        "csc": {**_CIRCLE, "tol": 1e-9, "out": None},
+        "pacsc": {**_CIRCLE, "m": 0, "tol": 1e-9, "out": None},
+    },
+    "weights": {
+        **dict.fromkeys(("pasvs", "pasops"), {**_WEIGHTS, "y_min": 1e-4, "y_max": 0.9999, **_CSV}),
+        "pacsc": {**_WEIGHTS, "mu": 0, "lam": 2, "y_min": 0.01, "y_max": 4.0, **_CSV},
+    },
+    "verify": {
+        **{
+            f"{suite} --family {family}": {"family": family, "m": 1, **indices, **size, **_CHECK}
+            for suite, size in (("moments", {"kmax": 10}), ("unity", {"dim": 12}))
+            for family, indices in (("pasvs", {}), ("pasops", {}), ("pacsc", _CIRCLE_INDICES))
+        },
+        # the pairs up to the first cutoff, 10, cover the first 11 Fock states
+        "discrete": {"zeta": "0.3", "cutoffs": "10,20,40", "dim": 8, **_CHECK},
+        "carleman": {"m": 1, "k": "10,100,1000", "limit": 0.01, "out": None},
+        "overlaps": {"family": "pasvs", "max_n": 8, "moduli": "0.2,0.4,0.6", **_CHECK},
+        "all": {"out": None},
+    },
+}
+
+
+def _resolve(command: str, given: dict) -> types.SimpleNamespace:
+    """The arguments of a command line from its parsed values (None: not
+    given): every flag its family or suite reads, given or at its default,
+    with ``parameters`` for the envelope, and the other flags None.  A foreign
+    flag, a missing required one and a list where one index is read are usage
+    errors that name the flag and the family or suite."""
+    positional = _COMMANDS[command][0]
+    key = given[positional]
+    if (by_family := f"{key} --family {given.get('family') or 'pasvs'}") in _READS[command]:
+        key = by_family
+    reads, where = _READS[command][key], f"{command} {key}"
+    named = [flag for flag, value in given.items() if value is not None and flag != positional]
+    if missing := [flag for flag in reads if reads[flag] is _REQUIRED and flag not in named]:
+        raise UsageError(f"{where} requires {_FLAGS[missing[0]][0]}")
+    if foreign := [flag for flag in named if flag not in reads]:
+        raise UsageError(f"{where} does not read " + ", ".join(_FLAGS[flag][0] for flag in foreign))
+    args = {**dict.fromkeys(_FLAGS), **given}
+    parameters = {positional: key.split()[0]}
+    for flag, default in reads.items():
+        value = default if args[flag] is None else args[flag]
+        if isinstance(value, list) and not isinstance(default, list):
+            if len(value) != 1:
+                raise UsageError(f"{where} reads one {_FLAGS[flag][0]}, not a list of {len(value)}")
+            (value,) = value
+        args[flag] = value
+        if flag not in ("format", "out"):
+            parameters[_FLAGS[flag][0][2:].replace("-", "_")] = value
+    return types.SimpleNamespace(**args, parameters=parameters)
+
+
+# command -> its positional argument, help and handler
+_COMMANDS = {
+    "state": ("family", "emit state coefficients", cmd_state),
+    "overlap": ("family", "closed-form overlaps with oracles", cmd_overlap),
+    "norm": ("family", "closed-form normalizations", cmd_norm),
+    "weights": ("family", "weight-function tables", cmd_weights),
+    "verify": ("suite", "verification suites", cmd_verify),
+}
+
+# command -> its positional's choices, and the flags that its families or suites read
+_PARSERS = {
+    command: (
+        tuple(dict.fromkeys(key.split()[0] for key in keys)),
+        [(option, {"dest": flag, **kw}) for flag, (option, kw) in _FLAGS.items()
+         if any(flag in reads for reads in keys.values())],
+    )
+    for command, keys in _READS.items()
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per command, with every flag that some family or suite of
+    the command reads; ``_resolve`` checks them against the family or suite."""
     parser = argparse.ArgumentParser(
         prog="pastates",
         description="Photon-added state construction and completeness verification",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_state = sub.add_parser("state", help="emit state coefficients")
-    p_state.add_argument("family", choices=("pasvs", "pasops", "sns", "csc", "pacsc"))
-    p_state.add_argument("--zeta", help="squeezing label, MOD or MOD@RADIANS")
-    p_state.add_argument("--z", help="circle label, MOD or MOD@RADIANS")
-    p_state.add_argument("--m", type=int, default=0, help="photon-added index")
-    p_state.add_argument("--mu", type=int, default=0)
-    p_state.add_argument("--lambda", dest="lam", type=int, default=2)
-    p_state.add_argument("--eps", type=float, default=1e-14, help="truncation tolerance")
-    p_state.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_state.add_argument("--out", default=None)
-    p_state.set_defaults(func=cmd_state)
-
-    p_ov = sub.add_parser("overlap", help="closed-form overlaps with oracles")
-    p_ov.add_argument("family", choices=("pasvs", "pasops", "sv", "sops"))
-    p_ov.add_argument("--xi", required=True)
-    p_ov.add_argument("--zeta", required=True)
-    p_ov.add_argument("--n", type=int, default=0)
-    p_ov.add_argument("--m", type=int, default=0)
-    p_ov.add_argument("--form", choices=("1", "2", "3", "series"), default="1")
-    p_ov.add_argument("--tol", type=float, default=1e-8)
-    p_ov.add_argument("--format", choices=("json",), default="json")
-    p_ov.add_argument("--out", default=None)
-    p_ov.set_defaults(func=cmd_overlap)
-
-    p_norm = sub.add_parser("norm", help="closed-form normalizations")
-    p_norm.add_argument("family", choices=("pasvs", "pasops", "csc", "pacsc"))
-    p_norm.add_argument("--zeta")
-    p_norm.add_argument("--z")
-    p_norm.add_argument("--m", type=int, default=0)
-    p_norm.add_argument("--mu", type=int, default=0)
-    p_norm.add_argument("--lambda", dest="lam", type=int, default=2)
-    p_norm.add_argument("--tol", type=float, default=1e-9)
-    p_norm.add_argument("--format", choices=("json",), default="json")
-    p_norm.add_argument("--out", default=None)
-    p_norm.set_defaults(func=cmd_norm)
-
-    p_w = sub.add_parser("weights", help="weight-function tables")
-    p_w.add_argument("family", choices=("pasvs", "pasops", "pacsc"))
-    p_w.add_argument("--m", default="1,2,3,4,5", help="comma-separated index list")
-    p_w.add_argument("--mu", type=int, default=0)
-    p_w.add_argument("--lambda", dest="lam", type=int, default=2)
-    p_w.add_argument("--grid", type=int, default=101)
-    p_w.add_argument("--y-min", dest="y_min", type=float, default=None)
-    p_w.add_argument("--y-max", dest="y_max", type=float, default=None)
-    p_w.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_w.add_argument("--out", default=None)
-    p_w.set_defaults(func=cmd_weights)
-
-    p_v = sub.add_parser("verify", help="verification suites")
-    p_v.add_argument("suite", choices=("moments", "unity", "discrete", "carleman", "overlaps", "all"))
-    p_v.add_argument("--family", choices=("pasvs", "pasops", "pacsc"), default="pasvs")
-    p_v.add_argument("--m", type=int, default=1)
-    p_v.add_argument("--mu", type=int, default=None)
-    p_v.add_argument("--lambda", dest="lam", type=int, default=None)
-    p_v.add_argument("--kmax", type=int, default=10)
-    p_v.add_argument(
-        "--dim", type=int, default=None, help="basis dimension (default 12; 8 for discrete)"
-    )
-    p_v.add_argument("--zeta", default="0.3")
-    p_v.add_argument("--cutoffs", default="10,20,40")
-    p_v.add_argument("--k", default="10,100,1000")
-    p_v.add_argument("--limit", type=float, default=0.01)
-    p_v.add_argument("--max-n", dest="max_n", type=int, default=8)
-    p_v.add_argument("--moduli", default="0.2,0.4,0.6")
-    p_v.add_argument("--tol", type=float, default=1e-8)
-    p_v.add_argument("--out", default=None)
-    p_v.set_defaults(func=cmd_verify)
+    for command, (positional, text, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        choices, flags = _PARSERS[command]
+        p.add_argument(positional, choices=choices)
+        for option, kw in flags:
+            p.add_argument(option, **kw)
     return parser
 
 
+# every check of ``verify all``, in order: its suite and the flags it sets,
+# the others at their ``verify <suite>`` defaults
+_BATTERY = [
+    _resolve("verify", {"suite": suite, **flags})
+    for suite, flags in (
+        [("moments", {"family": "pasvs", "m": m}) for m in range(1, 7)]
+        + [("moments", {"family": "pasops", "m": m}) for m in range(6)]
+        + [
+            ("moments", {"family": "pacsc", "m": m, "mu": mu, "lam": lam, "kmax": 8})
+            for lam, mu in ((1, 0), (2, 0), (2, 1), (3, 2))
+            for m in range(5)
+        ]
+        + [("unity", {"family": "pasvs", "m": m, "tol": 1e-6}) for m in range(1, 5)]
+        + [("unity", {"family": "pasops", "m": m, "tol": 1e-6}) for m in range(4)]
+        + [
+            ("unity", {"family": "pacsc", "m": m, "mu": mu, "lam": lam, "tol": 1e-6})
+            for m, mu, lam in ((1, 0, 1), (2, 0, 2), (1, 1, 2), (2, 2, 3))
+        ]
+        + [("discrete", {"tol": 1e-9})]
+        + [("carleman", {"m": m, "k": "10,100,1000,10000"}) for m in range(1, 5)]
+        + [("overlaps", {"family": family, "tol": 1e-9}) for family in ("pasvs", "pasops")]
+    )
+]
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    parsed = vars(build_parser().parse_args(argv))
+    command = parsed.pop("command")
     try:
-        code = args.func(args)
+        code = _COMMANDS[command][2](_resolve(command, parsed))
         sys.stdout.flush()
         return code
     except BrokenPipeError:

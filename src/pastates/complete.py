@@ -136,13 +136,21 @@ def _vacuum_weight_table(m_max: int, y: np.ndarray, omy: np.ndarray) -> np.ndarr
     return h
 
 
+def _normal_density(name: str, m: int, y: float, value: float) -> float:
+    """A density, in the normal float range: a subnormal or 0 has lost its digits."""
+    if not value >= sys.float_info.min:
+        raise ArithmeticError(f"{name}: m={m}, y={y}: density {value!r} below the normal float range")
+    return value
+
+
 def weight_h(m: int, y: float, form: str = "closed", one_minus_y: float | None = None) -> float:
     """Radial weight of the photon-added squeezed vacuum measure, m >= 1.
 
     form="closed": 1/(2 pi sqrt(1-y)) for m = 1 and the second-kind
     Legendre expression for m >= 2.  form="hypergeometric": the Gauss-series
     route (argument 1-y, so it needs y >= 0.05).  form="integral": the
-    convolution integral evaluated by quadrature (m >= 2).
+    convolution integral evaluated by quadrature (m >= 2).  A value below
+    the normal float range is an ArithmeticError that names m and y.
 
     ``one_minus_y`` may carry 1-y in exact form when y is a quadrature node
     adjacent to 1.
@@ -155,13 +163,13 @@ def weight_h(m: int, y: float, form: str = "closed", one_minus_y: float | None =
     if not (y > 0.0 and omy > 0.0):
         raise ValueError("weight_h requires 0 < y < 1")
     if form == "closed":
-        return float(_vacuum_weight_table(m, np.array([y]), np.array([omy]))[0, m - 1])
-    if form == "hypergeometric":
+        value = float(_vacuum_weight_table(m, np.array([y]), np.array([omy]))[0, m - 1])
+    elif form == "hypergeometric":
         # in log space: (2m-3)!! leaves the float range from m = 152 on
         hyp = specfun.gauss_2f1(0.5 * m, 0.5 * (m - 1), m - 0.5, omy)
         log_pref = -math.log(_TWO_PI) - specfun.log_double_factorial(2 * m - 3)
-        return math.exp(log_pref + (m - 1.5) * math.log(omy) + math.log(hyp.real))
-    if form == "integral":
+        value = math.exp(log_pref + (m - 1.5) * math.log(omy) + math.log(hyp.real))
+    elif form == "integral":
         if m < 2:
             raise ValueError("integral form of weight_h requires m >= 2")
 
@@ -171,8 +179,10 @@ def weight_h(m: int, y: float, form: str = "closed", one_minus_y: float | None =
         res = tanh_sinh(f, y, 1.0, tol=1e-11)
         if not res.converged:
             raise ValueError(f"weight_h integral form did not converge at y={y}")
-        return res.value / (4.0 * math.pi * math.exp(specfun.log_factorial(m - 2)))
-    raise ValueError(f"unknown weight_h form: {form!r}")
+        value = res.value / (4.0 * math.pi * math.exp(specfun.log_factorial(m - 2)))
+    else:
+        raise ValueError(f"unknown weight_h form: {form!r}")
+    return _normal_density("weight_h", m, y, value)
 
 
 def weight_h1m(m: int, y: float, one_minus_y: float | None = None) -> float:
@@ -185,12 +195,18 @@ def weight_h1m(m: int, y: float, one_minus_y: float | None = None) -> float:
         raise ValueError("weight_h1m requires m >= 0")
     if m + 1 > _VACUUM_INDEX_MAX:
         raise OverflowError(f"weight_h1m: (m-1)! overflows at m={m}")
-    return weight_h(m + 1, y, one_minus_y=one_minus_y)
+    omy = (1.0 - y) if one_minus_y is None else one_minus_y
+    if not (y > 0.0 and omy > 0.0):
+        raise ValueError("weight_h1m requires 0 < y < 1")
+    value = float(_vacuum_weight_table(m + 1, np.array([y]), np.array([omy]))[0, m])
+    return _normal_density("weight_h1m", m, y, value)
 
 
 def weight_hmum(lam: int, mu: int, m: int, y: float) -> float:
-    """Radial weight of the photon-added circle-state measure: one node of ``_weight_table``."""
-    return float(_weight_table("pacsc", [m], np.array([y], dtype=float), mu, lam)[0, 0])
+    """Radial weight of the photon-added circle-state measure: one node of
+    ``_weight_table``, which must lie in the normal float range."""
+    value = float(_weight_table("pacsc", [m], np.array([y], dtype=float), mu, lam)[0, 0])
+    return _normal_density("weight_hmum", m, y, value)
 
 
 def _integrand(wf: WeightFunction) -> tuple[str, int]:
@@ -398,41 +414,34 @@ def sns_pasvs_matrix(param: fockstate.SqueezeParam, dim: int) -> np.ndarray:
     return fockstate._expansion_matrix(param, range(dim), range(dim), "sns")
 
 
-def _pair_coefficient_closed(param: fockstate.SqueezeParam, m: int, n: int) -> complex:
-    """Closed-form coefficient of |zeta,m><zeta,n| (m <= n, n-m even) in the
-    discrete resolution of unity."""
-    y = param.y
-    omy = 1.0 - y
-    x = omy**-0.5
-    q = (n - m) // 2
-    nu = (m + n) // 2
-    dq = specfun.legendre_p_deriv(q, nu, x)
-    log_w = (
-        -0.5 * (specfun.log_factorial(n) - specfun.log_factorial(m))
-        + 0.5 * (math.log(specfun.legendre_p(m, x)) + math.log(specfun.legendre_p(n, x)))
-        - 0.5 * math.log(omy)
-        + math.log(dq)
-    )
-    if q:
-        log_w += 0.5 * q * (math.log(y) - math.log(omy))
-    phase = (-cmath.exp(-1j * param.phi)) ** q
-    return math.exp(log_w) * phase
-
-
 def _pair_matrix(param: fockstate.SqueezeParam, top: int, coefficients: str) -> np.ndarray:
     """Hermitian matrix D of the pair coefficients of |zeta,m><zeta,n| for
     m, n <= top, zero across parity.
 
-    "closed": the closed form for m <= n, mirrored.  "series": D = C^T conj(C)
+    "closed": the closed form for m <= n (n-m even), mirrored, with one
+    ln P_0..ln P_top at x = (1-y)^(-1/2) per block.  "series": D = C^T conj(C)
     over the rows j of the squeezed-number-state expansion matrix C, with the
     number of rows doubled until the last two rows of each parity add at
     most 1e-17 of every entry.
     """
     if coefficients == "closed":
+        y = param.y
+        omy = 1.0 - y
+        x = omy**-0.5
+        log_p = [math.log(specfun.legendre_p(j, x)) for j in range(top + 1)]
         pairs = np.zeros((top + 1, top + 1), dtype=complex)
         for m in range(top + 1):
             for n in range(m, top + 1, 2):
-                pairs[m, n] = _pair_coefficient_closed(param, m, n)
+                q, nu = (n - m) // 2, (m + n) // 2
+                log_w = (
+                    -0.5 * (specfun.log_factorial(n) - specfun.log_factorial(m))
+                    + 0.5 * (log_p[m] + log_p[n])
+                    - 0.5 * math.log(omy)
+                    + math.log(specfun.legendre_p_deriv(q, nu, x))
+                )
+                if q:
+                    log_w += 0.5 * q * (math.log(y) - math.log(omy))
+                pairs[m, n] = math.exp(log_w) * (-cmath.exp(-1j * param.phi)) ** q
                 pairs[n, m] = pairs[m, n].conjugate()
         return pairs
     rows = 2 * (top + 1)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -401,6 +402,208 @@ def test_weights_json_nonpositive_value_fails_envelope(capsys):
     assert env["pass"] is False and env["max_error"] == math.inf
 
 
+def test_weights_subnormal_density_names_y_and_column(capsys):
+    # 4.0e-313 is below the normal float range: the table is written, and
+    # the value is named on stderr as a failure, not printed as a density
+    argv = ["weights", "pasvs", "--m", "140", "--y-min", "0.5", "--y-max", "0.501", "--grid", "2"]
+    code, out, err = run_cli(argv, capsys)
+    assert code == 1
+    assert out.splitlines()[1] == "0.5,4.009894931296623e-313"
+    assert err == "error: h_140 at y=0.5 is 4.009894931296623e-313, below the normal float range\n"
+    code, out, err = run_cli([*argv, "--format", "json"], capsys)
+    env = json.loads(out)
+    assert code == 1 and err == ""
+    assert env["pass"] is False and env["max_error"] == math.inf
+
+
+# ------------------------------------------------------------ flags read
+
+# the flags that each family or suite reads; moments and unity read the
+# flags of their --family
+READS = {
+    ("state", "pasvs"): "zeta m eps format out",
+    ("state", "pasops"): "zeta m eps format out",
+    ("state", "sns"): "zeta m eps format out",
+    ("state", "csc"): "z mu lambda eps format out",
+    ("state", "pacsc"): "z m mu lambda eps format out",
+    ("overlap", "pasvs"): "xi zeta n m form tol out",
+    ("overlap", "pasops"): "xi zeta n m form tol out",
+    ("overlap", "sv"): "xi zeta tol out",
+    ("overlap", "sops"): "xi zeta tol out",
+    ("norm", "pasvs"): "zeta m tol out",
+    ("norm", "pasops"): "zeta m tol out",
+    ("norm", "csc"): "z mu lambda tol out",
+    ("norm", "pacsc"): "z m mu lambda tol out",
+    ("weights", "pasvs"): "m grid y-min y-max format out",
+    ("weights", "pasops"): "m grid y-min y-max format out",
+    ("weights", "pacsc"): "m mu lambda grid y-min y-max format out",
+    ("verify", "moments --family pasvs"): "family m kmax tol out",
+    ("verify", "moments --family pasops"): "family m kmax tol out",
+    ("verify", "moments --family pacsc"): "family m mu lambda kmax tol out",
+    ("verify", "unity --family pasvs"): "family m dim tol out",
+    ("verify", "unity --family pasops"): "family m dim tol out",
+    ("verify", "unity --family pacsc"): "family m mu lambda dim tol out",
+    ("verify", "discrete"): "zeta cutoffs dim tol out",
+    ("verify", "carleman"): "m k limit out",
+    ("verify", "overlaps"): "family max-n moduli tol out",
+    ("verify", "all"): "out",
+}
+# the flags of each command's parser: those that some family or suite reads
+COMMAND_FLAGS = {
+    "state": "zeta z m mu lambda eps format out",
+    "overlap": "xi zeta n m form tol out",
+    "norm": "zeta z m mu lambda tol out",
+    "weights": "m mu lambda grid y-min y-max format out",
+    "verify": "family zeta m mu lambda kmax dim cutoffs k limit max-n moduli tol out",
+}
+# a value of each flag at which every family or suite that reads it passes
+VALUES = {
+    "zeta": "0.3", "z": "0.5", "xi": "0.2", "n": "2", "m": "2", "mu": "1", "lambda": "3",
+    "eps": "1e-15", "form": "2", "grid": "5", "y-min": "0.2", "y-max": "0.6", "kmax": "3",
+    "dim": "4", "cutoffs": "10,20", "k": "10,100,1000", "max-n": "2", "moduli": "0.2",
+    "tol": "1e-6", "limit": "0.05", "format": "json", "family": "pasops",
+}
+
+
+def base_argv(command, key):
+    """The command line of a family or suite with only its required flags."""
+    suite, _, family = key.partition(" --family ")
+    if family:
+        indices = ["--mu", "0", "--lambda", "2"] if family == "pacsc" else []
+        return [command, suite, "--family", family, *indices]
+    if command == "overlap":
+        return [command, key, "--xi", "0.2", "--zeta", "0.3"]
+    if command in ("state", "norm"):
+        return [command, key, *(["--z", "0.5"] if key in ("csc", "pacsc") else ["--zeta", "0.3"])]
+    return [command, key]
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FLAGS))
+def test_each_command_parser_declares_the_flags_its_families_read(command):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        option
+        for action in sub.choices[command]._actions
+        for option in action.option_strings
+        if option not in ("-h", "--help")
+    }
+    assert options == {f"--{flag}" for flag in COMMAND_FLAGS[command].split()}
+
+
+@pytest.mark.parametrize(
+    "command, key, flag",
+    [
+        pytest.param(command, key, flag, id=f"{command}-{key.replace(' --family ', '-')}-{flag}")
+        for (command, key), reads in READS.items()
+        for flag in COMMAND_FLAGS[command].split()
+    ],
+)
+def test_every_flag_is_read_or_a_usage_error(command, key, flag, capsys, tmp_path):
+    argv = base_argv(command, key)
+    if f"--{flag}" not in argv:
+        argv += [f"--{flag}", str(tmp_path / "out") if flag == "out" else VALUES[flag]]
+    code, out, err = run_cli(argv, capsys)
+    if flag in READS[command, key].split():
+        assert (code, err) == (0, "")
+    else:
+        assert (code, out) == (2, "")
+        assert err == f"error: {command} {key} does not read --{flag}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, where, flag",
+    [
+        # the commands of ROADMAP item 8, which used to run a different check
+        ("verify discrete --family pacsc", "verify discrete", "--family"),
+        ("verify discrete --family pasops", "verify discrete", "--family"),
+        ("verify discrete --m 5 --lambda 3", "verify discrete", "--m"),
+        ("verify carleman --family pacsc", "verify carleman", "--family"),
+        (
+            "verify moments --family pasvs --m 2 --zeta 0.5 --cutoffs 3",
+            "verify moments --family pasvs",
+            "--zeta",
+        ),
+        ("verify all --family pacsc --m 9", "verify all", "--family"),
+        ("verify discrete --family pasops --cutoffs 3 --dim 4", "verify discrete", "--family"),
+        ("verify carleman --family pacsc --m 2 --k 10,100", "verify carleman", "--family"),
+        ("overlap sv --xi 0.2 --zeta 0.3 --n 5 --form 2", "overlap sv", "--n"),
+        ("state csc --z 1 --m 7 --zeta 0.5", "state csc", "--zeta"),
+        ("norm pasvs --zeta 0.3 --z 5 --lambda 9", "norm pasvs", "--z"),
+        ("verify unity --family pasvs --mu 1 --lambda 2", "verify unity --family pasvs", "--mu"),
+        ("verify all --tol 5", "verify all", "--tol"),
+    ],
+)
+def test_foreign_flags_name_the_flag_and_the_family_or_suite(argv, where, flag, capsys):
+    code, out, err = run_cli(argv.split(), capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {where} does not read {flag}")
+
+
+def test_a_single_index_flag_rejects_a_list(capsys):
+    code, out, err = run_cli(["state", "pasvs", "--zeta", "0.3", "--m", "1,2"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: state pasvs reads one --m, not a list of 2\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["overlap", "pasvs", "--xi", "0.2", "--zeta", "0.3"], "--tol"),
+        (["norm", "pasvs", "--zeta", "0.3", "--m", "2"], "--tol"),
+        (["verify", "moments", "--m", "2", "--kmax", "2"], "--tol"),
+        (["verify", "carleman", "--m", "2", "--k", "10,100"], "--limit"),
+    ],
+)
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_threshold_that_cannot_both_pass_and_fail_exits_2(argv, flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, flag, value])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert f"argument {flag}: must be finite and > 0, got {value}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, parameters",
+    [
+        (["state", "pasvs", "--zeta", "0.3", "--format", "json"], "family zeta m eps"),
+        (["state", "csc", "--z", "0.5", "--format", "json"], "family z mu lambda eps"),
+        (["state", "pacsc", "--z", "0.5", "--format", "json"], "family z m mu lambda eps"),
+        (["overlap", "pasvs", "--xi", "0.2", "--zeta", "0.3"], "family xi zeta n m form tol"),
+        (["overlap", "sops", "--xi", "0.2", "--zeta", "0.3"], "family xi zeta tol"),
+        (["norm", "pasops", "--zeta", "0.3"], "family zeta m tol"),
+        (["norm", "csc", "--z", "0.5"], "family z mu lambda tol"),
+        (["norm", "pacsc", "--z", "0.5"], "family z m mu lambda tol"),
+        (["weights", "pasvs", "--format", "json"], "family m grid y_min y_max"),
+        (["weights", "pacsc", "--format", "json"], "family m mu lambda grid y_min y_max"),
+        (["verify", "moments"], "suite family m kmax tol"),
+        (
+            ["verify", "unity", "--family", "pacsc", "--mu", "0", "--lambda", "2"],
+            "suite family m mu lambda dim tol",
+        ),
+        (["verify", "discrete"], "suite zeta cutoffs dim tol"),
+        (["verify", "carleman"], "suite m k limit"),
+        (["verify", "overlaps"], "suite family max_n moduli tol"),
+        (["verify", "all"], "suite"),
+    ],
+)
+def test_envelope_parameters_are_the_flags_read(argv, parameters, capsys, tmp_path):
+    out = tmp_path / "env.json"
+    code, _, _ = run_cli([*argv, "--out", str(out)], capsys)
+    assert code == 0
+    env = json.loads(out.read_text())
+    # tol is the threshold that max_error is judged against
+    assert set(env["parameters"]) == {*parameters.split(), "tol"}
+
+
+def test_envelope_parameters_hold_the_values_used(capsys):
+    code, out, _ = run_cli(["weights", "pacsc", "--m", "2", "--grid", "3", "--format", "json"], capsys)
+    assert code == 0
+    want = {"family": "pacsc", "m": [2], "mu": 0, "lambda": 2, "grid": 3, "y_min": 0.01, "y_max": 4.0}
+    assert json.loads(out)["parameters"] == {**want, "tol": 1.0}
+
+
 # ------------------------------------------------------------ verify
 
 def test_verify_moments_pass(capsys):
@@ -606,13 +809,15 @@ def test_verify_all_makes_one_radial_pass_per_kind(capsys, tmp_path, monkeypatch
 def test_verify_all_radial_lines_match_single_suites(capsys, tmp_path):
     battery = run_verify_all(capsys, tmp_path)
     alone = []
-    for i, (suite, params, tol) in enumerate(cli._BATTERY):
+    for i, entry in enumerate(cli._BATTERY):
         # a new name per suite: replacing an existing file can cost a flush
         single = tmp_path / f"single-{i}.json"
-        # carleman reads the battery's tolerance as its limit
-        argv = ["verify", suite, "--tol", str(tol), "--limit", str(tol), "--out", str(single)]
-        for key, value in params.items():
-            argv += ["--" + {"lam": "lambda"}.get(key, key).replace("_", "-"), str(value)]
+        argv = ["verify", entry.suite, "--out", str(single)]
+        # every flag the suite reads, its threshold flag among them, as used
+        for key, value in entry.parameters.items():
+            if key != "suite":
+                argv += ["--" + key.replace("_", "-"), str(value)]
+        assert ("--limit" in argv) == (entry.suite == "carleman") != ("--tol" in argv)
         assert run_cli(argv, capsys)[0] == 0
         alone += json.loads(single.read_text())["results"]
     radial = 6 * 11 + 6 * 11 + 20 * 9 + 12

@@ -151,6 +151,23 @@ def test_weight_h_hypergeometric_route_past_the_float_range_of_its_double_factor
     assert cm.weight_h(m, y, "hypergeometric") == pytest.approx(cm.weight_h(m, y), rel=1e-8)
 
 
+@pytest.mark.parametrize(
+    "call, name, m, y",
+    [
+        # below the normal float range, the routes no longer agree to 1e-8:
+        # at m = 140, y = 0.5 the density is a subnormal, at m = 172 it is 0
+        (lambda: cm.weight_h(140, 0.5), "weight_h", 140, 0.5),
+        (lambda: cm.weight_h(140, 0.5, "hypergeometric"), "weight_h", 140, 0.5),
+        (lambda: cm.weight_h(172, 0.05), "weight_h", 172, 0.05),
+        (lambda: cm.weight_h1m(171, 0.05), "weight_h1m", 171, 0.05),
+        (lambda: cm.weight_hmum(200, 0, 1, 0.01), "weight_hmum", 1, 0.01),
+    ],
+)
+def test_density_below_the_normal_float_range_is_a_named_error(call, name, m, y):
+    with pytest.raises(ArithmeticError, match=rf"^{name}: m={m}, y={y}: density .* below"):
+        call()
+
+
 # ------------------------------------------------------------ weight_h1m
 
 def test_weight_h1m_index_identity():
@@ -234,7 +251,7 @@ def test_weight_hmum_errors_name_y_and_measure():
 @pytest.mark.parametrize("lam, mu", [(200, 0), (200, 57), (144, 0)])
 def test_weight_hmum_scale_is_formed_in_log_space(lam, mu):
     # pi lam^(lam-mu) is beyond the float range, the density at y = 1e-300
-    # is not; at y = 0.5 it underflows to 0
+    # is not; at y = 0.5 it underflows to 0, which is an error, not a value
     mpmath = pytest.importorskip("mpmath")
     y = 1e-300
     with mpmath.workdps(40):
@@ -243,7 +260,8 @@ def test_weight_hmum_scale_is_formed_in_log_space(lam, mu):
         want = y_mp ** (mpmath.mpf(mu + 1 - lam) / lam) * mpmath.exp(-x) * mpmath.hyperu(1, 1, x)
         want /= mpmath.pi * mpmath.mpf(lam) ** (lam - mu)
     assert cm.weight_hmum(lam, mu, 1, y) == pytest.approx(float(want), rel=1e-13, abs=0)
-    assert cm.weight_hmum(lam, mu, 1, 0.5) == 0.0
+    with pytest.raises(ArithmeticError, match=r"^weight_hmum: m=1, y=0.5: density 0.0 below"):
+        cm.weight_hmum(lam, mu, 1, 0.5)
 
 
 # ------------------------------------------------------------ moments
@@ -606,6 +624,21 @@ def test_discrete_closed_assembly_is_block_exact():
     for cutoff in (10, 20, 40):
         mat = cm.discrete_completeness_matrix(p, cutoff, 8, "closed")
         assert mat.identity_deviation() < 1e-10
+
+
+def test_closed_pair_coefficients_take_one_legendre_table_per_block(monkeypatch):
+    # the 20 pairs of the top-7 block read ln P_0..ln P_7 from one call each
+    degrees = []
+    real = cm.specfun.legendre_p
+
+    def counted(n, x):
+        degrees.append(n)
+        return real(n, x)
+
+    monkeypatch.setattr(cm.specfun, "legendre_p", counted)
+    mat = cm.discrete_completeness_matrix(fs.SqueezeParam(0.3), 10, 8, "closed")
+    assert mat.identity_deviation() < 1e-10
+    assert degrees == list(range(8))
 
 
 def test_discrete_assembly_routes_agree():
